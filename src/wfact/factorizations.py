@@ -137,7 +137,7 @@ def lead_coeff(params: GroupParams, g: Element) -> Fraction:
 
     Hurwitz numbers of the underlying cycle type scaled by explicit factors
     of m, n, k, Euler phi and the second Jordan totient; the case split
-    mirrors full_length.  Exact and asserted integral.
+    mirrors full_length.  Exact and checked integral.
     """
     validate_element(g, params)
     cd = cycle_data(g, params)
@@ -168,7 +168,8 @@ def lead_coeff(params: GroupParams, g: Element) -> Fraction:
                 * jfactor
                 * hurwitz_h1(shape)
             )
-    assert value.denominator == 1, f"leading count non-integral for {g}: {value}"
+    if value.denominator != 1:
+        raise AssertionError(f"leading count non-integral for {g}: {value}")
     return value
 
 

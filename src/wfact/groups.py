@@ -255,7 +255,10 @@ def reflections(params: GroupParams) -> list[Reflection]:
         for i in range(1, params.n + 1):
             for k in range(1, steps):
                 out.append(Reflection("diagonal", i, None, k))
-    assert len(out) == params.num_reflections
+    if len(out) != params.num_reflections:
+        raise AssertionError(
+            f"listed {len(out)} reflections of {params}, expected {params.num_reflections}"
+        )
     return out
 
 

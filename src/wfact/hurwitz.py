@@ -4,7 +4,7 @@ H_0(lambda) counts the transitive transposition factorizations of a
 permutation of cycle type lambda at the minimum possible length n + k - 2;
 H_1(lambda) counts them at length n + k (the next layer up, since lengths
 step by 2).  Both closed forms involve fractional intermediates (powers
-n**(k-3)), so values are computed as exact rationals and asserted integral
+n**(k-3)), so values are computed as exact rationals and checked integral
 at the boundary — a transcription slip shows up as a loud failure, not a
 silently wrong integer.
 """
@@ -33,7 +33,8 @@ def _weight_product(parts: tuple[int, ...]) -> Fraction:
 
 
 def _as_integer(value: Fraction, label: str) -> Fraction:
-    assert value.denominator == 1, f"{label} came out non-integral: {value}"
+    if value.denominator != 1:
+        raise AssertionError(f"{label} came out non-integral: {value}")
     return value
 
 

@@ -1,18 +1,28 @@
 """Ground truth by exhaustion for small G(m,p,n).
 
-Builds complete index-level tables (all elements, their multiplication
-table, the lattice of subgroups generated by reflection subsets) and runs a
-dynamic program over states (current product, subgroup generated so far) to
-count reflection factorizations of every length — either all of them or
-only the full ones (factors generating the whole group).  Everything here is
-deliberately brute-force and capped; it exists to certify the closed-form
-pipeline, never to replace it.
+Builds complete index-level tables of one group: its elements, their
+multiplication table, and the lattice of subgroups generated by reflection
+subsets, each keyed by the reflections it contains and closed coset by
+coset.  Counts of reflection factorizations of every length then come from
+exact walks over elements, one sweep serving every element:
+
+* mode "all": walk_W(g), the number of reflection sequences with product g.
+  It uses no lattice machinery.
+* mode "full" (the factors generate the whole group W): Möbius inversion
+  over the lattice (Rota, *On the foundations of combinatorial theory I*,
+  1964).  A sequence lies in H exactly when the subgroup it generates lies
+  under H, so full(g) = sum over reflection subgroups H of
+  mu(H, W) * walk_H(g), where walk_H counts the sequences of reflections
+  of H with product g.  Only the H with mu(H, W) != 0 are walked.
+
+Everything here is deliberately brute-force and capped; it exists to
+certify the closed-form pipeline, never to replace it.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +47,8 @@ __all__ = [
     "ElementTable",
     "SubgroupTable",
     "build_tables",
+    "clear_caches",
     "count_factorizations",
-    "counts_by_subgroup",
     "sweep_counts",
     "oracle_series",
     "acts_transitively_on_Em",
@@ -76,17 +86,50 @@ class ElementTable:
 
 @dataclass
 class SubgroupTable:
-    """All subgroups generated by reflection subsets, with join-by-reflection."""
+    """All subgroups generated by reflection subsets, with join-by-reflection.
+
+    ``masks[s]`` has bit ri set when reflection ``refl_indices[ri]`` lies in
+    subgroup s; a reflection subgroup is determined by its reflections, so
+    the masks are distinct and containment is a bitmask subset test.
+    ``mobius[s]`` is the Möbius function mu(s, top) of the lattice.
+    """
 
     members: list[np.ndarray]
-    member_sets: list[frozenset[int]]
+    masks: list[int]
     join: list[list[int]]
+    mobius: list[int]
     trivial_index: int
     full_index: int
 
 
-_TABLE_CACHE: dict[tuple[GroupParams, int], tuple[ElementTable, SubgroupTable]] = {}
-_SWEEP_CACHE: dict[GroupParams, tuple[int, list[list[int]], list[list[int]]]] = {}
+_CACHE_GROUPS = 8
+_TABLE_CACHE: OrderedDict[tuple[GroupParams, int], tuple[ElementTable, SubgroupTable]] = (
+    OrderedDict()
+)
+_SWEEP_CACHE: OrderedDict[GroupParams, tuple[int, np.ndarray, np.ndarray]] = OrderedDict()
+
+
+def _cache_get(cache: OrderedDict, key):
+    value = cache.get(key)
+    if value is not None:
+        cache.move_to_end(key)
+    return value
+
+
+def _cache_put(cache: OrderedDict, key, value) -> None:
+    cache[key] = value
+    cache.move_to_end(key)
+    while len(cache) > _CACHE_GROUPS:
+        cache.popitem(last=False)
+
+
+def clear_caches() -> None:
+    """Drop every cached table and count sweep.
+
+    Each cache keeps the 8 most recently used groups on its own.
+    """
+    _TABLE_CACHE.clear()
+    _SWEEP_CACHE.clear()
 
 
 def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
@@ -97,7 +140,7 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     """
     cap = _cap_w()
     key = (params, cap)
-    cached = _TABLE_CACHE.get(key)
+    cached = _cache_get(_TABLE_CACHE, key)
     if cached is not None:
         return cached
     if params.order > cap:
@@ -106,40 +149,51 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
             f"(override with the {_CAP_ENV} environment variable)"
         )
     elements = list(all_elements(params))
-    assert len(elements) == params.order
+    if len(elements) != params.order:
+        raise AssertionError(
+            f"enumerated {len(elements)} elements of {params}, order is {params.order}"
+        )
     index = {g: i for i, g in enumerate(elements)}
-    n = params.n
     perms0 = np.array([[v - 1 for v in g.perm] for g in elements], dtype=np.int32)
     colors = np.array([list(g.colors) for g in elements], dtype=np.int32)
-    mult = build_mult_table(perms0, colors, params.m)
     identity_index = index[identity(params)]
     refl_list = reflections(params)
     refl_indices = [index[t.to_element(params)] for t in refl_list]
+    # The reflections generate the group (the trivial group needs its identity).
+    mult = build_mult_table(perms0, colors, params.m, refl_indices or [identity_index])
     etable = ElementTable(
         params, elements, index, mult, identity_index, refl_list, refl_indices
     )
     stable = _build_subgroups(etable)
-    _TABLE_CACHE[key] = (etable, stable)
+    _cache_put(_TABLE_CACHE, key, (etable, stable))
     return etable, stable
 
 
 def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     mult = etable.mult
-    id_idx = etable.identity_index
     refl_elems = etable.refl_indices
+    refl_array = np.array(refl_elems, dtype=np.intp)
     num_refl = len(refl_elems)
     total = len(etable.elements)
 
     members: list[np.ndarray] = []
-    member_sets: list[frozenset[int]] = []
-    interned: dict[bytes, int] = {}
+    masks: list[int] = []
+    interned: dict[int, int] = {}
     gens_of: list[tuple[int, ...]] = []
+    via: list[tuple[int, int]] = []  # (parent, reflection) whose join found it
     join: list[list[int]] = []
 
-    def intern(member_array: np.ndarray, gens: tuple[int, ...]) -> tuple[int, bool]:
-        key = member_array.tobytes()
-        existing = interned.get(key)
+    def intern(
+        member_array: np.ndarray, gens: tuple[int, ...], found_by: tuple[int, int]
+    ) -> tuple[int, bool]:
+        flags = np.zeros(total, dtype=bool)
+        flags[member_array] = True
+        packed = np.packbits(flags[refl_array], bitorder="little")
+        mask = int.from_bytes(packed.tobytes(), "little")
+        existing = interned.get(mask)
         if existing is not None:
+            if len(members[existing]) != len(member_array):
+                raise AssertionError("two subgroups share the same reflections")
             return existing, False
         if len(members) >= CAP_SUBGROUPS:
             raise CapabilityError(
@@ -147,101 +201,120 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
                 "subgroups; oracle subgroup cap exceeded"
             )
         idx = len(members)
-        interned[key] = idx
+        interned[mask] = idx
         members.append(member_array)
-        member_sets.append(frozenset(int(v) for v in member_array))
+        masks.append(mask)
         gens_of.append(gens)
+        via.append(found_by)
         join.append([-1] * num_refl)
         return idx, True
 
-    trivial_members = subgroup_closure(mult, [], id_idx)
-    trivial_index, _ = intern(trivial_members, ())
+    trivial_members = np.array([etable.identity_index], dtype=np.int32)
+    trivial_index, _ = intern(trivial_members, (), (-1, -1))
     queue: deque[int] = deque([trivial_index])
     while queue:
         s = queue.popleft()
+        parent, last = via[s]
         for ri, gen_elem in enumerate(refl_elems):
-            if gen_elem in member_sets[s]:
+            if masks[s] >> ri & 1:
                 join[s][ri] = s
                 continue
-            closure = subgroup_closure(mult, gens_of[s] + (gen_elem,), id_idx)
-            target, fresh = intern(closure, gens_of[s] + (gen_elem,))
+            # s = parent v last, so s v ri = (parent v ri) v last: no closure
+            # when the breadth-first order has already joined that.
+            if parent >= 0 and join[join[parent][ri]][last] >= 0:
+                join[s][ri] = join[join[parent][ri]][last]
+                continue
+            gens = gens_of[s] + (gen_elem,)
+            closure = subgroup_closure(mult, members[s], gens)
+            target, fresh = intern(closure, gens, (s, ri))
             join[s][ri] = target
             if fresh:
                 queue.append(target)
-    full_candidates = [i for i, member in enumerate(members) if len(member) == total]
-    assert len(full_candidates) <= 1
-    full_index = full_candidates[0] if full_candidates else -1
-    if full_index < 0:
-        # Reflections of G(m,p,n) always generate it; the only way to get here
-        # is the trivial group, whose "full" subgroup is the trivial one.
+    full_index = interned.get((1 << num_refl) - 1, -1)
+    if full_index < 0 or len(members[full_index]) != total:
+        # Reflections of G(m,p,n) always generate it (the trivial group's
+        # top is its trivial subgroup), so this is a table or closure bug.
         raise AssertionError("reflection subgroup lattice is missing the top")
-    return SubgroupTable(members, member_sets, join, trivial_index, full_index)
+    mobius = _mobius_to_top(members, masks, full_index)
+    return SubgroupTable(members, masks, join, mobius, trivial_index, full_index)
 
 
-def sweep_counts(
-    params: GroupParams, n_max: int
-) -> tuple[list[list[int]], list[list[int]]]:
+def _mobius_to_top(members: list[np.ndarray], masks: list[int], top: int) -> list[int]:
+    """mu(s, top) for every subgroup s, in one pass from the top down.
+
+    mu(top, top) = 1 and mu(s, top) = -sum of mu(k, top) over the subgroups
+    k strictly above s.  Visiting by decreasing order puts every k above s
+    first; only the k with mu != 0 are kept for the subset tests.
+    """
+    mobius = [0] * len(members)
+    mobius[top] = 1
+    above = [(masks[top], 1)]
+    for s in sorted(range(len(members)), key=lambda i: -len(members[i])):
+        if s == top:
+            continue
+        mask = masks[s]
+        value = -sum(mu for other, mu in above if other & mask == mask)
+        mobius[s] = value
+        if value:
+            above.append((mask, value))
+    return mobius
+
+
+def _walk(
+    mult: np.ndarray, members: np.ndarray, refls: list[int], start: int, n_max: int
+) -> np.ndarray:
+    """walk[N, i]: sequences of N reflections from ``refls`` with product members[i].
+
+    ``members`` are the sorted indices of a subgroup H, ``refls`` its
+    reflections and ``start`` the identity.  Exact: object entries hold
+    Python ints.  A length-N product y ends in some t, with y * t**-1 the
+    length-(N-1) product; the inverses run over H's reflections as t does,
+    so each step is one gather-add per reflection.
+    """
+    steps = [np.searchsorted(members, mult[members, t]) for t in refls]
+    walk = np.zeros((n_max + 1, len(members)), dtype=object)
+    walk[0, np.searchsorted(members, start)] = 1
+    for length in range(1, n_max + 1):
+        prev = walk[length - 1]
+        row = walk[length]
+        for step in steps:
+            row += prev[step]
+    return walk
+
+
+def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(all_counts, full_counts): per length N <= n_max, per element index.
 
     ``all_counts[N][e]`` counts length-N reflection sequences with product
-    e — computed by a plain element-level DP, with no subgroup tracking, so
-    it is independent of the subgroup machinery.  ``full_counts[N][e]``
-    restricts to sequences whose factors generate the whole group, via the
-    (product, subgroup) DP.  One sweep serves every element of the group.
+    e: a walk over the whole group, with no subgroup tracking, so it is
+    independent of the subgroup machinery.  ``full_counts[N][e]`` restricts
+    to sequences whose factors generate the whole group, by Möbius
+    inversion: the sum over subgroups H with mu(H, W) != 0 of mu(H, W)
+    times the walk inside H.  The H = W term is the "all" walk itself.
+    One sweep serves every element of the group.  Entries are Python ints.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    cached = _SWEEP_CACHE.get(params)
+    cached = _cache_get(_SWEEP_CACHE, params)
     if cached is not None and cached[0] >= n_max:
         _, all_counts, full_counts = cached
         return all_counts[: n_max + 1], full_counts[: n_max + 1]
     etable, stable = build_tables(params)
-    total = len(etable.elements)
     mult = etable.mult
-    refl_elems = etable.refl_indices
     id_idx = etable.identity_index
-
-    # Element-only DP for mode "all".
-    all_counts: list[list[int]] = []
-    vec = [0] * total
-    vec[id_idx] = 1
-    all_counts.append(vec[:])
-    for _ in range(n_max):
-        fresh = [0] * total
-        for e, c in enumerate(vec):
-            if not c:
-                continue
-            row = mult[e]
-            for t in refl_elems:
-                fresh[int(row[t])] += c
-        vec = fresh
-        all_counts.append(vec[:])
-
-    # (product, subgroup) DP for mode "full".
-    full_counts: list[list[int]] = []
-    dp: dict[tuple[int, int], int] = {(id_idx, stable.trivial_index): 1}
-    full_idx = stable.full_index
-
-    def record() -> None:
-        snapshot = [0] * total
-        for (e, s), c in dp.items():
-            if s == full_idx:
-                snapshot[e] = c
-        full_counts.append(snapshot)
-
-    record()
-    joins = stable.join
-    for _ in range(n_max):
-        fresh_dp: dict[tuple[int, int], int] = {}
-        for (e, s), c in dp.items():
-            row = mult[e]
-            jrow = joins[s]
-            for ri, t in enumerate(refl_elems):
-                state = (int(row[t]), jrow[ri])
-                fresh_dp[state] = fresh_dp.get(state, 0) + c
-        dp = fresh_dp
-        record()
-    _SWEEP_CACHE[params] = (n_max, all_counts, full_counts)
+    refl_elems = etable.refl_indices
+    all_counts = _walk(
+        mult, np.arange(len(etable.elements)), refl_elems, id_idx, n_max
+    )
+    full_counts = all_counts.copy()
+    for s, mu in enumerate(stable.mobius):
+        if not mu or s == stable.full_index:
+            continue
+        mask = stable.masks[s]
+        refls = [t for ri, t in enumerate(refl_elems) if mask >> ri & 1]
+        walk = _walk(mult, stable.members[s], refls, id_idx, n_max)
+        full_counts[:, stable.members[s]] += mu * walk
+    _cache_put(_SWEEP_CACHE, params, (n_max, all_counts, full_counts))
     return all_counts, full_counts
 
 
@@ -256,43 +329,7 @@ def count_factorizations(
     target = etable.index[g]
     all_counts, full_counts = sweep_counts(params, n_max)
     source = all_counts if mode == "all" else full_counts
-    return [source[N][target] for N in range(n_max + 1)]
-
-
-def counts_by_subgroup(
-    params: GroupParams, g: Element, n_max: int
-) -> dict[int, list[int]]:
-    """Counts of length-N factorizations of g by exact generated subgroup.
-
-    Returns {subgroup index: [counts by length]} with zero rows omitted;
-    summing over subgroups reproduces the mode-"all" counts (a test uses
-    this as the lattice-decomposition identity).
-    """
-    validate_element(g, params)
-    etable, stable = build_tables(params)
-    target = etable.index[g]
-    mult = etable.mult
-    refl_elems = etable.refl_indices
-    out: dict[int, list[int]] = {}
-
-    def record(step: int, dp: dict[tuple[int, int], int]) -> None:
-        for (e, s), c in dp.items():
-            if e == target and c:
-                out.setdefault(s, [0] * (n_max + 1))[step] = c
-
-    dp = {(etable.identity_index, stable.trivial_index): 1}
-    record(0, dp)
-    for step in range(1, n_max + 1):
-        fresh: dict[tuple[int, int], int] = {}
-        for (e, s), c in dp.items():
-            row = mult[e]
-            jrow = stable.join[s]
-            for ri, t in enumerate(refl_elems):
-                state = (int(row[t]), jrow[ri])
-                fresh[state] = fresh.get(state, 0) + c
-        dp = fresh
-        record(step, dp)
-    return out
+    return source[:, target].tolist()
 
 
 def oracle_series(params: GroupParams, g: Element, mode: str = "full") -> LaurentPoly:

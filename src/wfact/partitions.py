@@ -75,7 +75,8 @@ def hook_dimension(parts) -> int:
         for j in range(row_len):
             hooks *= (row_len - j) + (conj[j] - i) - 1
     dim, rem = divmod(factorial(n), hooks)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"hook product {hooks} does not divide {n}! for {shape}")
     return dim
 
 

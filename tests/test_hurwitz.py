@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wfact.hurwitz import hurwitz_h0, hurwitz_h1
+from wfact.hurwitz import _as_integer, hurwitz_h0, hurwitz_h1
 from wfact.laurent import LaurentPoly
 from wfact.partitions import integer_partitions
 
@@ -45,6 +45,12 @@ def test_rejects_empty_partition():
         hurwitz_h0(())
     with pytest.raises(ValueError):
         hurwitz_h1(())
+
+
+def test_non_integral_value_raises():
+    # an explicit raise, so the check holds under python -O too
+    with pytest.raises(AssertionError, match="non-integral"):
+        _as_integer(F(1, 2), "H_0((2,))")
 
 
 def test_integrality_up_to_size_12():

@@ -1,18 +1,21 @@
 """Brute-force enumeration oracle: tables, DP counts, lattice structure."""
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
+from math import factorial
 
 import numpy as np
 import pytest
 
-from wfact import _core_py
+from wfact import oracle
 from wfact.errors import CapabilityError
 from wfact.factorizations import series_full
 from wfact.fixtures import load_phi_fixtures
 from wfact.groups import (
     Element,
     GroupParams,
+    all_elements,
     identity,
     is_full_set,
     multiply,
@@ -24,15 +27,10 @@ from wfact.oracle import (
     build_tables,
     class_representatives,
     count_factorizations,
-    counts_by_subgroup,
     generates_by_closure,
     oracle_series,
+    sweep_counts,
 )
-
-try:
-    from wfact import _core
-except ImportError:
-    _core = None
 
 
 # ---------------------------------------------------------------- tables
@@ -124,20 +122,88 @@ def test_count_rejects_unknown_mode():
 # ---------------------------------------------------------------- lattice
 
 
-def test_subgroup_decomposition_of_all_counts():
-    # length-N counts split by the subgroup the factors generate; summing the
-    # per-subgroup (full-in-subgroup) counts over subgroups containing g must
-    # reproduce the independent element-only DP
-    for params in [GroupParams(2, 2, 2), GroupParams(1, 1, 3), GroupParams(2, 1, 2)]:
-        etable, stable = build_tables(params)
-        top = params.num_reflections + 2
-        for g in class_representatives(params):
-            by_subgroup = counts_by_subgroup(params, g, top)
-            total = [0] * (top + 1)
-            for counts in by_subgroup.values():
-                for length, value in enumerate(counts):
-                    total[length] += value
-            assert total == count_factorizations(params, g, top, mode="all")
+def test_full_counts_match_sequence_enumeration():
+    # every reflection sequence of each length, its product and fullness
+    # judged by the group arithmetic and the algebraic generation test
+    top = 6
+    for params in [
+        GroupParams(2, 2, 2),
+        GroupParams(1, 1, 3),
+        GroupParams(2, 1, 2),
+        GroupParams(3, 3, 2),
+        GroupParams(4, 2, 2),
+    ]:
+        refl = reflections(params)
+        as_elements = [t.to_element(params) for t in refl]
+        products = {(): identity(params)}
+        full_sets: dict[frozenset[int], bool] = {}
+        expected: Counter = Counter()
+        for length in range(top + 1):
+            for seq in product(range(len(refl)), repeat=length):
+                if seq:
+                    products[seq] = multiply(
+                        products[seq[:-1]], as_elements[seq[-1]], params
+                    )
+                used = frozenset(seq)
+                if used not in full_sets:
+                    full_sets[used] = is_full_set([refl[i] for i in used], params)
+                if full_sets[used]:
+                    expected[products[seq], length] += 1
+        for g in all_elements(params):
+            counts = count_factorizations(params, g, top, mode="full")
+            assert counts == [expected[g, length] for length in range(top + 1)]
+
+
+def test_mobius_of_trivial_subgroup_in_symmetric_groups():
+    # the reflection subgroups of S_n form the set-partition lattice
+    for n in range(2, 6):
+        _, stable = build_tables(GroupParams(1, 1, n))
+        expected = (-1) ** (n - 1) * factorial(n - 1)
+        assert stable.mobius[stable.trivial_index] == expected
+        assert stable.mobius[stable.full_index] == 1
+
+
+@pytest.mark.parametrize(
+    "m, p, n, subgroups",
+    [(2, 1, 4, 218), (4, 1, 3, 153), (6, 3, 3, 164), (3, 3, 4, 141), (3, 1, 4, 328)],
+)
+def test_reflection_subgroup_counts(m, p, n, subgroups):
+    _, stable = build_tables(GroupParams(m, p, n))
+    assert len(stable.members) == subgroups
+
+
+def test_lattice_members_are_subgroups_with_their_reflections():
+    params = GroupParams(2, 1, 3)
+    etable, stable = build_tables(params)
+    refl = np.array(etable.refl_indices)
+    for members, mask in zip(stable.members, stable.masks):
+        assert etable.identity_index in members
+        assert np.isin(etable.mult[np.ix_(members, members)], members).all()
+        inside = np.isin(refl, members)
+        assert mask == sum(1 << ri for ri in np.flatnonzero(inside).tolist())
+
+
+def test_caches_keep_eight_groups():
+    groups = [
+        GroupParams(1, 1, 1),
+        GroupParams(1, 1, 2),
+        GroupParams(1, 1, 3),
+        GroupParams(2, 2, 2),
+        GroupParams(2, 1, 2),
+        GroupParams(3, 3, 2),
+        GroupParams(3, 1, 2),
+        GroupParams(4, 4, 2),
+        GroupParams(2, 2, 3),
+    ]
+    oracle.clear_caches()
+    for params in groups:
+        sweep_counts(params, 2)
+    assert len(oracle._TABLE_CACHE) == 8
+    assert len(oracle._SWEEP_CACHE) == 8
+    assert groups[0] not in oracle._SWEEP_CACHE
+    oracle.clear_caches()
+    assert not oracle._TABLE_CACHE
+    assert not oracle._SWEEP_CACHE
 
 
 def test_oracle_series_matches_closed_form():
@@ -236,27 +302,3 @@ def test_em_action_equals_generation():
                 expected = generates_by_closure(params, subset)
                 assert acts_transitively_on_Em(subset, params) == expected
                 assert is_full_set(subset, params) == expected
-
-
-# ---------------------------------------------------------------- kernels
-
-
-@pytest.mark.skipif(_core is None, reason="compiled extension not built")
-def test_backends_agree():
-    for params in [GroupParams(3, 1, 2), GroupParams(2, 2, 3)]:
-        etable, _ = build_tables(params)
-        from wfact.groups import all_elements
-
-        elements = list(all_elements(params))
-        perms0 = np.array(
-            [[v - 1 for v in g.perm] for g in elements], dtype=np.int32
-        )
-        colors = np.array([list(g.colors) for g in elements], dtype=np.int32)
-        t_py = _core_py.build_mult_table(perms0, colors, params.m)
-        t_cy = _core.build_mult_table(perms0, colors, params.m)
-        assert np.array_equal(t_py, t_cy)
-        id_idx = elements.index(identity(params))
-        for r in etable.refl_indices:
-            c_py = _core_py.subgroup_closure(t_py, [r], id_idx)
-            c_cy = _core.subgroup_closure(t_cy, [r], id_idx)
-            assert np.array_equal(c_py, c_cy)
