@@ -3,8 +3,9 @@
 A factorization-count series Sum_N count(N) z^N/N! that happens to be a finite
 Laurent polynomial in X = e^z is stored here exactly, with Fraction
 coefficients.  ``egf_prefix`` expands back to counts; ``laurent_from_egf``
-reconstructs the Laurent form from enough counts via an exact Vandermonde
-solve.  ``extract_phi`` peels off the structural factors
+reconstructs the Laurent form from enough counts by exact Lagrange inversion
+on the integer nodes of the degree window, in integer arithmetic, and checks
+every surplus count exactly.  ``extract_phi`` peels off the structural factors
 (1/order) * (X-1)^ell * X^(-hyperplanes) around the palindromic-ish core
 polynomial, and ``find_roots`` locates that core's complex roots numerically
 (the single deliberately inexact operation; it only feeds plots).
@@ -243,32 +244,20 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system exactly by Gaussian elimination over Fraction."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular system in exact solve")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPoly:
     """The unique Laurent polynomial on [min_deg, max_deg] with these counts.
 
-    ``prefix[j]`` must be the coefficient of z**j/j!.  The first
-    ``max_deg - min_deg + 1`` entries determine the polynomial through an
-    exact Vandermonde solve on the integer nodes min_deg..max_deg; any
-    surplus entries are verified and a mismatch raises ValueError (meaning
-    the window or the counts are wrong).
+    ``prefix[j]`` must be the coefficient of z**j/j!, i.e. Sum_k a_k k**j.
+    The first ``w = max_deg - min_deg + 1`` entries determine the a_k by
+    Lagrange inversion on the integer nodes lo = min_deg, ..., hi = max_deg:
+    a_k = Sum_j [t**j]l_k(t) * prefix[j], where l_k is the Lagrange basis
+    polynomial of node k.  Its numerator P(t)/(t - k), with
+    P(t) = Prod_i (t - i), comes from synthetic division, and its
+    denominator Prod_{i != k} (k - i) = (-1)**(hi-k) (k-lo)! (hi-k)! divides
+    (w-1)!, so everything runs in integers over the common denominator
+    (w-1)! * lcm(prefix denominators): O(w**2) integer operations.  Every
+    surplus entry j >= w is then checked exactly against Sum_k a_k k**j; a
+    mismatch raises ValueError (meaning the window or the counts are wrong).
     """
     if max_deg < min_deg:
         raise ValueError("empty degree window")
@@ -276,18 +265,45 @@ def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPol
     vals = [_as_fraction(v) for v in prefix]
     if len(vals) < width:
         raise ValueError(f"need at least {width} prefix entries, got {len(vals)}")
-    nodes = list(range(min_deg, max_deg + 1))
-    matrix = [[Fraction(k) ** j for k in nodes] for j in range(width)]
-    coeffs = _solve_exact(matrix, vals[:width])
-    poly = LaurentPoly(min_deg, coeffs)
-    check = poly.egf_prefix(len(vals) - 1)
+    den = math.lcm(*(v.denominator for v in vals[:width]))
+    counts = [v.numerator * (den // v.denominator) for v in vals[:width]]
+    nodes = range(min_deg, max_deg + 1)
+    # Ascending coefficients of P(t) = Prod_i (t - i).
+    p = [1]
+    for i in nodes:
+        p = [a - i * b for a, b in zip([0] + p, p + [0])]
+    # (w-1)! * a_k * den = (-1)**(hi-k) * C(w-1, k-lo) * Sum_j q_j counts[j],
+    # with q the coefficients of P(t)/(t - k).
+    numers = []
+    for k in nodes:
+        acc, q = 0, 0
+        for j in range(width - 1, -1, -1):
+            q = p[j + 1] + k * q
+            acc += q * counts[j]
+        acc *= math.comb(width - 1, k - min_deg)
+        numers.append(-acc if (max_deg - k) % 2 else acc)
+    scale = math.factorial(width - 1) * den
     for j in range(width, len(vals)):
-        if check[j] != vals[j]:
+        got = sum(a * k**j for a, k in zip(numers, nodes))
+        want = vals[j]
+        if got * want.denominator != want.numerator * scale:
             raise ValueError(
                 f"count prefix inconsistent with window [{min_deg}, {max_deg}] "
-                f"at index {j}: expected {vals[j]}, reconstruction gives {check[j]}"
+                f"at index {j}: expected {want}, reconstruction gives "
+                f"{Fraction(got, scale)}"
             )
-    return poly
+    return LaurentPoly(min_deg, [Fraction(a, scale) for a in numers])
+
+
+def _strip_x_minus_one(poly: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """(quotient, multiplicity): divide a nonzero ``poly`` by (X - 1) while exact."""
+    mult = 0
+    while True:
+        try:
+            poly = poly.divide_by_x_minus_one()
+        except ValueError:
+            return poly, mult
+        mult += 1
 
 
 def lowest_order(poly: LaurentPoly) -> tuple[int, Fraction]:
@@ -298,15 +314,7 @@ def lowest_order(poly: LaurentPoly) -> tuple[int, Fraction]:
     """
     if poly.is_zero():
         raise ValueError("lowest_order of the zero polynomial is undefined")
-    s = 0
-    current = poly
-    while True:
-        try:
-            nxt = current.divide_by_x_minus_one()
-        except ValueError:
-            break
-        s += 1
-        current = nxt
+    current, s = _strip_x_minus_one(poly)
     value = current.evaluate(Fraction(1))
     return s, value * math.factorial(s)
 
@@ -324,15 +332,7 @@ def extract_phi(
     """
     if poly.is_zero():
         raise ValueError("cannot extract the core polynomial of the zero series")
-    ell = 0
-    current = poly
-    while True:
-        try:
-            nxt = current.divide_by_x_minus_one()
-        except ValueError:
-            break
-        ell += 1
-        current = nxt
+    current, ell = _strip_x_minus_one(poly)
     phi = current.scale(group_order) * LaurentPoly.monomial(num_hyperplanes)
     if phi.min_deg < 0:
         raise ValueError(

@@ -6,7 +6,6 @@ the arguments that arise here (group parameters, color orders) are tiny.
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd, isqrt
 
 __all__ = ["divisors", "moebius", "euler_phi", "jordan_j2", "gcd_all"]
@@ -29,7 +28,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@cache
 def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of ``n`` as ((prime, exponent), ...)."""
     out = []

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wfact.laurent import (
     LaurentPoly,
@@ -140,6 +142,56 @@ def test_laurent_from_egf_rejects_inconsistent_surplus():
 def test_laurent_from_egf_rejects_short_prefix():
     with pytest.raises(ValueError):
         laurent_from_egf([1, 2], -1, 1)
+
+
+def test_laurent_from_egf_rejects_float_and_empty_window():
+    with pytest.raises(TypeError):
+        laurent_from_egf([1, 0.5, 2], -1, 1)
+    with pytest.raises(ValueError):
+        laurent_from_egf([1, 2], 1, 0)
+
+
+@st.composite
+def windowed_polys(draw):
+    """(L, lo, hi): L has random Fraction coefficients, support inside [lo, hi]."""
+    lo = draw(st.integers(-25, 25))
+    width = draw(st.integers(1, 40))
+    start = draw(st.integers(0, width - 1))
+    stop = draw(st.integers(start, width - 1))
+    coeffs = draw(
+        st.lists(
+            st.fractions(max_denominator=30, min_value=-1000, max_value=1000),
+            min_size=stop - start + 1,
+            max_size=stop - start + 1,
+        )
+    )
+    return LaurentPoly(lo + start, coeffs), lo, lo + width - 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(windowed_polys(), st.integers(0, 3))
+def test_laurent_from_egf_round_trip_property(case, surplus):
+    L, lo, hi = case
+    prefix = L.egf_prefix(hi - lo + surplus)
+    assert laurent_from_egf(prefix, lo, hi) == L
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    windowed_polys(),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.fractions(max_denominator=30).filter(bool),
+)
+@example(case=(poly(-2, 1, 3, F(1, 2)), -3, 1), surplus=2, offset=2, delta=F(1, 3))
+def test_laurent_from_egf_rejects_any_planted_surplus_mismatch(case, surplus, offset, delta):
+    L, lo, hi = case
+    width = hi - lo + 1
+    prefix = L.egf_prefix(width + surplus)
+    index = width + min(offset, surplus)
+    prefix[index] += delta
+    with pytest.raises(ValueError, match=f"at index {index}:"):
+        laurent_from_egf(prefix, lo, hi)
 
 
 # ---------------------------------------------------------------- lowest order

@@ -221,6 +221,13 @@ def test_oracle_series_a1_row():
     assert oracle_series(params, identity(params)) == expected
 
 
+def test_oracle_series_matches_closed_form_on_width_31_window():
+    params = GroupParams(4, 2, 3)
+    assert params.num_hyperplanes + params.num_reflections + 1 == 31
+    for g in class_representatives(params):
+        assert oracle_series(params, g) == series_full(params, g)
+
+
 def test_oracle_series_g2_core_polynomial():
     params = GroupParams(6, 6, 2)
     series = oracle_series(params, identity(params))
