@@ -36,7 +36,7 @@ from .factorizations import (
 )
 from .fixtures import TABLE1, load_phi_fixtures
 from .groups import Element, GroupParams, identity, element_to_json, parse_element
-from .laurent import LaurentPoly, RootFindingError, extract_phi, find_roots, lowest_order
+from .laurent import RootFindingError, extract_phi, find_roots
 from .oracle import class_representatives, count_factorizations
 from .symmetric import dyz_identity_series, full_series_sn
 
@@ -98,8 +98,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     phi, ell_from_phi, series = phi_data(params, g)
     ell = full_length(params, g)
     lead = lead_coeff(params, g)
-    order_check = lowest_order(series)
-    if order_check != (ell, lead) or ell_from_phi != ell:
+    # phi = #W * X^#A * series / (X-1)^ell, so this is lowest_order(series)
+    order_check = (ell_from_phi, lead_from_phi(phi, params.order, ell_from_phi))
+    if order_check != (ell, lead):
         print(
             "internal consistency failure: series lowest order "
             f"{order_check} vs case analysis ({ell}, {lead})",

@@ -14,13 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .partitions import normalize_partition
+
 __all__ = ["hurwitz_h0", "hurwitz_h1"]
 
 
-def _normalize(parts) -> tuple[int, ...]:
-    out = tuple(sorted((int(x) for x in parts), reverse=True))
-    if not out or any(x < 1 for x in out):
-        raise ValueError(f"need a nonempty partition with positive parts: {parts}")
+def _shape(parts) -> tuple[int, ...]:
+    out = normalize_partition(parts)
+    if not out:
+        raise ValueError(f"need a nonempty partition: {parts}")
     return out
 
 
@@ -40,7 +42,7 @@ def _as_integer(value: Fraction, label: str) -> Fraction:
 
 def hurwitz_h0(parts) -> Fraction:
     """Genus-0 Hurwitz number: (n+k-2)! * n**(k-3) * prod part**part/(part-1)!."""
-    shape = _normalize(parts)
+    shape = _shape(parts)
     n = sum(shape)
     k = len(shape)
     value = (
@@ -58,7 +60,7 @@ def hurwitz_h1(parts) -> Fraction:
     (n**k - n**(k-1) - Sum_{i=2}^{k} (i-2)! e_i(lambda) n**(k-i)),
     with e_i the elementary symmetric polynomials of the parts.
     """
-    shape = _normalize(parts)
+    shape = _shape(parts)
     n = sum(shape)
     k = len(shape)
     # e[i] = elementary symmetric polynomial of degree i in the parts.

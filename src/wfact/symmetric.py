@@ -7,28 +7,35 @@ Three routes live here:
   X**content_sum; the content sum is exactly the normalized character of the
   transposition class sum.
 * ``full_series_sn`` — factorizations whose factors generate all of S_n
-  (equivalently act transitively), by subtracting, over every proper
-  grouping of the cycles into blocks, the product of the blocks' full
-  series.
+  (equivalently act transitively), by the rooted exponential formula
+  (Stanley, EC2 §5.1): every factorization splits its cycles into orbits,
+  so fixing the orbit S of the first cycle gives
+  A(lambda) = Sum_{S containing c_1} F(lambda_S) * A(lambda_{S^c}), and the
+  term S = all cycles is the full series F(lambda) itself.
 * ``dyz_identity_series`` — an independent convolution recurrence for the
   identity's full series, used as a cross-check of the first two routes.
+
+Both cycle-type routes are guarded at n <= ``FULL_GUARD``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 
 from .errors import CapabilityError
+from .groups import Element, GroupParams, cycle_data
 from .laurent import LaurentPoly
 from .partitions import (
+    Partition,
     content_sum,
-    cycle_type,
     hook_dimension,
     integer_partitions,
     mn_character,
-    set_partitions,
+    normalize_partition,
 )
 
 __all__ = [
@@ -36,30 +43,31 @@ __all__ = [
     "full_series_sn",
     "full_series_sn_type",
     "dyz_identity_series",
-    "FROBENIUS_GUARD",
     "FULL_GUARD",
 ]
 
-FROBENIUS_GUARD = 9
-FULL_GUARD = 7
+FULL_GUARD = 14
 
 
-def _check_type(n: int, mu) -> tuple[int, ...]:
-    parts = tuple(sorted((int(x) for x in mu), reverse=True))
-    if sum(parts) != n or any(x < 1 for x in parts):
-        raise ValueError(f"{mu} is not a cycle type of size {n}")
-    return parts
+def _guard(n: int, what: str) -> None:
+    if not 1 <= n <= FULL_GUARD:
+        raise CapabilityError(f"{what} is guarded at 1 <= n <= {FULL_GUARD}; got n = {n}")
 
 
 @cache
-def _frobenius(parts: tuple[int, ...]) -> LaurentPoly:
+def _frobenius(parts: Partition) -> LaurentPoly:
     n = sum(parts)
-    acc = LaurentPoly.zero()
+    by_content: dict[int, int] = {}
     for shape in integer_partitions(n):
         value = hook_dimension(shape) * mn_character(shape, parts)
         if value:
-            acc = acc + LaurentPoly.monomial(content_sum(shape), value)
-    return acc.scale(Fraction(1, factorial(n)))
+            degree = content_sum(shape)
+            by_content[degree] = by_content.get(degree, 0) + value
+    lo = min(by_content)
+    scale = factorial(n)
+    return LaurentPoly(
+        lo, [Fraction(by_content.get(d, 0), scale) for d in range(lo, max(by_content) + 1)]
+    )
 
 
 def frobenius_series_sn(n: int, mu) -> LaurentPoly:
@@ -68,41 +76,37 @@ def frobenius_series_sn(n: int, mu) -> LaurentPoly:
     The count of sequences (t_1, ..., t_N) of transpositions whose product is
     a fixed permutation of cycle type ``mu`` is the coefficient of z**N/N!.
     """
-    if not 1 <= n <= FROBENIUS_GUARD:
-        raise CapabilityError(
-            f"frobenius_series_sn is guarded at 1 <= n <= {FROBENIUS_GUARD}; got {n}"
-        )
-    return _frobenius(_check_type(n, mu))
+    _guard(n, "frobenius_series_sn")
+    parts = normalize_partition(mu)
+    if sum(parts) != n:
+        raise ValueError(f"{mu} is not a cycle type of size {n}")
+    return _frobenius(parts)
 
 
 @cache
-def _full_type(parts: tuple[int, ...]) -> LaurentPoly:
-    k = len(parts)
+def _full_type(parts: Partition) -> LaurentPoly:
+    # Subtract from A(lambda) every term of the rooted exponential formula
+    # whose orbit S of the first cycle is not all cycles.  The other members
+    # of S form a sub-multiset of the remaining cycles; ``mult`` counts the
+    # subsets of cycles that give it.
     total = _frobenius(parts)
-    if k == 1:
-        return total
-    # Subtract factorizations whose factors only ever connect cycles within
-    # the blocks of some proper grouping; the exponential-series product
-    # accounts for interleaving the factors of independent blocks.
-    for grouping in set_partitions(k):
-        if len(grouping) < 2:
+    rest = Counter(parts[1:])
+    values = sorted(rest, reverse=True)
+    counts = [rest[v] for v in values]
+    for taken in product(*(range(c + 1) for c in counts)):
+        if list(taken) == counts:
             continue
-        prod = LaurentPoly.one()
-        for block in grouping:
-            block_type = tuple(sorted((parts[i - 1] for i in block), reverse=True))
-            prod = prod * _full_type(block_type)
-        total = total - prod
+        orbit = parts[:1] + tuple(v for v, t in zip(values, taken) for _ in range(t))
+        others = tuple(v for v, c, t in zip(values, counts, taken) for _ in range(c - t))
+        mult = prod(map(comb, counts, taken))
+        total = total - (_full_type(orbit) * _frobenius(others)).scale(mult)
     return total
 
 
 def full_series_sn_type(mu) -> LaurentPoly:
     """Full-factorization series for any permutation of cycle type ``mu``."""
-    parts = tuple(sorted((int(x) for x in mu), reverse=True))
-    n = sum(parts)
-    if not 1 <= n <= FULL_GUARD:
-        raise CapabilityError(
-            f"full series is guarded at 1 <= n <= {FULL_GUARD}; got n = {n}"
-        )
+    parts = normalize_partition(mu)
+    _guard(sum(parts), "full series")
     return _full_type(parts)
 
 
@@ -110,7 +114,8 @@ def full_series_sn(n: int, perm: tuple[int, ...]) -> LaurentPoly:
     """Full-factorization series of a permutation (1-based image table)."""
     if len(perm) != n:
         raise ValueError(f"permutation length {len(perm)} != n = {n}")
-    return full_series_sn_type(cycle_type(tuple(perm)))
+    g = Element(tuple(perm), (0,) * n)
+    return full_series_sn_type(cycle_data(g, GroupParams(1, 1, n)).partition)
 
 
 @cache

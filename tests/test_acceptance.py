@@ -5,8 +5,9 @@ The criteria, in order:
 
 1. Fixture rows for small symmetric and dihedral-type groups match the
    stored closed forms exactly, and the product rows are exact powers.
-2. The set-partition (Mobius) route and the character route produce the
-   same identity series for every symmetric group up to S_7.
+2. The exponential-formula route (character sums split by the orbit of
+   the first cycle) and the independent DYZ recurrence produce the same
+   identity series for every symmetric group up to S_14.
 3. The analytic series equals the brute-force oracle series on the full
    support window for every conjugacy class of eight benchmark groups.
 4. The lowest order of every series equals the predicted minimum length
@@ -216,9 +217,9 @@ def test_criterion_1_fixture_rows(capsys):
 
 def test_criterion_2_two_routes_agree(capsys):
     with _criterion(
-        capsys, 2, "partition-lattice route equals character route, S_1..S_7", 10.0
+        capsys, 2, "exponential-formula route equals DYZ recurrence, S_1..S_14", 10.0
     ):
-        for n in range(1, 8):
+        for n in range(1, 15):
             ident = tuple(range(1, n + 1))
             assert dyz_identity_series(n) == full_series_sn(n, ident), n
 

@@ -3,6 +3,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from wfact import cli
 from wfact.cli import main
 from wfact.fixtures import TABLE1, default_fixture_path
 from wfact.laurent import LaurentPoly
@@ -87,6 +90,23 @@ def test_series_identity_default_element(capsys):
     assert doc["element"]["colors"] == [0, 0]
     assert doc["ell_full"] == 4
     assert doc["lead_coeff"] == "48/1"
+
+
+@pytest.mark.parametrize("name", ["lead_coeff", "full_length"])
+def test_series_consistency_failure_exits_1(capsys, monkeypatch, name):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda params, g: real(params, g) + 1)
+    code, out, err = run(capsys, "series", "--m", "2", "--p", "1", "--n", "3")
+    assert code == 1
+    assert "internal consistency failure" in err
+    assert out == ""
+
+
+def test_series_past_guard_exits_3(capsys):
+    code, out, err = run(capsys, "series", "--m", "2", "--p", "1", "--n", "15")
+    assert code == 3
+    assert "capability limit" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------- oracle-verify

@@ -1,8 +1,11 @@
 """Main pipeline: full series, minimum lengths, leading counts, core polynomials."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfact.cyclic import cyclic_element_order, cyclic_full_series
 from wfact.factorizations import (
@@ -20,6 +23,7 @@ from wfact.groups import (
     Element,
     GroupParams,
     all_elements,
+    conjugate,
     cycle_data,
     identity,
     project,
@@ -195,6 +199,29 @@ def test_factored_form_identity():
             )
 
 
+def _random_element(params, rng):
+    n, m, p = params.n, params.m, params.p
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    colors = [rng.randrange(m) for _ in range(n)]
+    # p | m, so shifting one color by the residue makes the total divisible by p
+    colors[-1] = (colors[-1] - sum(colors) % p) % m
+    return Element(tuple(perm), tuple(colors))
+
+
+def test_factored_form_identity_past_the_old_guard():
+    rng = random.Random(8910)
+    for params in [
+        GroupParams(2, 1, 8),
+        GroupParams(4, 2, 9),
+        GroupParams(6, 2, 10),
+        GroupParams(6, 3, 10),
+    ]:
+        for _ in range(12):
+            g = _random_element(params, rng)
+            assert series_full_factored(params, g) == series_full(params, g), (params, g)
+
+
 def test_factored_form_requires_proper_quotient():
     params = GroupParams(2, 2, 2)
     with pytest.raises(ValueError):
@@ -252,3 +279,23 @@ def test_identity_series_equals_oracle_on_g332():
         assert series.egf_prefix(top) == count_factorizations(
             params, g, top, mode="full"
         )
+
+
+# ---------------------------------------------------------------- class invariance
+
+
+@st.composite
+def elements_and_conjugators(draw):
+    m = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    n = draw(st.integers(1, 5))
+    params = GroupParams(m, p, n)
+    rng = draw(st.randoms(use_true_random=False))
+    return params, _random_element(params, rng), _random_element(params, rng)
+
+
+@settings(deadline=None, max_examples=60)
+@given(elements_and_conjugators())
+def test_series_full_is_a_class_function(case):
+    params, g, h = case
+    assert series_full(params, g) == series_full(params, conjugate(g, h, params))

@@ -1,23 +1,17 @@
-"""Integer partitions, symmetric-group characters, and set partitions."""
+"""Integer partitions, cycle types and symmetric-group characters."""
 
-from itertools import permutations
 from math import factorial
 
 import pytest
 
-from wfact.errors import CapabilityError
+from wfact.groups import Element, GroupParams, cycle_data
 from wfact.partitions import (
     content_sum,
-    cycle_type,
     hook_dimension,
     integer_partitions,
     mn_character,
-    refines,
-    restrict_perm,
-    set_partitions,
+    normalize_partition,
 )
-
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
 def _centralizer_order(mu):
@@ -128,75 +122,20 @@ def test_transposition_class_sum_identity():
 
 
 def test_cycle_type():
+    def cycle_type(perm):
+        g = Element(perm, (0,) * len(perm))
+        return cycle_data(g, GroupParams(1, 1, len(perm))).partition
+
     assert cycle_type((1, 2, 3)) == (1, 1, 1)
     assert cycle_type((2, 1, 3)) == (2, 1)
     assert cycle_type((2, 3, 1)) == (3,)
     assert cycle_type((2, 1, 4, 3)) == (2, 2)
 
 
-# ---------------------------------------------------------------- set partitions
-
-
-def test_set_partition_counts():
-    for n, bell in BELL.items():
-        parts = set_partitions(n)
-        assert len(parts) == bell
-        for blocks in parts:
-            flat = sorted(x for block in blocks for x in block)
-            assert flat == list(range(1, n + 1))
-            # canonical order: blocks sorted by minimum, elements ascending
-            minima = [block[0] for block in blocks]
-            assert minima == sorted(minima)
-            for block in blocks:
-                assert list(block) == sorted(block)
-
-
-def test_set_partitions_guard():
-    with pytest.raises(CapabilityError):
-        set_partitions(11)
-
-
-def test_refines_bottom_and_top():
-    n = 4
-    parts = set_partitions(n)
-    bottom = tuple(tuple([i]) for i in range(1, n + 1))
-    top = (tuple(range(1, n + 1)),)
-    for q in parts:
-        assert refines(bottom, q)
-        assert refines(q, top)
-    assert not refines(top, bottom)
-
-
-def test_refines_is_partial_order():
-    parts = set_partitions(4)
-    for a in parts:
-        assert refines(a, a)
-        for b in parts:
-            if refines(a, b) and refines(b, a):
-                assert a == b
-
-
-def test_restrict_perm():
-    # (12)(3): restriction to {1,2} is the transposition of a 2-set
-    assert restrict_perm((2, 1, 3), (1, 2)) == (2, 1)
-    assert restrict_perm((2, 1, 3), (3,)) == (1,)
-    # relabelling keeps cycle structure: (34) inside {3,4} -> (21)
-    assert restrict_perm((1, 2, 4, 3), (3, 4)) == (2, 1)
-
-
-def test_restrict_perm_rejects_unstable_block():
-    with pytest.raises(ValueError):
-        restrict_perm((2, 3, 1), (1, 2))
-
-
-def test_restriction_respects_composition():
-    # restricting a block-stabilizing product equals the product of restrictions
-    block = (1, 3, 4)
-    perms = [p for p in permutations(range(1, 5)) if {p[0], p[2], p[3]} == {1, 3, 4}]
-    for u in perms:
-        for v in perms:
-            uv = tuple(u[v[i] - 1] for i in range(4))
-            lhs = restrict_perm(uv, block)
-            ru, rv = restrict_perm(u, block), restrict_perm(v, block)
-            rhs = tuple(ru[rv[i] - 1] for i in range(3))
-            assert lhs == rhs
+def test_normalize_partition():
+    assert normalize_partition([1, 3, 2, 3]) == (3, 3, 2, 1)
+    assert normalize_partition(()) == ()
+    assert normalize_partition(("2", 1)) == (2, 1)
+    for bad in [(2, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            normalize_partition(bad)

@@ -1,4 +1,4 @@
-"""Series for symmetric groups: character route, lattice subtraction, recurrence."""
+"""Series for symmetric groups: character route, exponential formula, recurrence."""
 
 from fractions import Fraction
 from itertools import product
@@ -58,7 +58,7 @@ def test_frobenius_s3_identity_pair_count():
 
 def test_frobenius_guard():
     with pytest.raises(CapabilityError):
-        frobenius_series_sn(10, (1,) * 10)
+        frobenius_series_sn(15, (1,) * 15)
 
 
 def test_frobenius_parity_support():
@@ -85,7 +85,15 @@ def test_full_series_transposition():
 
 def test_full_series_guard():
     with pytest.raises(CapabilityError):
-        full_series_sn_type((1,) * 8)
+        full_series_sn_type((1,) * 15)
+
+
+def test_full_series_rejects_non_permutation():
+    for perm in [(1, 1, 2), (1, 2, 4), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            full_series_sn(3, perm)
+    with pytest.raises(ValueError):
+        full_series_sn(3, (1, 2))
 
 
 def test_full_series_depends_only_on_cycle_type():
@@ -103,7 +111,7 @@ def test_dyz_base_cases():
 
 
 def test_dyz_matches_lattice_route():
-    # the acceptance suite runs n <= 7; keep the per-module check quick
+    # the exponential-formula route; the acceptance suite runs n <= 14
     for n in range(1, 6):
         assert dyz_identity_series(n) == full_series_sn(n, tuple(range(1, n + 1)))
 
@@ -119,13 +127,31 @@ def test_lowest_order_is_genus_zero_hurwitz():
             assert lowest_order(series) == (n + k - 2, hurwitz_h0(mu))
 
 
+def _assert_hurwitz_layers(mu):
+    """No count below length n+k-2, H_0 at n+k-2 and H_1 at n+k."""
+    n, k = sum(mu), len(mu)
+    counts = full_series_sn_type(mu).egf_prefix(n + k)
+    assert counts[: n + k - 2] == [0] * (n + k - 2), mu
+    assert counts[n + k - 2] == hurwitz_h0(mu), mu
+    assert counts[n + k] == hurwitz_h1(mu), mu
+
+
 def test_next_layer_is_genus_one_hurwitz():
-    for n in range(1, 7):
+    for n in range(1, 11):
         for mu in integer_partitions(n):
-            series = full_series_sn_type(mu)
-            k = len(mu)
-            counts = series.egf_prefix(n + k)
-            assert counts[n + k] == hurwitz_h1(mu)
+            _assert_hurwitz_layers(mu)
+
+
+def test_hurwitz_layers_selected_types_n11_to_n14():
+    for n in range(11, 15):
+        for mu in [
+            (n,),
+            (n - 1, 1),
+            (2, 2) + (1,) * (n - 4),
+            (3, 2, 2) + (1,) * (n - 7),
+            (1,) * n,
+        ]:
+            _assert_hurwitz_layers(mu)
 
 
 # ---------------------------------------------------------------- brute force
