@@ -82,7 +82,7 @@ def _element_from_args(params: GroupParams, args: argparse.Namespace) -> Element
     return identity(params)
 
 
-def _is_unimodal(values: list[Fraction]) -> bool:
+def _is_unimodal(values: tuple[int, ...]) -> bool:
     seen_descent = False
     for prev, cur in zip(values, values[1:]):
         if cur > prev and seen_descent:
@@ -111,9 +111,6 @@ def cmd_series(args: argparse.Namespace) -> int:
     top_len = args.prefix_len if args.prefix_len is not None else ell + 4
     if top_len < 0:
         raise UsageError("--prefix-len must be nonnegative")
-    dense = [
-        phi.coefficient(d) for d in range(phi.min_deg, phi.max_deg + 1)
-    ]
     doc = {
         "group": str(params),
         "element": element_to_json(g, params),
@@ -126,8 +123,10 @@ def cmd_series(args: argparse.Namespace) -> int:
         "observations": {
             "phi_degree": phi.max_deg,
             "phi_palindromic": phi.is_palindromic(),
-            "phi_nonnegative": all(c >= 0 for c in dense),
-            "phi_unimodal": _is_unimodal(dense),
+            # phi.denom > 0, so its numerators have the signs and order of
+            # its coefficients.
+            "phi_nonnegative": all(c >= 0 for c in phi.numers),
+            "phi_unimodal": _is_unimodal(phi.numers),
             "window_attained": [series.min_deg == lo, series.max_deg == hi],
         },
     }

@@ -9,7 +9,6 @@ vacuously full.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPoly
@@ -38,9 +37,7 @@ def cyclic_all_series(group_order: int, element_order: int) -> LaurentPoly:
     if n == 1:
         return LaurentPoly.one()
     constant = n - 1 if element_order == 1 else -1
-    return (LaurentPoly.monomial(n) + LaurentPoly.monomial(0, constant)).scale(
-        Fraction(1, n)
-    ) * LaurentPoly.monomial(-1)
+    return LaurentPoly(-1, [constant] + [0] * (n - 1) + [1], n)
 
 
 def cyclic_full_series(group_order: int, element_order: int) -> LaurentPoly:
@@ -60,7 +57,7 @@ def cyclic_full_series(group_order: int, element_order: int) -> LaurentPoly:
         mu = moebius(n // r)
         if mu == 0:
             continue
-        acc = acc + LaurentPoly(0, [Fraction(mu, r)] * r)
+        acc = acc + LaurentPoly(0, [mu] * r, r)
     return acc * LaurentPoly(-1, [-1, 1])
 
 

@@ -20,17 +20,12 @@ starting with ``#`` are ignored.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .laurent import LaurentPoly
 
 __all__ = ["load_phi_fixtures", "default_fixture_path", "TABLE1"]
-
-
-def _poly(coeffs: list[int], min_deg: int = 0) -> LaurentPoly:
-    return LaurentPoly(min_deg, [Fraction(c) for c in coeffs])
 
 
 def _power(base: LaurentPoly, k: int) -> LaurentPoly:
@@ -40,7 +35,7 @@ def _power(base: LaurentPoly, k: int) -> LaurentPoly:
     return out
 
 
-_XM1 = _poly([-1, 1])  # X - 1
+_XM1 = LaurentPoly(0, [-1, 1])  # X - 1
 
 # Exact full-factorization series of the identity, one per subgroup type of
 # the rank-3 icosahedral group.  A1^2 and A1^3 are recorded as displayed
@@ -48,17 +43,11 @@ _XM1 = _poly([-1, 1])  # X - 1
 # is checked downstream, not assumed here.
 TABLE1: dict[str, LaurentPoly] = {
     "trivial": LaurentPoly.one(),
-    "A1": (_power(_XM1, 2) * LaurentPoly.monomial(-1)).scale(Fraction(1, 2)),
-    "A1^2": (_power(_XM1, 4) * LaurentPoly.monomial(-2)).scale(Fraction(1, 4)),
-    "A1^3": (_power(_XM1, 6) * LaurentPoly.monomial(-3)).scale(Fraction(1, 8)),
-    "A2": (_poly([1, 4, 1]) * _power(_XM1, 4) * LaurentPoly.monomial(-3)).scale(
-        Fraction(1, 6)
-    ),
-    "I2(5)": (
-        _poly([1, 4, 10, 20, 10, 4, 1])
-        * _power(_XM1, 4)
-        * LaurentPoly.monomial(-5)
-    ).scale(Fraction(1, 10)),
+    "A1": LaurentPoly(-1, [1], 2) * _power(_XM1, 2),
+    "A1^2": LaurentPoly(-2, [1], 4) * _power(_XM1, 4),
+    "A1^3": LaurentPoly(-3, [1], 8) * _power(_XM1, 6),
+    "A2": LaurentPoly(-3, [1, 4, 1], 6) * _power(_XM1, 4),
+    "I2(5)": LaurentPoly(-5, [1, 4, 10, 20, 10, 4, 1], 10) * _power(_XM1, 4),
 }
 
 
@@ -96,7 +85,7 @@ def load_phi_fixtures(path: str | Path | None = None) -> dict[str, LaurentPoly]:
             raise ValueError(f"line {lineno}: bad or duplicate name {name!r}")
         try:
             lowest = int(fields["lowest"])
-            coeffs = [Fraction(int(c)) for c in fields["coeffs"].split(",")]
+            coeffs = [int(c) for c in fields["coeffs"].split(",")]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not coeffs:

@@ -1,11 +1,13 @@
 """Exact Laurent polynomials in X = e^z and the bridge to length-count sequences.
 
 A factorization-count series Sum_N count(N) z^N/N! that happens to be a finite
-Laurent polynomial in X = e^z is stored here exactly, with Fraction
-coefficients.  ``egf_prefix`` expands back to counts; ``laurent_from_egf``
-reconstructs the Laurent form from enough counts by exact Lagrange inversion
-on the integer nodes of the degree window, in integer arithmetic, and checks
-every surplus count exactly.  ``extract_phi`` peels off the structural factors
+Laurent polynomial in X = e^z is stored here exactly, as integer numerators
+over one common denominator: #W times a full-factorization series even has
+integer coefficients, so every ring operation runs on Python ints.
+``egf_prefix`` expands back to counts; ``laurent_from_egf`` reconstructs the
+Laurent form from enough counts by exact Lagrange inversion on the integer
+nodes of the degree window, in integer arithmetic, and checks every surplus
+count exactly.  ``extract_phi`` peels off the structural factors
 (1/order) * (X-1)^ell * X^(-hyperplanes) around the palindromic-ish core
 polynomial, and ``find_roots`` locates that core's complex roots numerically
 (the single deliberately inexact operation; it only feeds plots).
@@ -13,10 +15,11 @@ polynomial, and ``find_roots`` locates that core's complex roots numerically
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +33,8 @@ __all__ = [
     "RootFindingError",
 ]
 
-Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 def _as_fraction(v) -> Fraction:
@@ -41,34 +45,54 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected an integer or Fraction coefficient, got {type(v).__name__}")
 
 
+def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """(numers, d) with values[i] == numers[i] / d; TypeError unless int or Fraction."""
+    vals = list(values)
+    if all(type(v) is int for v in vals):
+        return vals, 1
+    fracs = [_as_fraction(v) for v in vals]
+    d = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (d // f.denominator) for f in fracs], d
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Immutable Laurent polynomial with dense Fraction coefficients.
+    """Immutable Laurent polynomial: integer numerators over one denominator.
 
-    ``coeffs[i]`` is the coefficient of X**(min_deg + i).  Canonical form:
-    both end coefficients are nonzero; the zero polynomial is stored as
-    ``min_deg = 0`` with an empty coefficient tuple.
+    The coefficient of X**(min_deg + i) is ``numers[i] / denom``.  The form
+    is canonical, so equality and hashing of the fields are equality of
+    value: both end numerators are nonzero, ``denom > 0`` and
+    gcd(numers, denom) = 1; the zero polynomial is ``(0, (), 1)``.
+    ``LaurentPoly(min_deg, coeffs, denom=1)`` takes int or Fraction
+    coefficients (each divided by ``denom``) and rejects floats.
     """
 
     min_deg: int
-    coeffs: tuple[Fraction, ...]
+    numers: tuple[int, ...]
+    denom: int
 
     # -- construction ------------------------------------------------------
 
-    def __init__(self, min_deg: int, coeffs: Iterable) -> None:
-        cs = [_as_fraction(c) for c in coeffs]
-        lo = 0
-        while lo < len(cs) and cs[lo] == 0:
+    def __init__(self, min_deg: int, coeffs: Iterable, denom: int = 1) -> None:
+        if not isinstance(denom, int):
+            raise TypeError(f"expected an integer denominator, got {type(denom).__name__}")
+        if denom == 0:
+            raise ZeroDivisionError("LaurentPoly with denominator 0")
+        numers, d = _over_common_denominator(coeffs)
+        denom *= d
+        # Trim zero ends, then divide out gcd(numers, denom), signed so that
+        # the denominator comes out positive (and 1 for the zero polynomial).
+        lo, hi = 0, len(numers)
+        while lo < hi and not numers[lo]:
             lo += 1
-        hi = len(cs)
-        while hi > lo and cs[hi - 1] == 0:
+        while hi > lo and not numers[hi - 1]:
             hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "min_deg", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "min_deg", min_deg + lo)
-            object.__setattr__(self, "coeffs", tuple(cs[lo:hi]))
+        g = math.gcd(denom, *numers[lo:hi])
+        if denom < 0:
+            g = -g
+        object.__setattr__(self, "min_deg", min_deg + lo if lo < hi else 0)
+        object.__setattr__(self, "numers", tuple(n // g for n in numers[lo:hi]))
+        object.__setattr__(self, "denom", denom // g)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -76,7 +100,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls(0, (Fraction(1),))
+        return cls(0, (1,))
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "LaurentPoly":
@@ -84,28 +108,38 @@ class LaurentPoly:
 
     # -- basic queries -----------------------------------------------------
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of X**(min_deg + i), as a Fraction.
+
+        Built on first use and kept; the zero coefficients (often most of
+        them, e.g. after ``substitute_power``) share one ``Fraction``.
+        """
+        d = self.denom
+        return tuple(Fraction(n, d) if n else _ZERO for n in self.numers)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numers
 
     @property
     def max_deg(self) -> int:
         """Degree of the highest nonzero term (0 for the zero polynomial)."""
-        if not self.coeffs:
+        if not self.numers:
             return 0
-        return self.min_deg + len(self.coeffs) - 1
+        return self.min_deg + len(self.numers) - 1
 
     def coefficient(self, degree: int) -> Fraction:
         i = degree - self.min_deg
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        if 0 <= i < len(self.numers):
+            return Fraction(self.numers[i], self.denom)
+        return _ZERO
 
     def support(self) -> list[int]:
-        return [self.min_deg + i for i, c in enumerate(self.coeffs) if c != 0]
+        return [self.min_deg + i for i, c in enumerate(self.numers) if c]
 
     def is_palindromic(self) -> bool:
         """True if the coefficient sequence reads the same in both directions."""
-        return self.coeffs == self.coeffs[::-1]
+        return self.numers == self.numers[::-1]
 
     # -- ring operations ---------------------------------------------------
 
@@ -116,17 +150,17 @@ class LaurentPoly:
             return other
         if other.is_zero():
             return self
+        d = math.lcm(self.denom, other.denom)
         lo = min(self.min_deg, other.min_deg)
-        hi = max(self.max_deg, other.max_deg)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_deg + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_deg + i - lo] += c
-        return LaurentPoly(lo, out)
+        out = [0] * (max(self.max_deg, other.max_deg) - lo + 1)
+        for poly in (self, other):
+            f = d // poly.denom
+            for i, c in enumerate(poly.numers, poly.min_deg - lo):
+                out[i] += c * f
+        return LaurentPoly(lo, out, d)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.min_deg, tuple(-c for c in self.coeffs))
+        return LaurentPoly(self.min_deg, [-c for c in self.numers], self.denom)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -140,21 +174,20 @@ class LaurentPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly(self.min_deg + other.min_deg, out)
+        out = [0] * (len(self.numers) + len(other.numers) - 1)
+        for i, a in enumerate(self.numers):
+            if a:
+                for j, b in enumerate(other.numers, i):
+                    out[j] += a * b
+        return LaurentPoly(self.min_deg + other.min_deg, out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "LaurentPoly":
         f = _as_fraction(factor)
-        if f == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly(self.min_deg, tuple(c * f for c in self.coeffs))
+        return LaurentPoly(
+            self.min_deg, [c * f.numerator for c in self.numers], self.denom * f.denominator
+        )
 
     def substitute_power(self, c: int) -> "LaurentPoly":
         """X -> X**c (equivalently z -> c*z in the exponential form); c >= 1."""
@@ -162,10 +195,9 @@ class LaurentPoly:
             raise ValueError(f"substitution power must be a positive integer, got {c!r}")
         if c == 1 or self.is_zero():
             return self
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * c + 1)
-        for i, coeff in enumerate(self.coeffs):
-            out[i * c] = coeff
-        return LaurentPoly(self.min_deg * c, out)
+        out = [0] * ((len(self.numers) - 1) * c + 1)
+        out[::c] = self.numers
+        return LaurentPoly(self.min_deg * c, out, self.denom)
 
     # -- evaluation / expansion -------------------------------------------
 
@@ -176,20 +208,23 @@ class LaurentPoly:
             if self.min_deg < 0:
                 raise ZeroDivisionError("evaluating negative powers at 0")
             return self.coefficient(0)
-        # Horner on the polynomial part, then the monomial shift.
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * x**self.min_deg
+        if self.is_zero():
+            return _ZERO
+        # Integer Horner on the polynomial part P: P(a/b) * b**deg.
+        acc, _ = _int_horner(self.numers, x.numerator, 0, x.denominator)
+        b_pow = x.denominator ** (len(self.numers) - 1)
+        return Fraction(acc, self.denom * b_pow) * x**self.min_deg
 
     def egf_prefix(self, n: int) -> list[Fraction]:
         """Counts [c_0, ..., c_n]: entry j is Sum_k coeff_k * k**j (0**0 = 1)."""
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
+        degrees = [self.min_deg + i for i, c in enumerate(self.numers) if c]
+        terms = [c for c in self.numers if c]
         out = []
-        terms = [(self.min_deg + i, c) for i, c in enumerate(self.coeffs) if c != 0]
-        for j in range(n + 1):
-            out.append(sum((c * k**j for k, c in terms), start=Fraction(0)))
+        for _ in range(n + 1):
+            out.append(Fraction(sum(terms), self.denom))
+            terms = [c * k for c, k in zip(terms, degrees)]
         return out
 
     # -- division helpers --------------------------------------------------
@@ -198,17 +233,12 @@ class LaurentPoly:
         """Exact quotient by (X - 1); raises ValueError if 1 is not a root."""
         if self.is_zero():
             return self
-        # Write self = X**min_deg * P(X); divide the polynomial part.
-        p = self.coeffs
-        q = [Fraction(0)] * (len(p) - 1)
-        carry = Fraction(0)
-        # P = (X-1) Q  <=>  p_i = q_{i-1} - q_i  (q_{-1} = q_{deg} = 0)
-        for i in range(len(p) - 1):
-            q[i] = carry - p[i]
-            carry = q[i]
-        if p[-1] != carry:
+        # Write self = X**min_deg * P(X) / denom.  P = (X-1) Q means
+        # p_i = q_{i-1} - q_i, so q_i = -(p_0 + ... + p_i) and P(1) = 0.
+        p = self.numers
+        if sum(p):
             raise ValueError("polynomial is not divisible by (X - 1)")
-        return LaurentPoly(self.min_deg, q)
+        return LaurentPoly(self.min_deg, [-s for s in accumulate(p[:-1])], self.denom)
 
     # -- misc --------------------------------------------------------------
 
@@ -262,11 +292,9 @@ def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPol
     if max_deg < min_deg:
         raise ValueError("empty degree window")
     width = max_deg - min_deg + 1
-    vals = [_as_fraction(v) for v in prefix]
-    if len(vals) < width:
-        raise ValueError(f"need at least {width} prefix entries, got {len(vals)}")
-    den = math.lcm(*(v.denominator for v in vals[:width]))
-    counts = [v.numerator * (den // v.denominator) for v in vals[:width]]
+    counts, den = _over_common_denominator(prefix)
+    if len(counts) < width:
+        raise ValueError(f"need at least {width} prefix entries, got {len(counts)}")
     nodes = range(min_deg, max_deg + 1)
     # Ascending coefficients of P(t) = Prod_i (t - i).
     p = [1]
@@ -282,28 +310,25 @@ def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPol
             acc += q * counts[j]
         acc *= math.comb(width - 1, k - min_deg)
         numers.append(-acc if (max_deg - k) % 2 else acc)
-    scale = math.factorial(width - 1) * den
-    for j in range(width, len(vals)):
+    spread = math.factorial(width - 1)
+    for j in range(width, len(counts)):
         got = sum(a * k**j for a, k in zip(numers, nodes))
-        want = vals[j]
-        if got * want.denominator != want.numerator * scale:
+        if got != counts[j] * spread:
             raise ValueError(
                 f"count prefix inconsistent with window [{min_deg}, {max_deg}] "
-                f"at index {j}: expected {want}, reconstruction gives "
-                f"{Fraction(got, scale)}"
+                f"at index {j}: expected {Fraction(counts[j], den)}, reconstruction "
+                f"gives {Fraction(got, spread * den)}"
             )
-    return LaurentPoly(min_deg, [Fraction(a, scale) for a in numers])
+    return LaurentPoly(min_deg, numers, spread * den)
 
 
 def _strip_x_minus_one(poly: LaurentPoly) -> tuple[LaurentPoly, int]:
-    """(quotient, multiplicity): divide a nonzero ``poly`` by (X - 1) while exact."""
+    """(quotient, multiplicity): divide by (X - 1) while 1 is a root (numerators sum to 0)."""
     mult = 0
-    while True:
-        try:
-            poly = poly.divide_by_x_minus_one()
-        except ValueError:
-            return poly, mult
+    while poly.numers and sum(poly.numers) == 0:
+        poly = poly.divide_by_x_minus_one()
         mult += 1
+    return poly, mult
 
 
 def lowest_order(poly: LaurentPoly) -> tuple[int, Fraction]:
@@ -389,20 +414,16 @@ def _residuals(z: np.ndarray, asc: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_newton(cs, z: complex, steps: int = 3) -> complex:
+def _exact_newton(ics: Sequence[int], z: complex, steps: int = 3) -> complex:
     """Newton corrections with p and p' evaluated in exact arithmetic.
 
-    A double is a dyadic rational, so z = (A + B*i) / D with integers A, B
+    ``ics`` are p's coefficients times a common denominator, ascending.  A
+    double is a dyadic rational, so z = (A + B*i) / D with integers A, B
     and a power-of-two D; p(z) * D**deg is then an all-integer Horner sum,
     giving a noise-free Newton step.  The iterate is rounded back to a
     double after each step, so the only residual error is float rounding;
     stops early once the step is at rounding level.
     """
-    denoms = [Fraction(c).denominator for c in cs]
-    common = 1
-    for d in denoms:
-        common = common // math.gcd(common, d) * d
-    ics = [int(Fraction(c) * common) for c in cs]
     dics = [i * c for i, c in enumerate(ics)][1:]
     for _ in range(steps):
         ar, dr = z.real.as_integer_ratio()
@@ -425,7 +446,7 @@ def _exact_newton(cs, z: complex, steps: int = 3) -> complex:
     return z
 
 
-def _int_horner(ics: list, A: int, B: int, D: int) -> tuple[int, int]:
+def _int_horner(ics: Sequence[int], A: int, B: int, D: int) -> tuple[int, int]:
     """p((A + B*i) / D) * D**deg for integer coefficients, as (re, im)."""
     acc_re, acc_im = ics[-1], 0
     scale = 1
@@ -453,7 +474,7 @@ def find_roots(
     # Roots of the monomial-shifted polynomial part: X = 0 with multiplicity
     # min_deg, plus the roots of the coefficient vector.
     zero_roots = [0j] * poly.min_deg
-    cs = poly.coeffs
+    cs = poly.numers
     deg = len(cs) - 1
     if deg < 1:
         if not zero_roots:

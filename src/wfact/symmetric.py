@@ -64,9 +64,8 @@ def _frobenius(parts: Partition) -> LaurentPoly:
             degree = content_sum(shape)
             by_content[degree] = by_content.get(degree, 0) + value
     lo = min(by_content)
-    scale = factorial(n)
     return LaurentPoly(
-        lo, [Fraction(by_content.get(d, 0), scale) for d in range(lo, max(by_content) + 1)]
+        lo, [by_content.get(d, 0) for d in range(lo, max(by_content) + 1)], factorial(n)
     )
 
 

@@ -1,8 +1,11 @@
 """Wreath-product group model: elements, products, reflections, cycle data."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfact.groups import (
     Element,
@@ -331,6 +334,47 @@ def test_element_json_round_trip():
         params2, g2 = element_from_json(doc)
         assert params2 == params
         assert g2 == g
+
+
+@st.composite
+def group_elements(draw):
+    """(params, g): a random G(m,p,n) with m <= 6, n <= 6 and a random member."""
+    m = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(1, n + 1)))
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    colors[-1] = (colors[-1] - sum(colors) % p) % m  # p | m: now p | sum(colors)
+    return GroupParams(m, p, n), Element(tuple(perm), tuple(colors))
+
+
+def _cycle_text(cd) -> str:
+    pairs = ",".join(f"({length},{color})" for length, color in zip(cd.lengths, cd.cycle_colors))
+    return f"cycles=[{pairs}]"
+
+
+@settings(deadline=None, max_examples=100)
+@given(group_elements())
+def test_element_round_trips_property(case):
+    params, g = case
+    assert is_member(g, params)
+    explicit = f"perm={list(g.perm)}; colors={list(g.colors)}"
+    assert parse_element(explicit, params) == g
+    doc = json.loads(json.dumps(element_to_json(g, params)))
+    assert element_from_json(doc) == (params, g)
+
+
+@settings(deadline=None, max_examples=100)
+@given(group_elements())
+def test_cycle_form_round_trip_property(case):
+    params, g = case
+    cd = cycle_data(g, params)
+    h = parse_element(_cycle_text(cd), params)
+    # The cycle form gives the canonical member of g's class ...
+    assert cycle_data(h, params).class_key == cd.class_key
+    # ... which its own cycle form reproduces exactly, also through JSON.
+    assert parse_element(_cycle_text(cycle_data(h, params)), params) == h
+    assert element_from_json(element_to_json(h, params)) == (params, h)
 
 
 def test_weight():

@@ -1,5 +1,6 @@
 """Exact Laurent polynomials in X = e**z and the bridge to z-series counts."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from wfact.laurent import (
     LaurentPoly,
     RootFindingError,
+    _strip_x_minus_one,
     extract_phi,
     find_roots,
     laurent_from_egf,
@@ -65,18 +67,128 @@ def test_multiply_degree_shift():
     assert poly(-1, 1, 1) * LaurentPoly.monomial(1) == poly(0, 1, 1)
 
 
-def test_ring_axioms_random():
-    rng = random.Random(7)
-    for _ in range(40):
-        a, b, c = (random_poly(rng) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a + LaurentPoly.zero() == a
-        assert a * LaurentPoly.one() == a
-        assert a - a == LaurentPoly.zero()
+# ------------------------------------------------------- Hypothesis ring laws
+
+# Small and large coprime denominators, and explicit zeros to exercise trimming.
+coefficients = st.one_of(
+    st.just(F(0)),
+    st.fractions(max_denominator=12, min_value=-50, max_value=50),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def laurent_polys(draw, max_width=6):
+    return LaurentPoly(
+        draw(st.integers(-6, 6)), draw(st.lists(coefficients, max_size=max_width))
+    )
+
+
+def assert_canonical(L):
+    assert isinstance(L.denom, int) and L.denom > 0
+    assert math.gcd(L.denom, *L.numers) == 1
+    if L.numers:
+        assert L.numers[0] != 0 and L.numers[-1] != 0
+    else:
+        assert (L.min_deg, L.denom) == (0, 1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(laurent_polys(), laurent_polys(), laurent_polys())
+def test_ring_axioms_random(a, b, c):
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a - a == zero
+    assert a + zero == a and zero + a == a
+    assert a * one == a and a * zero == zero
+    for result in (a + b, a - b, a * b, -a, a - a, a * zero):
+        assert_canonical(result)
+
+
+@settings(deadline=None, max_examples=80)
+@given(laurent_polys(), coefficients, st.integers(1, 4))
+def test_canonical_form_property(a, q, c):
+    for L in (a, a.scale(q), a * q, a.substitute_power(c)):
+        assert_canonical(L)
+    assert a.scale(q) == LaurentPoly(a.min_deg, [x * q for x in a.coeffs])
+    spread = [F(0)] * (c * len(a.coeffs))
+    spread[::c] = a.coeffs
+    assert a.substitute_power(c) == LaurentPoly(a.min_deg * c, spread)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(-6, 6),
+    st.lists(st.integers(-(10**20), 10**20), max_size=6),
+    st.integers(-(10**20), 10**20).filter(bool),
+)
+def test_int_and_fraction_forms_agree(min_deg, numers, denom):
+    from_ints = LaurentPoly(min_deg, numers, denom)
+    from_fracs = LaurentPoly(min_deg, [F(n, denom) for n in numers])
+    assert_canonical(from_ints)
+    # The Fraction view is cached on first use and plays no part in equality.
+    assert from_ints.coeffs == from_fracs.coeffs
+    assert from_ints == from_fracs
+    assert hash(from_ints) == hash(from_fracs)
+    assert F(sum(from_ints.numers), from_ints.denom) == F(sum(numers), denom)
+
+
+def test_canonical_form_examples():
+    assert LaurentPoly(0, [2, 4], 6) == LaurentPoly(0, [F(1, 3), F(2, 3)])
+    negative = LaurentPoly(0, [2, 4], -6)
+    assert (negative.numers, negative.denom) == ((-1, -2), 3)
+    assert LaurentPoly(3, [0, 0], 7) == LaurentPoly.zero()
+    assert LaurentPoly.zero().denom == 1
+
+
+def test_constructor_rejects_float_and_zero_denominator():
+    with pytest.raises(TypeError):
+        LaurentPoly(0, [1, 0.5])
+    with pytest.raises(TypeError):
+        LaurentPoly(0, [1], 2.0)
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly(0, [1], 0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(laurent_polys())
+def test_json_round_trip_property(a):
+    assert LaurentPoly.from_json(a.to_json()) == a
+
+
+nonzero_points = st.fractions(max_denominator=40, min_value=-9, max_value=9).filter(bool)
+
+
+@settings(deadline=None, max_examples=80)
+@given(laurent_polys(), nonzero_points, st.integers(0, 8))
+def test_evaluate_and_egf_prefix_match_fraction_sums(a, x, n):
+    terms = list(enumerate(a.coeffs, a.min_deg))
+    assert a.evaluate(x) == sum((c * x**d for d, c in terms), F(0))
+    assert a.egf_prefix(n) == [sum((c * F(d) ** j for d, c in terms), F(0)) for j in range(n + 1)]
+    if a.min_deg >= 0:
+        assert a.evaluate(F(0)) == a.coefficient(0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(laurent_polys(), st.integers(0, 4))
+def test_strip_x_minus_one_property(base, s):
+    if base.is_zero() or base.evaluate(F(1)) == 0:
+        return
+    L = base
+    for _ in range(s):
+        L = L * X_MINUS_1
+    assert _strip_x_minus_one(L) == (base, s)
+    assert lowest_order(L) == (s, base.evaluate(F(1)) * math.factorial(s))
+
+
+def test_divide_by_x_minus_one_rejects_non_root():
+    with pytest.raises(ValueError):
+        poly(0, 1, 1).divide_by_x_minus_one()
+    assert (X_MINUS_1 * X_PLUS_1).divide_by_x_minus_one() == X_PLUS_1
 
 
 # ---------------------------------------------------------------- substitution
