@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from pathlib import Path
 
@@ -359,6 +360,7 @@ def cmd_fixtures_check(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
+@cache  # built once per process; parsing does not mutate it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfact",

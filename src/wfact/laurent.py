@@ -380,16 +380,34 @@ class RootFindingError(ArithmeticError):
         self.best = best
 
 
-def _initial_radius(coeffs: np.ndarray) -> float:
-    """An inclusion radius for all roots: min(Cauchy bound, Fujiwara bound)."""
-    deg = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    ratios = np.abs(coeffs[:-1]) / lead
-    cauchy = 1.0 + float(ratios.max())
-    fujiwara = 2.0 * max(
-        float(ratios[deg - i]) ** (1.0 / i) for i in range(1, deg + 1)
-    )
-    return max(min(cauchy, fujiwara), 1e-12)
+def _newton_polygon_start(ics: Sequence[int]) -> np.ndarray:
+    """Aberth starting points from the Newton polygon of log|a_i| (Bini 1996).
+
+    ``ics`` are integer coefficients, ascending, with both ends nonzero.
+    Each edge from i to j of the upper convex hull of the points
+    (i, log|a_i|) over the nonzero a_i contributes j - i points on the
+    circle of radius (|a_i| / |a_j|)**(1 / (j - i)), the size of the roots
+    that edge accounts for; the angles are spread evenly on each circle and
+    rotated per edge, off the real axis.
+    """
+    deg = len(ics) - 1
+    points = [(i, math.log(abs(c))) for i, c in enumerate(ics) if c]
+    hull: list[tuple[int, float]] = []
+    for i, li in points:
+        # Pop the last hull point while it lies on or below the chord to (i, li).
+        while len(hull) >= 2:
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            if (i1 - i0) * (li - l0) < (l1 - l0) * (i - i0):
+                break
+            hull.pop()
+        hull.append((i, li))
+    starts = []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        k = j - i
+        radius = math.exp((li - lj) / k)
+        angles = 2.0 * np.pi * (np.arange(k) / k + i / deg) + 0.45
+        starts.append(radius * np.exp(1j * angles))
+    return np.concatenate(starts)
 
 
 def _residuals(z: np.ndarray, asc: np.ndarray, rev: np.ndarray) -> np.ndarray:
@@ -439,7 +457,8 @@ def _exact_newton(ics: Sequence[int], z: complex, steps: int = 3) -> complex:
         den = qr * qr + qi * qi
         if den == 0:
             return z
-        step = complex(Fraction(pr * qr + pi * qi, den), Fraction(pi * qr - pr * qi, den))
+        # int / int rounds correctly and skips the gcd a Fraction would take.
+        step = complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
         z -= step
         if abs(step) <= 1e-14 * (1.0 + abs(z)):
             break
@@ -462,10 +481,11 @@ def find_roots(
     """All complex roots of an ordinary polynomial (min_deg >= 0), degree >= 1.
 
     Aberth-Ehrlich simultaneous iteration on double-precision coefficients,
-    started on a circle bounded by min(Cauchy, Fujiwara).  Converged when
-    every relative backward error |p(r)| / sum_i |a_i||r|**i is below
-    ``tol``, followed by polishing sweeps and an exact-arithmetic Newton
-    certification of any still-suspect root; failure to converge within
+    started on the circles of the Newton polygon of log|a_i| (Bini 1996),
+    one circle per hull edge at the size of the roots it accounts for.
+    Converged when every relative backward error |p(r)| / sum_i |a_i||r|**i
+    is below ``tol``, followed by polishing sweeps and an exact-arithmetic
+    Newton certification of any still-suspect root; failure to converge within
     ``max_iter`` sweeps raises RootFindingError carrying the best iterate.
     Results are sorted by (real, imag).
     """
@@ -488,9 +508,7 @@ def find_roots(
     d_asc = asc[1:] * np.arange(1, deg + 1, dtype=np.float64)
     d_rev = rev[1:] * np.arange(1, deg + 1, dtype=np.float64)
 
-    radius = _initial_radius(asc)
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.45
-    z = radius * np.exp(1j * angles)
+    z = _newton_polygon_start(cs)
 
     def newton_ratio(z: np.ndarray) -> np.ndarray:
         # Newton ratio p/p', overflow-safe for |z| > 1 via w = 1/z:

@@ -8,7 +8,7 @@ import pytest
 from wfact import cli
 from wfact.cli import main
 from wfact.fixtures import TABLE1, default_fixture_path
-from wfact.laurent import LaurentPoly
+from wfact.laurent import LaurentPoly, RootFindingError
 
 
 def run(capsys, *argv):
@@ -224,6 +224,18 @@ def test_roots_selector_conflict(capsys, tmp_path):
     )
     assert code == 2
     assert err
+
+
+def test_roots_failure_exits_1(capsys, monkeypatch, tmp_path):
+    def fail(poly):
+        raise RootFindingError("no convergence", [])
+
+    monkeypatch.setattr(cli, "find_roots", fail)
+    code, _, err = run(
+        capsys, "roots", "--fixture", "G2", "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 1
+    assert "root finding failed" in err
 
 
 # ---------------------------------------------------------------- fixtures-check

@@ -4,19 +4,24 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfact.fixtures import load_phi_fixtures
 from wfact.laurent import (
     LaurentPoly,
     RootFindingError,
+    _int_horner,
+    _newton_polygon_start,
     _strip_x_minus_one,
     extract_phi,
     find_roots,
     laurent_from_egf,
     lowest_order,
 )
+from wfact.symmetric import dyz_identity_series
 
 F = Fraction
 
@@ -451,6 +456,101 @@ def test_find_roots_requires_degree():
         find_roots(LaurentPoly.one())
     with pytest.raises(ValueError):
         find_roots(poly(-1, 1, 1))  # negative min_deg not an ordinary polynomial
+
+
+def test_find_roots_failure_carries_best_iterate():
+    phi = load_phi_fixtures()["H4"]
+    with pytest.raises(RootFindingError) as info:
+        find_roots(phi, max_iter=2)
+    best = info.value.best
+    assert len(best) == phi.max_deg
+    assert best == sorted(best, key=lambda r: (r.real, r.imag))
+
+
+def _int_poly(roots):
+    """Integer ascending coefficients of prod (X - r) for roots closed under conjugation."""
+    coeffs = np.polynomial.polynomial.polyfromroots(roots).real
+    return [int(c) for c in np.rint(coeffs)]
+
+
+def assert_roots_match(found, expected, rel=1e-10):
+    unmatched = list(found)
+    for r in expected:
+        best = min(unmatched, key=lambda s: abs(s - r))
+        assert abs(best - r) <= rel * abs(r), (r, best)
+        unmatched.remove(best)
+    assert not unmatched
+
+
+SPREAD_ROOTS = [1, 10, 100, 1000, 1j, -1j]
+
+
+@pytest.mark.parametrize(
+    "numers, expected",
+    [
+        (_int_poly(SPREAD_ROOTS), SPREAD_ROOTS),
+        ([-1] + [0] * 49 + [1], [np.exp(2j * np.pi * k / 50) for k in range(50)]),
+        (
+            [2] + [0] * 30 + [1],
+            [2 ** (1 / 31) * np.exp(1j * np.pi * (2 * k + 1) / 31) for k in range(31)],
+        ),
+    ],
+    ids=["radii-1-to-1000", "X50-minus-1", "X31-plus-2"],
+)
+def test_find_roots_recovers_known_roots(numers, expected):
+    assert_roots_match(find_roots(LaurentPoly(0, numers)), expected)
+
+
+def test_newton_polygon_start_radii():
+    # One hull edge over 30 zero coefficients: 31 points on |z| = 2**(1/31).
+    z = _newton_polygon_start([2] + [0] * 30 + [1])
+    assert len(z) == 31
+    assert np.allclose(np.abs(z), 2 ** (1 / 31), rtol=1e-12)
+    # Several edges: each group of roots starts on a circle of about its size.
+    z = _newton_polygon_start(_int_poly(SPREAD_ROOTS))
+    assert len(z) == len(SPREAD_ROOTS)
+    ratios = np.sort(np.abs(z)) / np.sort(np.abs(SPREAD_ROOTS))
+    assert np.all((ratios > 2 / 3) & (ratios < 3 / 2)), ratios
+
+
+def _core(name):
+    """A bundled fixture, or "S<n>" for the S_n identity core."""
+    if name[0] != "S":
+        return load_phi_fixtures()[name]
+    n = int(name[1:])
+    phi, _ = extract_phi(dyz_identity_series(n), math.factorial(n), n * (n - 1) // 2)
+    return phi
+
+
+@pytest.mark.parametrize(
+    "name", list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 13)]
+)
+def test_find_roots_sweep_budget(name):
+    # The Newton-polygon start converges in well under 100 sweeps on every
+    # bundled fixture and every S_n identity core for n = 4..12.
+    phi = _core(name)
+    assert len(find_roots(phi, max_iter=100)) == phi.max_deg
+
+
+def relative_newton_step(ics, r):
+    """|p(r) / p'(r)| / |r|, with p and p' evaluated exactly at the double r."""
+    ar, dr = r.real.as_integer_ratio()
+    ai, di = r.imag.as_integer_ratio()
+    D = max(dr, di)
+    A, B = ar * (D // dr), ai * (D // di)
+    pr, pi = _int_horner(ics, A, B, D)
+    qr, qi = _int_horner([i * c for i, c in enumerate(ics)][1:], A, B, D)
+    # p(r) / p'(r) = (pr + pi*i) / ((qr + qi*i) * D), and |r| = |A + B*i| / D
+    return math.sqrt((pr * pr + pi * pi) / ((qr * qr + qi * qi) * (A * A + B * B)))
+
+
+@pytest.mark.parametrize("name", ["E7", "S12"])
+def test_find_roots_relative_newton_step(name):
+    phi = _core(name)
+    assert phi.min_deg == 0
+    roots = find_roots(phi)
+    worst = max(relative_newton_step(list(phi.numers), r) for r in roots)
+    assert worst <= 1e-10, worst
 
 
 # ---------------------------------------------------------------- serialization
