@@ -432,37 +432,86 @@ def _residuals(z: np.ndarray, asc: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_newton(ics: Sequence[int], z: complex, steps: int = 3) -> complex:
-    """Newton corrections with p and p' evaluated in exact arithmetic.
+def _certify_newton(ics: Sequence[int], z: complex, steps: int = 3) -> complex:
+    """Up to ``steps`` Newton corrections of the double z, each by ``_newton_step``.
 
-    ``ics`` are p's coefficients times a common denominator, ascending.  A
-    double is a dyadic rational, so z = (A + B*i) / D with integers A, B
-    and a power-of-two D; p(z) * D**deg is then an all-integer Horner sum,
-    giving a noise-free Newton step.  The iterate is rounded back to a
-    double after each step, so the only residual error is float rounding;
-    stops early once the step is at rounding level.
+    The step is p/p' to about 2**-63 relative, so the only residual error is
+    float rounding when the iterate is rounded back to a double after each
+    step; stops early once the step is at rounding level, and at once when
+    p'(z) is exactly zero.
     """
-    dics = [i * c for i, c in enumerate(ics)][1:]
     for _ in range(steps):
-        ar, dr = z.real.as_integer_ratio()
-        ai, di = z.imag.as_integer_ratio()
-        D = max(dr, di)  # both denominators are powers of two
-        A = ar * (D // dr)
-        B = ai * (D // di)
-        pr, pi = _int_horner(ics, A, B, D)
-        qr, qi = _int_horner(dics, A, B, D)
-        # p/p' = (pr + pi*i) / ((qr + qi*i) * D)  after the D**deg scalings
-        qr *= D
-        qi *= D
-        den = qr * qr + qi * qi
-        if den == 0:
-            return z
-        # int / int rounds correctly and skips the gcd a Fraction would take.
-        step = complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
+        step = _newton_step(ics, z)
         z -= step
         if abs(step) <= 1e-14 * (1.0 + abs(z)):
             break
     return z
+
+
+def _newton_step(ics: Sequence[int], z: complex) -> complex:
+    """p(z) / p'(z), with p and p' evaluated in fixed point to a proven bound.
+
+    ``ics`` are p's coefficients times a common denominator, ascending, and
+    n = deg p.  A double is a dyadic rational, so z = (A + B*i) / 2**e with
+    integers A and B; ``_fixed_horner`` then returns p(z) * 2**F and
+    p'(z) * 2**F with each part floored after every multiplication by z.
+    Each floor errs by less than sqrt(2) units, so with M = max(1, |z|) the
+    a priori Horner bounds (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Sec. 5.1) are, in units of 2**-F,
+
+        |err p|  <= sqrt(2) * sum_{k<n} |z|**k  <= sqrt(2) * n * M**n,
+        |err p'| <= sqrt(2) * n**2 * M**n.
+
+    An evaluation is accepted when both bounds are at most 2**-64 of the
+    computed |p| and |p'|, compared in log2 so that neither a large |z| nor
+    a large n can overflow; otherwise F doubles from 128.  Once F >= e * n
+    no floor truncates and the pass is exact, so the loop ends, and an
+    exact root gives the step 0.  The quotient is one correctly rounded int
+    division; 0 is returned when p'(z) is exactly zero (a multiple root).
+    """
+    deg = len(ics) - 1
+    ar, dr = z.real.as_integer_ratio()
+    ai, di = z.imag.as_integer_ratio()
+    D = max(dr, di)  # both denominators are powers of two
+    A = ar * (D // dr)
+    B = ai * (D // di)
+    e = D.bit_length() - 1
+    # log2 of sqrt(2) * n * M**n * 2**64, plus one bit of slack for the float logs.
+    need_p = deg * math.log2(max(1.0, abs(z))) + math.log2(deg) + 65.5
+    need_q = need_p + math.log2(deg)
+    F = 128
+    while True:
+        pr, pi, qr, qi = _fixed_horner(ics, A, B, e, F)
+        # The larger part of an int x + y*i with bit length b has |.| >= 2**(b - 1).
+        if F >= e * deg or (
+            max(pr.bit_length(), pi.bit_length()) - 1 >= need_p
+            and max(qr.bit_length(), qi.bit_length()) - 1 >= need_q
+        ):
+            break
+        F *= 2
+    # The 2**F scalings cancel in the quotient.
+    den = qr * qr + qi * qi
+    if den == 0:
+        return 0j
+    # int / int rounds correctly and skips the gcd a Fraction would take.
+    return complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
+
+
+def _fixed_horner(
+    ics: Sequence[int], A: int, B: int, e: int, F: int
+) -> tuple[int, int, int, int]:
+    """p(z) * 2**F and p'(z) * 2**F at z = (A + B*i) / 2**e, as (re, im, re', im').
+
+    One fused Horner pass for integer coefficients; every product with
+    A + B*i is shifted right by e, which floors each part.  Exact once
+    F >= e * deg; ``_newton_step`` states the error bounds below that.
+    """
+    pr, pi = ics[-1] << F, 0
+    qr = qi = 0
+    for c in reversed(ics[:-1]):
+        qr, qi = ((qr * A - qi * B) >> e) + pr, ((qr * B + qi * A) >> e) + pi
+        pr, pi = ((pr * A - pi * B) >> e) + (c << F), (pr * B + pi * A) >> e
+    return pr, pi, qr, qi
 
 
 def _int_horner(ics: Sequence[int], A: int, B: int, D: int) -> tuple[int, int]:
@@ -484,9 +533,11 @@ def find_roots(
     started on the circles of the Newton polygon of log|a_i| (Bini 1996),
     one circle per hull edge at the size of the roots it accounts for.
     Converged when every relative backward error |p(r)| / sum_i |a_i||r|**i
-    is below ``tol``, followed by polishing sweeps and an exact-arithmetic
-    Newton certification of any still-suspect root; failure to converge within
-    ``max_iter`` sweeps raises RootFindingError carrying the best iterate.
+    is below ``tol``, followed by polishing sweeps and a Newton certification
+    of any still-suspect root, with p and p' evaluated on the integer
+    numerators in fixed point to a proven error bound (exact in the limit);
+    failure to converge within ``max_iter`` sweeps raises RootFindingError
+    carrying the best iterate.
     Results are sorted by (real, imag).
     """
     if poly.min_deg < 0:
@@ -559,14 +610,14 @@ def find_roots(
         # attainable accuracy of a root with condition number kappa at about
         # eps * kappa, which for the largest inputs is worse than the root
         # spacing downstream consumers rely on.  Roots whose Newton ratio is
-        # still above rounding level get a few Newton corrections evaluated
-        # in exact rational arithmetic, which is noise-free and lands on the
-        # true root to within float rounding.
+        # still above rounding level get a few Newton corrections whose p/p'
+        # is accurate to about 2**-63 relative (``_newton_step``), which lands
+        # on the true root to within float rounding.
         suspect = np.abs(newton_ratio(z)) > 1e-12 * (1.0 + np.abs(z))
         if suspect.any():
             z = z.copy()
             for i in np.nonzero(suspect)[0]:
-                z[i] = _exact_newton(cs, complex(z[i]))
+                z[i] = _certify_newton(cs, complex(z[i]))
         res = _residuals(z, asc, rev)
     roots = zero_roots + [complex(v) for v in z]
     if float(res.max()) >= tol:

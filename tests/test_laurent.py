@@ -1,5 +1,6 @@
 """Exact Laurent polynomials in X = e**z and the bridge to z-series counts."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -13,8 +14,11 @@ from wfact.fixtures import load_phi_fixtures
 from wfact.laurent import (
     LaurentPoly,
     RootFindingError,
+    _certify_newton,
+    _fixed_horner,
     _int_horner,
     _newton_polygon_start,
+    _newton_step,
     _strip_x_minus_one,
     extract_phi,
     find_roots,
@@ -532,25 +536,121 @@ def test_find_roots_sweep_budget(name):
     assert len(find_roots(phi, max_iter=100)) == phi.max_deg
 
 
-def relative_newton_step(ics, r):
-    """|p(r) / p'(r)| / |r|, with p and p' evaluated exactly at the double r."""
-    ar, dr = r.real.as_integer_ratio()
-    ai, di = r.imag.as_integer_ratio()
+def _dyadic(z):
+    """(A, B, D) with z = (A + B*i) / D and D a power of two."""
+    ar, dr = z.real.as_integer_ratio()
+    ai, di = z.imag.as_integer_ratio()
     D = max(dr, di)
-    A, B = ar * (D // dr), ai * (D // di)
+    return ar * (D // dr), ai * (D // di), D
+
+
+def exact_horner_pair(ics, z):
+    """p(z) * D**deg and p'(z) * D**deg at the double z = (A + B*i) / D, as ints.
+
+    Computed with ``_int_horner`` in exact arithmetic, independently of the
+    fixed-point pass the root certification uses.
+    """
+    A, B, D = _dyadic(z)
     pr, pi = _int_horner(ics, A, B, D)
     qr, qi = _int_horner([i * c for i, c in enumerate(ics)][1:], A, B, D)
-    # p(r) / p'(r) = (pr + pi*i) / ((qr + qi*i) * D), and |r| = |A + B*i| / D
+    return pr, pi, qr * D, qi * D
+
+
+def exact_newton_step(ics, z):
+    """p(z) / p'(z) at the double z as exact (re, im) Fractions."""
+    pr, pi, qr, qi = exact_horner_pair(ics, z)
+    den = qr * qr + qi * qi
+    return F(pr * qr + pi * qi, den), F(pi * qr - pr * qi, den)
+
+
+def relative_newton_step(ics, r):
+    """|p(r) / p'(r)| / |r|, with p and p' evaluated exactly at the double r."""
+    A, B, _ = _dyadic(r)
+    pr, pi, qr, qi = exact_horner_pair(ics, r)
+    # |r| = |A + B*i| / D, and the D**deg scalings cancel.
     return math.sqrt((pr * pr + pi * pi) / ((qr * qr + qi * qi) * (A * A + B * B)))
 
 
-@pytest.mark.parametrize("name", ["E7", "S12"])
+@pytest.mark.parametrize("name", ["E7", "S12", "H4", "E6", "E8"])
 def test_find_roots_relative_newton_step(name):
     phi = _core(name)
     assert phi.min_deg == 0
     roots = find_roots(phi)
     worst = max(relative_newton_step(list(phi.numers), r) for r in roots)
     assert worst <= 1e-10, worst
+
+
+magnitudes = st.floats(1e-3, 1e3)
+dyadic_points = st.one_of(
+    st.builds(lambda r, t: r * cmath.exp(1j * t), magnitudes, st.floats(0, 2 * math.pi)),
+    st.builds(lambda r, u: r * u, magnitudes, st.sampled_from([1, -1, 1j, -1j])),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-(2**80), 2**80)), min_size=2, max_size=61),
+    dyadic_points,
+)
+@example([1, 0, 1], 1j)
+@example([1, -2, 1], 1.0)
+def test_fixed_horner_within_stated_bounds(ics, z):
+    # At every F the certification can try (128, 256, ...), the fixed-point
+    # p and p' lie within sqrt(2)*n*M**n and sqrt(2)*n**2*M**n units of the
+    # exact values, M = max(1, |z|); once F >= e*n they are the exact values.
+    n = len(ics) - 1
+    A, B, D = _dyadic(z)
+    e = D.bit_length() - 1
+    pr, pi, qr, qi = exact_horner_pair(ics, z)  # p(z) and p'(z) times D**n
+    m2n = max(F(1), F(A * A + B * B, D * D)) ** n  # (M**n)**2
+    f = 128
+    while True:
+        fr, fi, gr, gi = _fixed_horner(ics, A, B, e, f)
+        p_err = (fr - F(pr << f, D**n)) ** 2 + (fi - F(pi << f, D**n)) ** 2
+        q_err = (gr - F(qr << f, D**n)) ** 2 + (gi - F(qi << f, D**n)) ** 2
+        assert p_err <= 2 * n**2 * m2n, (f, float(p_err))
+        assert q_err <= 2 * n**4 * m2n, (f, float(q_err))
+        if f >= e * n:
+            assert p_err == 0 and q_err == 0, f
+            break
+        f *= 2
+
+
+def test_certify_newton_keeps_exact_and_double_roots():
+    assert _certify_newton([1, 0, 1], 1j) == 1j  # X^2 + 1 at i
+    assert _certify_newton([1, -2, 1], 1.0) == 1.0  # (X - 1)^2 at 1
+    assert _newton_step([1, -2, 1], 1.0) == 0
+
+
+def test_newton_step_matches_exact_step():
+    # On E7 at every returned root (where |p| is at rounding level) and at 50
+    # points within 1e-13 relative of them, the fixed-point step is the
+    # exact step to 2**-50 relative.
+    phi = _core("E7")
+    ics = list(phi.numers)
+    roots = find_roots(phi)
+    rng = random.Random(113)
+    near = [
+        r * (1 + 1e-13 * rng.random() * cmath.exp(2j * math.pi * rng.random()))
+        for r in rng.sample(roots, 50)
+    ]
+    for z in roots + near:
+        assert_step_is_exact(ics, z)
+
+
+@pytest.mark.parametrize("ics", [[0, 1, -2, 1], [-1, 3, -3, 1]], ids=["X(X-1)^2", "(X-1)^3"])
+@pytest.mark.parametrize("z", [1 + 2**-52, 1 - 2**-53, complex(1, 2**-50)])
+def test_newton_step_next_to_a_multiple_root(ics, z):
+    # p(z) * 2**128 is below 2**30 here, under the 2**64-relative bound, and
+    # F = 128 < e * n, so only a doubled F gives the step.
+    assert_step_is_exact(ics, z)
+
+
+def assert_step_is_exact(ics, z):
+    sr, si = exact_newton_step(ics, z)
+    got = _newton_step(ics, z)
+    err = (F(got.real) - sr) ** 2 + (F(got.imag) - si) ** 2
+    assert err <= (sr * sr + si * si) / 2**100, z
 
 
 # ---------------------------------------------------------------- serialization
