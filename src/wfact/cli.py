@@ -37,7 +37,7 @@ from .factorizations import (
 )
 from .fixtures import TABLE1, load_phi_fixtures
 from .groups import Element, GroupParams, identity, element_to_json, parse_element
-from .laurent import RootFindingError, extract_phi, find_roots
+from .laurent import LaurentPoly, RootFindingError, extract_phi, find_roots
 from .oracle import class_representatives, count_factorizations
 from .symmetric import dyz_identity_series, full_series_sn
 
@@ -150,6 +150,8 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     max_len = args.max_len
     if max_len is None:
         max_len = params.num_reflections + 2
+    if max_len < 0:
+        raise UsageError("--max-len must be nonnegative")
     corrupt = args.self_test_corrupt
     checked = 0
     for g in targets:
@@ -228,8 +230,12 @@ def _write_root_output(
         return
     lines = ["label,re,im" if labelled else "re,im"]
     for label, zs in groups:
-        for z in zs:
-            coords = f"{z.real:.12g},{z.imag:.12g}"
+        # Order by the printed coordinates: the two roots of a conjugate pair
+        # have real parts that agree only to rounding, and would otherwise
+        # come out in an order set by that rounding.
+        printed = sorted((float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")) for z in zs)
+        for x, y in printed:
+            coords = f"{x:.12g},{y:.12g}"
             lines.append(f"{label},{coords}" if labelled else coords)
     path.write_text("\n".join(lines) + "\n")
 
@@ -246,7 +252,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     ]
     if len(chosen) != 1:
         raise UsageError("give exactly one of --fixture, --phi-from, --sn-sweep")
-    groups: list[tuple[str, list[complex]]] = []
+    cores: list[tuple[str, LaurentPoly]] = []
     labelled = False
     if args.fixture is not None:
         fixtures = _load_fixtures_or_usage_error(args.fixtures)
@@ -255,7 +261,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
                 f"unknown fixture {args.fixture!r}; "
                 f"available: {', '.join(sorted(fixtures))}"
             )
-        groups.append((args.fixture, find_roots(fixtures[args.fixture])))
+        cores.append((args.fixture, fixtures[args.fixture]))
     elif args.phi_from is not None:
         try:
             m, p, n = (int(part) for part in args.phi_from.split(","))
@@ -267,7 +273,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from None
         g = _element_from_args(params, args)
         phi, _, _ = phi_data(params, g)
-        groups.append((str(params), find_roots(phi)))
+        cores.append((str(params), phi))
     else:
         top = args.sn_sweep
         if top < 2:
@@ -276,9 +282,11 @@ def cmd_roots(args: argparse.Namespace) -> int:
         for degree in range(2, top + 1, 2):
             series = dyz_identity_series(degree)
             phi, _ = extract_phi(series, factorial(degree), degree * (degree - 1) // 2)
-            # a constant core polynomial has no roots to plot
-            zs = find_roots(phi) if phi.max_deg - phi.min_deg >= 1 else []
-            groups.append((str(degree), zs))
+            cores.append((str(degree), phi))
+    # A constant core polynomial has no roots.
+    groups = [
+        (label, find_roots(phi) if phi.max_deg >= 1 else []) for label, phi in cores
+    ]
     total = sum(len(zs) for _, zs in groups)
     _write_root_output(args.out, groups, labelled)
     print(f"wrote {total} root(s) to {args.out}", file=sys.stderr)

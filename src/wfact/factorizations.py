@@ -40,7 +40,7 @@ def series_window(params: GroupParams) -> tuple[int, int]:
     return (-params.num_hyperplanes, params.num_reflections)
 
 
-def _moebius_sum(p_like: int, n: int, cd: CycleData, scale_base: int) -> LaurentPoly:
+def _moebius_sum(n: int, cd: CycleData, scale_base: int) -> LaurentPoly:
     """Sum over r | d of moebius(r) r^(n+k-2) S_lambda(X -> X^(scale_base/r))."""
     acc = LaurentPoly.zero()
     base_series = full_series_sn_type(cd.partition)
@@ -67,7 +67,7 @@ def series_ppn(p: int, n: int, cd: CycleData) -> LaurentPoly:
         raise ValueError(f"cycle-color gcd d = {cd.d} must divide p = {p}")
     if n == 1:
         return LaurentPoly.one()
-    return _moebius_sum(p, n, cd, p).scale(Fraction(1, p ** (n - 1)))
+    return _moebius_sum(n, cd, p).scale(Fraction(1, p ** (n - 1)))
 
 
 def _cyclic_factor(params: GroupParams, g: Element) -> LaurentPoly:
@@ -89,7 +89,7 @@ def series_full(params: GroupParams, g: Element) -> LaurentPoly:
     if n == 1:
         return _cyclic_factor(params, g)
     cd = cycle_data(g, params)
-    body = _moebius_sum(params.p, n, cd, m)
+    body = _moebius_sum(n, cd, m)
     cyc = _cyclic_factor(params, g).substitute_power(n)
     return (cyc * body).scale(Fraction(1, m ** (n - 1)))
 

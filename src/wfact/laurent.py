@@ -410,26 +410,39 @@ def _newton_polygon_start(ics: Sequence[int]) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def _residuals(z: np.ndarray, asc: np.ndarray, rev: np.ndarray) -> np.ndarray:
-    """Relative backward error |p(z)| / sum_i |a_i| |z|**i.
+def _newton_and_residual(
+    z: np.ndarray, asc: np.ndarray, d_asc: np.ndarray, rev: np.ndarray, d_rev: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p/p', relative backward error |p| / sum_i |a_i| |z|**i) at each z.
 
-    This is the scale a double-precision Horner evaluation can actually
-    resolve: at an exact root the computed |p(z)| is roundoff of size
-    ~eps * sum_i |a_i||z|**i, so the ratio bottoms out near eps regardless
-    of the coefficient magnitudes, and a point far from every root scores
-    large at every radius.  Overflow-safe for |z| > 1 via the reversal
-    p(z) = z**deg * q(1/z), under which the ratio is |q(w)| / sum |a~_i||w|**i.
+    The relative backward error is the scale a double-precision Horner
+    evaluation can resolve: at an exact root the computed |p(z)| is roundoff
+    of size ~eps * sum_i |a_i||z|**i, so the ratio bottoms out near eps
+    whatever the coefficient magnitudes.  Overflow-safe for |z| > 1 via
+    w = 1/z and the reversed coefficients q, p(z) = z**deg * q(w):
+    p'(z)/p(z) = deg/z - w**2 * q'(w)/q(w), and the ratio is
+    |q(w)| / sum |a~_i||w|**i.  Three ``polyval`` passes per side.
     """
     polyval = np.polynomial.polynomial.polyval
-    out = np.empty(len(z))
+    deg = len(asc) - 1
+    newton = np.empty_like(z)
+    res = np.empty(len(z))
     small = np.abs(z) <= 1.0
     if small.any():
         zs = z[small]
-        out[small] = np.abs(polyval(zs, asc)) / polyval(np.abs(zs), np.abs(asc))
+        p = polyval(zs, asc)
+        dp = polyval(zs, d_asc)
+        res[small] = np.abs(p) / polyval(np.abs(zs), np.abs(asc))
+        newton[small] = p / np.where(dp == 0, 1e-300, dp)
     if (~small).any():
-        w = 1.0 / z[~small]
-        out[~small] = np.abs(polyval(w, rev)) / polyval(np.abs(w), np.abs(rev))
-    return out
+        zl = z[~small]
+        w = 1.0 / zl
+        q = polyval(w, rev)
+        dq = polyval(w, d_rev)
+        res[~small] = np.abs(q) / polyval(np.abs(w), np.abs(rev))
+        ratio = deg / zl - w * w * (dq / np.where(q == 0, 1e-300, q))
+        newton[~small] = 1.0 / np.where(ratio == 0, 1e-300, ratio)
+    return newton, res
 
 
 def _certify_newton(ics: Sequence[int], z: complex, steps: int = 3) -> complex:
@@ -533,11 +546,11 @@ def find_roots(
     started on the circles of the Newton polygon of log|a_i| (Bini 1996),
     one circle per hull edge at the size of the roots it accounts for.
     Converged when every relative backward error |p(r)| / sum_i |a_i||r|**i
-    is below ``tol``, followed by polishing sweeps and a Newton certification
-    of any still-suspect root, with p and p' evaluated on the integer
-    numerators in fixed point to a proven error bound (exact in the limit);
-    failure to converge within ``max_iter`` sweeps raises RootFindingError
-    carrying the best iterate.
+    is below ``tol``; then polishing sweeps, and every root is certified by
+    Newton steps with p and p' evaluated on the integer numerators in fixed
+    point to a proven error bound (exact in the limit), which leaves it
+    accurate to float rounding.  Failure to converge within ``max_iter``
+    sweeps raises RootFindingError carrying the best iterate.
     Results are sorted by (real, imag).
     """
     if poly.min_deg < 0:
@@ -558,31 +571,9 @@ def find_roots(
     rev = asc[::-1].copy()
     d_asc = asc[1:] * np.arange(1, deg + 1, dtype=np.float64)
     d_rev = rev[1:] * np.arange(1, deg + 1, dtype=np.float64)
+    coeffs = (asc, d_asc, rev, d_rev)
 
     z = _newton_polygon_start(cs)
-
-    def newton_ratio(z: np.ndarray) -> np.ndarray:
-        # Newton ratio p/p', overflow-safe for |z| > 1 via w = 1/z:
-        #   p'(z)/p(z) = deg/z - w**2 * q'(w)/q(w)   with q = reversed coeffs
-        newton = np.empty_like(z)
-        small = np.abs(z) <= 1.0
-        if small.any():
-            zs = z[small]
-            p = np.polynomial.polynomial.polyval(zs, asc)
-            dp = np.polynomial.polynomial.polyval(zs, d_asc)
-            dp = np.where(dp == 0, 1e-300, dp)
-            newton[small] = p / dp
-        if (~small).any():
-            zl = z[~small]
-            w = 1.0 / zl
-            q = np.polynomial.polynomial.polyval(w, rev)
-            dq = np.polynomial.polynomial.polyval(w, d_rev)
-            q = np.where(q == 0, 1e-300, q)
-            ratio = deg / zl - w * w * (dq / q)
-            ratio = np.where(ratio == 0, 1e-300, ratio)
-            newton[~small] = 1.0 / ratio
-        return newton
-
     # After the residual drops below tolerance, run extra sweeps: the
     # residual certifies backward error, but an ill-conditioned simple root
     # can still sit noticeably off when the test first passes.  The extra
@@ -590,12 +581,11 @@ def find_roots(
     # collapse two iterates onto one root) and count against the budget.
     polish_left = 15
     for _ in range(max_iter):
-        res = _residuals(z, asc, rev)
+        newton, res = _newton_and_residual(z, *coeffs)
         if float(res.max()) < tol:
             if polish_left == 0:
                 break
             polish_left -= 1
-        newton = newton_ratio(z)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         repulsion = (1.0 / diff).sum(axis=1)
@@ -604,26 +594,24 @@ def find_roots(
         step = newton / denom
         step = np.where(np.isfinite(step), step, 0.0)
         z = z - step
-    res = _residuals(z, asc, rev)
+    else:  # the budget ran out: judge the last step's iterates
+        _, res = _newton_and_residual(z, *coeffs)
     if float(res.max()) < tol:
-        # Certification pass: double-precision evaluation noise caps the
+        # Certification: double-precision evaluation noise caps the
         # attainable accuracy of a root with condition number kappa at about
         # eps * kappa, which for the largest inputs is worse than the root
-        # spacing downstream consumers rely on.  Roots whose Newton ratio is
-        # still above rounding level get a few Newton corrections whose p/p'
-        # is accurate to about 2**-63 relative (``_newton_step``), which lands
-        # on the true root to within float rounding.
-        suspect = np.abs(newton_ratio(z)) > 1e-12 * (1.0 + np.abs(z))
-        if suspect.any():
-            z = z.copy()
-            for i in np.nonzero(suspect)[0]:
-                z[i] = _certify_newton(cs, complex(z[i]))
-        res = _residuals(z, asc, rev)
+        # spacing downstream consumers rely on.  Each root gets Newton
+        # corrections whose p/p' is accurate to about 2**-63 relative
+        # (``_newton_step``), which lands on the true root to within float
+        # rounding; a root already there costs one evaluation.
+        z = np.array([_certify_newton(cs, complex(v)) for v in z])
+        _, res = _newton_and_residual(z, *coeffs)
     roots = zero_roots + [complex(v) for v in z]
+    roots.sort(key=lambda r: (r.real, r.imag))
     if float(res.max()) >= tol:
         raise RootFindingError(
             f"root finding did not reach residual {tol} within {max_iter} "
             f"iterations (worst residual {float(res.max()):.3e})",
-            sorted(roots, key=lambda r: (r.real, r.imag)),
+            roots,
         )
-    return sorted(roots, key=lambda r: (r.real, r.imag))
+    return roots

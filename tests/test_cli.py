@@ -148,6 +148,14 @@ def test_oracle_verify_capability_cap(capsys, monkeypatch):
     assert "WFACT_CAP_W" in err
 
 
+def test_oracle_verify_negative_max_len(capsys):
+    code, out, err = run(
+        capsys, "oracle-verify", "--m", "2", "--p", "2", "--n", "2", "--max-len", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert "--max-len must be nonnegative" in err
+
+
 def test_oracle_verify_flag_conflict(capsys):
     code, _, err = run(
         capsys, "oracle-verify", "--m", "2", "--p", "2", "--n", "2",
@@ -207,6 +215,27 @@ def test_roots_phi_from(capsys, tmp_path):
     )
     assert code == 0
     assert len(out_file.read_text().strip().splitlines()) == 9
+
+
+@pytest.mark.parametrize("phi_from", ["2,1,1", "1,1,2"])
+def test_roots_constant_core_writes_no_rows(capsys, tmp_path, phi_from):
+    out_file = tmp_path / "x.csv"
+    code, _, err = run(capsys, "roots", "--phi-from", phi_from, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text() == "re,im\n"
+    assert "wrote 0 root(s)" in err
+
+
+def test_roots_csv_orders_conjugates_by_printed_value(capsys, monkeypatch, tmp_path):
+    # The real parts agree to 12 digits; the printed rows sort as equal there,
+    # so the negative imaginary part comes first.
+    monkeypatch.setattr(
+        cli, "find_roots", lambda poly: [0.5 + 1j, complex(0.5 + 2**-53, -1)]
+    )
+    out_file = tmp_path / "x.csv"
+    code, _, _ = run(capsys, "roots", "--fixture", "G2", "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text() == "re,im\n0.5,-1\n0.5,1\n"
 
 
 def test_roots_unknown_fixture(capsys, tmp_path):

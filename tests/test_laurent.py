@@ -526,9 +526,10 @@ def _core(name):
     return phi
 
 
-@pytest.mark.parametrize(
-    "name", list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 13)]
-)
+CORES = list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 13)]
+
+
+@pytest.mark.parametrize("name", CORES)
 def test_find_roots_sweep_budget(name):
     # The Newton-polygon start converges in well under 100 sweeps on every
     # bundled fixture and every S_n identity core for n = 4..12.
@@ -565,19 +566,29 @@ def exact_newton_step(ics, z):
 
 def relative_newton_step(ics, r):
     """|p(r) / p'(r)| / |r|, with p and p' evaluated exactly at the double r."""
-    A, B, _ = _dyadic(r)
+    A, B, D = _dyadic(r)
     pr, pi, qr, qi = exact_horner_pair(ics, r)
-    # |r| = |A + B*i| / D, and the D**deg scalings cancel.
-    return math.sqrt((pr * pr + pi * pi) / ((qr * qr + qi * qi) * (A * A + B * B)))
+    # The D**deg scalings cancel in p/p', and |r| = |A + B*i| / D.
+    num = (pr * pr + pi * pi) * D * D
+    return math.sqrt(num / ((qr * qr + qi * qi) * (A * A + B * B)))
 
 
-@pytest.mark.parametrize("name", ["E7", "S12", "H4", "E6", "E8"])
+def test_relative_newton_step_known_values():
+    # X - 3 at 1/2: p/p' = -5/2, over |r| = 1/2.
+    assert relative_newton_step([-3, 1], 0.5) == 5.0
+    # X^2 + 1 at (1 + i)/2: p/p' = (3 - i)/4, over |r| = 1/sqrt(2).
+    assert relative_newton_step([1, 0, 1], 0.5 + 0.5j) == pytest.approx(math.sqrt(1.25))
+
+
+@pytest.mark.parametrize("name", CORES)
 def test_find_roots_relative_newton_step(name):
+    # Every root is certified, so it is a root of the exact integer
+    # polynomial to within float rounding.
     phi = _core(name)
     assert phi.min_deg == 0
     roots = find_roots(phi)
     worst = max(relative_newton_step(list(phi.numers), r) for r in roots)
-    assert worst <= 1e-10, worst
+    assert worst <= 1e-15, worst
 
 
 magnitudes = st.floats(1e-3, 1e3)
