@@ -112,6 +112,19 @@ def cmd_series(args: argparse.Namespace) -> int:
     top_len = args.prefix_len if args.prefix_len is not None else ell + 4
     if top_len < 0:
         raise UsageError("--prefix-len must be nonnegative")
+    prefix = series.egf_prefix(top_len)
+    # json.dump writes the counts as ints, and Python refuses to turn an int
+    # of more than sys.get_int_max_str_digits() digits into a string.
+    digits = sys.get_int_max_str_digits()
+    largest = max(max(abs(q.numerator), q.denominator) for q in prefix)
+    # 10**digits has about 3.32 * digits bits, so only a count of more than
+    # 3 * digits bits can reach it; that skips building 10**digits per call.
+    if digits and largest.bit_length() > 3 * digits and largest >= 10**digits:
+        raise UsageError(
+            f"--prefix-len {top_len} gives counts of more than {digits} digits, "
+            "past the interpreter's limit for printing an int "
+            "(sys.get_int_max_str_digits)"
+        )
     doc = {
         "group": str(params),
         "element": element_to_json(g, params),
@@ -119,7 +132,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         "ell_full": ell,
         "lead_coeff": _fraction_str(lead),
         "phi": phi.to_json(),
-        "egf_prefix": [_egf_entry(q) for q in series.egf_prefix(top_len)],
+        "egf_prefix": [_egf_entry(q) for q in prefix],
         "window": [lo, hi],
         "observations": {
             "phi_degree": phi.max_deg,
@@ -159,7 +172,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
         expected = count_factorizations(params, g, max_len, mode="full")
         got = series.egf_prefix(max_len)
         if corrupt:
-            got[full_length(params, g)] += 1
+            got[min(full_length(params, g), max_len)] += 1
             corrupt = False
         for length in range(max_len + 1):
             if expected[length] != got[length]:

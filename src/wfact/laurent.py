@@ -373,7 +373,10 @@ def extract_phi(
 
 
 class RootFindingError(ArithmeticError):
-    """Raised when the simultaneous iteration fails to meet tolerance."""
+    """Raised when the iteration misses tolerance or a root does not certify.
+
+    ``best`` holds the best iterate, sorted by (real, imag) like a result.
+    """
 
     def __init__(self, message: str, best: list[complex]):
         super().__init__(message)
@@ -415,50 +418,72 @@ def _newton_and_residual(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p/p', relative backward error |p| / sum_i |a_i| |z|**i) at each z.
 
-    The relative backward error is the scale a double-precision Horner
-    evaluation can resolve: at an exact root the computed |p(z)| is roundoff
-    of size ~eps * sum_i |a_i||z|**i, so the ratio bottoms out near eps
+    The relative backward error is the scale a double-precision evaluation
+    can resolve: at an exact root the computed |p(z)| is roundoff of size
+    ~deg * eps * sum_i |a_i||z|**i, so the ratio bottoms out near deg * eps
     whatever the coefficient magnitudes.  Overflow-safe for |z| > 1 via
     w = 1/z and the reversed coefficients q, p(z) = z**deg * q(w):
     p'(z)/p(z) = deg/z - w**2 * q'(w)/q(w), and the ratio is
-    |q(w)| / sum |a~_i||w|**i.  Three ``polyval`` passes per side.
+    |q(w)| / sum |a~_i||w|**i.
+
+    Each side of |z| = 1 is evaluated by ``_power_eval`` at x = z or x = w,
+    so |x| <= 1.  Its power x**i carries at most i roundings, the same order
+    as Horner's rule.
     """
-    polyval = np.polynomial.polynomial.polyval
     deg = len(asc) - 1
     newton = np.empty_like(z)
     res = np.empty(len(z))
     small = np.abs(z) <= 1.0
     if small.any():
-        zs = z[small]
-        p = polyval(zs, asc)
-        dp = polyval(zs, d_asc)
-        res[small] = np.abs(p) / polyval(np.abs(zs), np.abs(asc))
+        p, dp, mag = _power_eval(z[small], asc, d_asc)
+        res[small] = np.abs(p) / mag
         newton[small] = p / np.where(dp == 0, 1e-300, dp)
     if (~small).any():
         zl = z[~small]
         w = 1.0 / zl
-        q = polyval(w, rev)
-        dq = polyval(w, d_rev)
-        res[~small] = np.abs(q) / polyval(np.abs(w), np.abs(rev))
+        q, dq, mag = _power_eval(w, rev, d_rev)
+        res[~small] = np.abs(q) / mag
         ratio = deg / zl - w * w * (dq / np.where(q == 0, 1e-300, q))
         newton[~small] = 1.0 / np.where(ratio == 0, 1e-300, ratio)
     return newton, res
 
 
-def _certify_newton(ics: Sequence[int], z: complex, steps: int = 3) -> complex:
-    """Up to ``steps`` Newton corrections of the double z, each by ``_newton_step``.
+def _power_eval(
+    x: np.ndarray, cs: np.ndarray, d_cs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p(x), p'(x) and sum_i |c_i||x|**i at each x, for |x| <= 1.
 
-    The step is p/p' to about 2**-63 relative, so the only residual error is
-    float rounding when the iterate is rounded back to a double after each
-    step; stops early once the step is at rounding level, and at once when
-    p'(z) is exactly zero.
+    ``cs`` are p's ascending coefficients and ``d_cs`` those of p'.  The
+    powers V[k, i] = x_k**i come from one running product along each row,
+    so no Python loop runs over the degree; |x| <= 1 keeps them from
+    overflowing.
+    """
+    V = np.empty((len(x), len(cs)), dtype=complex)
+    V[:, 0] = 1.0
+    V[:, 1:] = x[:, None]
+    np.cumprod(V, axis=1, out=V)
+    return V @ cs, V[:, :-1] @ d_cs, np.abs(V) @ np.abs(cs)
+
+
+def _certify_newton(
+    ics: Sequence[int], z: complex, steps: int = 8
+) -> tuple[complex, bool]:
+    """Newton corrections of the double z by ``_newton_step`` until converged.
+
+    Returns (z, converged).  The step is p/p' to about 2**-63 relative, so
+    the only residual error is float rounding when the iterate is rounded
+    back to a double after each step.  Converged means the last step was at
+    rounding level, 1e-14 * (1 + |z|), within ``steps`` steps (at once when
+    p'(z) is exactly zero); from an Aberth iterate Newton converges
+    quadratically, so a root still moving after ``steps`` steps is not
+    resolved by the float iteration, and the caller must not return it.
     """
     for _ in range(steps):
         step = _newton_step(ics, z)
         z -= step
         if abs(step) <= 1e-14 * (1.0 + abs(z)):
-            break
-    return z
+            return z, True
+    return z, False
 
 
 def _newton_step(ics: Sequence[int], z: complex) -> complex:
@@ -545,12 +570,18 @@ def find_roots(
     Aberth-Ehrlich simultaneous iteration on double-precision coefficients,
     started on the circles of the Newton polygon of log|a_i| (Bini 1996),
     one circle per hull edge at the size of the roots it accounts for.
-    Converged when every relative backward error |p(r)| / sum_i |a_i||r|**i
-    is below ``tol``; then polishing sweeps, and every root is certified by
-    Newton steps with p and p' evaluated on the integer numerators in fixed
-    point to a proven error bound (exact in the limit), which leaves it
-    accurate to float rounding.  Failure to converge within ``max_iter``
-    sweeps raises RootFindingError carrying the best iterate.
+    Each sweep evaluates p/p' and the relative backward error
+    |p(r)| / sum_i |a_i||r|**i of all iterates from one power matrix per side
+    of |r| = 1 (``_newton_and_residual``).  Converged when every backward
+    error is below ``tol``; then polishing sweeps, and every root is
+    certified by Newton steps with p and p' evaluated on the integer
+    numerators in fixed point to a proven error bound (exact in the limit),
+    repeated until the step is at rounding level, which leaves the root
+    accurate to float rounding.  RootFindingError, carrying the best iterate
+    sorted like the result, is raised when the sweeps do not converge within
+    ``max_iter`` or when some root is still moving after the certification's
+    step cap; the latter happens on cores (such as the S_n identity cores
+    for n >= 15) whose roots double precision cannot separate.
     Results are sorted by (real, imag).
     """
     if poly.min_deg < 0:
@@ -596,15 +627,21 @@ def find_roots(
         z = z - step
     else:  # the budget ran out: judge the last step's iterates
         _, res = _newton_and_residual(z, *coeffs)
+    uncertified = 0
     if float(res.max()) < tol:
         # Certification: double-precision evaluation noise caps the
         # attainable accuracy of a root with condition number kappa at about
         # eps * kappa, which for the largest inputs is worse than the root
         # spacing downstream consumers rely on.  Each root gets Newton
         # corrections whose p/p' is accurate to about 2**-63 relative
-        # (``_newton_step``), which lands on the true root to within float
-        # rounding; a root already there costs one evaluation.
-        z = np.array([_certify_newton(cs, complex(v)) for v in z])
+        # (``_newton_step``) until the step is at rounding level, which
+        # lands on the true root to within float rounding; a root already
+        # there costs one evaluation.
+        certified = [_certify_newton(cs, complex(v)) for v in z]
+        uncertified = sum(not ok for _, ok in certified)
+        # A root that did not converge keeps its Aberth iterate, since
+        # Newton from it may have wandered off.
+        z = np.array([r if ok else v for (r, ok), v in zip(certified, z)])
         _, res = _newton_and_residual(z, *coeffs)
     roots = zero_roots + [complex(v) for v in z]
     roots.sort(key=lambda r: (r.real, r.imag))
@@ -612,6 +649,12 @@ def find_roots(
         raise RootFindingError(
             f"root finding did not reach residual {tol} within {max_iter} "
             f"iterations (worst residual {float(res.max()):.3e})",
+            roots,
+        )
+    if uncertified:
+        raise RootFindingError(
+            f"{uncertified} of {deg} roots did not converge under exact Newton "
+            "steps; the double-precision iteration cannot resolve this polynomial",
             roots,
         )
     return roots

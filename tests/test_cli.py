@@ -102,6 +102,21 @@ def test_series_consistency_failure_exits_1(capsys, monkeypatch, name):
     assert out == ""
 
 
+@pytest.mark.parametrize("prefix_len, code", [(5000, 0), (8000, 2)])
+def test_series_prefix_len_within_int_string_limit(capsys, prefix_len, code):
+    # Counts are JSON ints; past 4300 digits Python refuses to print them.
+    got, out, err = run(
+        capsys, "series", "--m", "2", "--p", "1", "--n", "2",
+        "--prefix-len", str(prefix_len),
+    )
+    assert got == code
+    if code == 0:
+        assert len(json.loads(out)["egf_prefix"]) == prefix_len + 1
+    else:
+        assert out == ""
+        assert "--prefix-len 8000" in err and "4300 digits" in err
+
+
 def test_series_past_guard_exits_3(capsys):
     code, out, err = run(capsys, "series", "--m", "2", "--p", "1", "--n", "15")
     assert code == 3
@@ -139,6 +154,17 @@ def test_oracle_verify_corrupt_hook(capsys):
     assert code == 1
     assert "MISMATCH" in err
     assert "length=" in err and "expected=" in err and "got=" in err
+
+
+def test_oracle_verify_corrupt_hook_below_full_length(capsys):
+    # --max-len 0 is below the identity's full length 4: the hook corrupts
+    # the last count it checks.
+    code, _, err = run(
+        capsys, "oracle-verify", "--m", "2", "--p", "1", "--n", "2",
+        "--max-len", "0", "--self-test-corrupt",
+    )
+    assert code == 1
+    assert "MISMATCH" in err and "length=0" in err
 
 
 def test_oracle_verify_capability_cap(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from wfact.laurent import (
     _certify_newton,
     _fixed_horner,
     _int_horner,
+    _newton_and_residual,
     _newton_polygon_start,
     _newton_step,
     _strip_x_minus_one,
@@ -526,13 +528,15 @@ def _core(name):
     return phi
 
 
-CORES = list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 13)]
+# S_14 is the largest identity core that ``--phi-from`` reaches under the
+# default group-order guard.
+CORES = list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 15)]
 
 
 @pytest.mark.parametrize("name", CORES)
 def test_find_roots_sweep_budget(name):
     # The Newton-polygon start converges in well under 100 sweeps on every
-    # bundled fixture and every S_n identity core for n = 4..12.
+    # bundled fixture and every S_n identity core for n = 4..14.
     phi = _core(name)
     assert len(find_roots(phi, max_iter=100)) == phi.max_deg
 
@@ -591,6 +595,22 @@ def test_find_roots_relative_newton_step(name):
     assert worst <= 1e-15, worst
 
 
+@pytest.mark.parametrize("name", ["S15", "S16"])
+def test_find_roots_certifies_or_raises(name):
+    # Past S_14 the double-precision iteration cannot resolve every root;
+    # find_roots must then raise rather than return uncertified points.
+    phi = _core(name)
+    try:
+        roots = find_roots(phi)
+    except RootFindingError as exc:
+        best = exc.best
+        assert len(best) == phi.max_deg
+        assert best == sorted(best, key=lambda r: (r.real, r.imag))
+        return
+    worst = max(relative_newton_step(list(phi.numers), r) for r in roots)
+    assert worst <= 1e-15, worst
+
+
 magnitudes = st.floats(1e-3, 1e3)
 dyadic_points = st.one_of(
     st.builds(lambda r, t: r * cmath.exp(1j * t), magnitudes, st.floats(0, 2 * math.pi)),
@@ -628,9 +648,17 @@ def test_fixed_horner_within_stated_bounds(ics, z):
 
 
 def test_certify_newton_keeps_exact_and_double_roots():
-    assert _certify_newton([1, 0, 1], 1j) == 1j  # X^2 + 1 at i
-    assert _certify_newton([1, -2, 1], 1.0) == 1.0  # (X - 1)^2 at 1
+    assert _certify_newton([1, 0, 1], 1j) == (1j, True)  # X^2 + 1 at i
+    assert _certify_newton([1, -2, 1], 1.0) == (1.0, True)  # (X - 1)^2 at 1
     assert _newton_step([1, -2, 1], 1.0) == 0
+
+
+def test_certify_newton_reports_no_convergence():
+    # Newton on X^2 + 1 from a real start stays on the real axis, so it can
+    # never reach a root; the best iterate comes back flagged.
+    z, converged = _certify_newton([1, 0, 1], 2.0)
+    assert not converged
+    assert z.imag == 0
 
 
 def test_newton_step_matches_exact_step():
@@ -655,6 +683,79 @@ def test_newton_step_next_to_a_multiple_root(ics, z):
     # p(z) * 2**128 is below 2**30 here, under the 2**64-relative bound, and
     # F = 128 < e * n, so only a doubled F gives the step.
     assert_step_is_exact(ics, z)
+
+
+def _exact_sums(ics, z):
+    """(|p(z)|, sum |a_i||z|**i, |p'(z)|, sum i|a_i||z|**(i-1)) to 50 digits."""
+    A, B, D = _dyadic(z)
+    pr, pi, qr, qi = exact_horner_pair(ics, z)
+    n = len(ics) - 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(A * A + B * B).sqrt() / D
+        scale = Decimal(D) ** n
+        p = Decimal(pr * pr + pi * pi).sqrt() / scale
+        dp = Decimal(qr * qr + qi * qi).sqrt() / scale
+        mag = sum(abs(c) * r**i for i, c in enumerate(ics))
+        d_mag = sum(i * abs(c) * r ** (i - 1) for i, c in enumerate(ics) if i)
+        return p, mag, dp, d_mag
+
+
+nonzero_coeffs = st.integers(-(2**53), 2**53).filter(bool)
+unit_or_not = st.one_of(st.just(1.0), magnitudes)
+evaluator_points = st.one_of(
+    st.builds(lambda r, t: r * cmath.exp(1j * t), unit_or_not, st.floats(0, 2 * math.pi)),
+    st.builds(lambda r, u: r * u, unit_or_not, st.sampled_from([1, -1, 1j, -1j])),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.builds(
+        lambda lo, mid, hi: [lo, *mid, hi],
+        nonzero_coeffs,
+        st.lists(st.one_of(st.just(0), st.integers(-(2**53), 2**53)), max_size=79),
+        nonzero_coeffs,
+    ),
+    st.lists(evaluator_points, min_size=1, max_size=6),
+)
+@example([1, 0, 1], [1j, -1j, 1.0, 0.5, 2.0])
+@example([-1] + [0] * 79 + [1], [1.0, -1.0, 1j, 1e3, 1e-3j])
+def test_newton_and_residual_matches_exact_values(ics, zs):
+    # The float evaluator against exact integer arithmetic at the same
+    # doubles, on both sides of |z| = 1 in one call.  The coefficients are
+    # doubles exactly (|a_i| <= 2**53), so the only error is the evaluator's.
+    n = len(ics) - 1
+    asc = np.array(ics, dtype=np.float64)
+    rev = asc[::-1].copy()
+    d_asc = asc[1:] * np.arange(1, n + 1, dtype=np.float64)
+    d_rev = rev[1:] * np.arange(1, n + 1, dtype=np.float64)
+    z_arr = np.array(zs, dtype=complex)
+    newton, res = _newton_and_residual(z_arr, asc, d_asc, rev, d_rev)
+    # The side is the evaluator's: numpy's |z| can differ from Python's in
+    # the last bit, e.g. at 1.0 * cmath.exp(1.578125j).
+    small = np.abs(z_arr) <= 1.0
+    unit = 8 * (n + 1) * Decimal(2) ** -53
+    for z, is_small, got_step, got_res in zip(zs, small, newton, res):
+        p, mag, dp, d_mag = _exact_sums(ics, z)
+        # A priori: each power carries at most n roundings, each dot product
+        # n more, and w = 1/z a few; together a few (n + 1) units of 2**-53.
+        assert abs(Decimal(float(got_res)) - p / mag) <= unit, z
+        if not p or not dp:
+            continue
+        # The step's relative error is at most ``unit`` times a condition
+        # number: mag/|p| + d_mag/|p'| for |z| <= 1.  For |z| > 1 the
+        # subtraction p'/p = n/z - w**2 q'/q also cancels when |p'/p| is
+        # far below n/|z|, which the factor 1 + 2*kappa accounts for.
+        if is_small:
+            cond = mag / p + d_mag / dp
+        else:
+            kappa = n * p / (Decimal(abs(z)) * dp)
+            cond = mag / p * (1 + 2 * kappa)
+        if unit * cond <= Decimal("1e-8"):
+            sr, si = exact_newton_step(ics, z)
+            err = (F(got_step.real) - sr) ** 2 + (F(got_step.imag) - si) ** 2
+            assert err <= (sr * sr + si * si) / 10**16, (z, float(err))
 
 
 def assert_step_is_exact(ics, z):
