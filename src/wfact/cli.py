@@ -113,18 +113,6 @@ def cmd_series(args: argparse.Namespace) -> int:
     if top_len < 0:
         raise UsageError("--prefix-len must be nonnegative")
     prefix = series.egf_prefix(top_len)
-    # json.dump writes the counts as ints, and Python refuses to turn an int
-    # of more than sys.get_int_max_str_digits() digits into a string.
-    digits = sys.get_int_max_str_digits()
-    largest = max(max(abs(q.numerator), q.denominator) for q in prefix)
-    # 10**digits has about 3.32 * digits bits, so only a count of more than
-    # 3 * digits bits can reach it; that skips building 10**digits per call.
-    if digits and largest.bit_length() > 3 * digits and largest >= 10**digits:
-        raise UsageError(
-            f"--prefix-len {top_len} gives counts of more than {digits} digits, "
-            "past the interpreter's limit for printing an int "
-            "(sys.get_int_max_str_digits)"
-        )
     doc = {
         "group": str(params),
         "element": element_to_json(g, params),
@@ -144,8 +132,17 @@ def cmd_series(args: argparse.Namespace) -> int:
             "window_attained": [series.min_deg == lo, series.max_deg == hi],
         },
     }
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError:
+        # Python refuses to turn an int of more than
+        # sys.get_int_max_str_digits() digits into a string.
+        raise UsageError(
+            f"--prefix-len {top_len} gives counts of more than "
+            f"{sys.get_int_max_str_digits()} digits, past the interpreter's "
+            "limit for printing an int (sys.get_int_max_str_digits)"
+        ) from None
+    print(text)
     return 0
 
 

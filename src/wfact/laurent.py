@@ -474,9 +474,11 @@ def _certify_newton(
     the only residual error is float rounding when the iterate is rounded
     back to a double after each step.  Converged means the last step was at
     rounding level, 1e-14 * (1 + |z|), within ``steps`` steps (at once when
-    p'(z) is exactly zero); from an Aberth iterate Newton converges
-    quadratically, so a root still moving after ``steps`` steps is not
-    resolved by the float iteration, and the caller must not return it.
+    p'(z) is exactly zero).  ``find_roots`` only passes square-free p, and
+    Newton converges quadratically near a simple root, so an Aberth iterate
+    close to its root converges in a few steps; a root still moving after
+    ``steps`` steps is not resolved by the float iteration, and the caller
+    must not return it.
     """
     for _ in range(steps):
         step = _newton_step(ics, z)
@@ -562,40 +564,139 @@ def _int_horner(ics: Sequence[int], A: int, B: int, D: int) -> tuple[int, int]:
     return acc_re, acc_im
 
 
-def find_roots(
-    poly: LaurentPoly, *, tol: float = 1e-10, max_iter: int = 500
-) -> list[complex]:
-    """All complex roots of an ordinary polynomial (min_deg >= 0), degree >= 1.
+# Square-free decomposition: exact, on integer polynomials as ascending
+# coefficient lists; [] is the zero polynomial.
 
-    Aberth-Ehrlich simultaneous iteration on double-precision coefficients,
-    started on the circles of the Newton polygon of log|a_i| (Bini 1996),
-    one circle per hull edge at the size of the roots it accounts for.
-    Each sweep evaluates p/p' and the relative backward error
-    |p(r)| / sum_i |a_i||r|**i of all iterates from one power matrix per side
-    of |r| = 1 (``_newton_and_residual``).  Converged when every backward
-    error is below ``tol``; then polishing sweeps, and every root is
-    certified by Newton steps with p and p' evaluated on the integer
-    numerators in fixed point to a proven error bound (exact in the limit),
-    repeated until the step is at rounding level, which leaves the root
-    accurate to float rounding.  RootFindingError, carrying the best iterate
-    sorted like the result, is raised when the sweeps do not converge within
-    ``max_iter`` or when some root is still moving after the certification's
-    step cap; the latter happens on cores (such as the S_n identity cores
-    for n >= 15) whose roots double precision cannot separate.
-    Results are sorted by (real, imag).
+# The largest prime below 2**31: a product of two residues fits in an int64.
+_GCD_PRIME = 2**31 - 1
+
+
+def _derivative(a: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _subtract(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    n = max(len(a), len(b))
+    r = [x - y for x, y in zip([*a, *[0] * (n - len(a))], [*b, *[0] * (n - len(b))])]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """a over the gcd of its coefficients, with a positive leading one."""
+    g = math.gcd(*a)
+    return [c // g if a[-1] > 0 else -c // g for c in a]
+
+
+def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True when ``_GCD_PRIME`` does not divide lc(a) and a, b are coprime modulo it.
+
+    Then a and b are coprime over Q: a common factor h of a and b over Z
+    has lc(h) | lc(a), so h keeps its degree modulo the prime and divides
+    both reductions.  Euclid's algorithm runs on int64 arrays, one array
+    operation per elimination.  False proves nothing.
     """
-    if poly.min_deg < 0:
-        raise ValueError("find_roots expects an ordinary polynomial (min_deg >= 0)")
-    # Roots of the monomial-shifted polynomial part: X = 0 with multiplicity
-    # min_deg, plus the roots of the coefficient vector.
-    zero_roots = [0j] * poly.min_deg
-    cs = poly.numers
-    deg = len(cs) - 1
-    if deg < 1:
-        if not zero_roots:
-            raise ValueError("find_roots requires degree >= 1")
-        return zero_roots
-    asc = np.array([float(c) for c in cs], dtype=np.float64)
+    q = _GCD_PRIME
+    if a[-1] % q == 0:
+        return False
+    # Descending residues, so u[0] is the leading coefficient.
+    u = np.array([c % q for c in reversed(a)], dtype=np.int64)
+    v = np.trim_zeros(np.array([c % q for c in reversed(b)], dtype=np.int64), "f")
+    while len(v) > 1:
+        n = len(v)
+        inv = pow(int(v[0]), -1, q)
+        while len(u) >= n:
+            f = int(u[0]) * inv % q
+            u[1:n] -= f * v[1:]
+            u[1:n] %= q
+            u = u[1:]
+        u, v = v, np.trim_zeros(u, "f")
+    return len(v) == 1
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The remainder of lc(b)**k * a by b over Z, for deg a >= deg b >= 1."""
+    r, lead = list(a), b[-1]
+    while len(r) >= len(b):
+        f, shift = r[-1], len(r) - len(b)
+        r = [lead * c for c in r[:-1]]
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive gcd of a != 0 and b with deg a >= deg b; [1] when coprime.
+
+    A coprimality check modulo a prime settles the usual case; otherwise the
+    primitive pseudo-remainder sequence, exact on ints.
+    """
+    if b and _coprime_mod_prime(a, b):
+        return [1]
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, _primitive(r) if r else r
+    return _primitive(a)
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for integer polynomials where b is primitive and divides a over Q.
+
+    By Gauss's lemma the quotient has integer coefficients; a nonzero
+    remainder raises ArithmeticError.
+    """
+    r = list(a)
+    quotient = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        f, rest = divmod(r[shift + len(b) - 1], b[-1])
+        if rest:
+            raise ArithmeticError("polynomial division is not exact")
+        quotient[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+    if any(r):
+        raise ArithmeticError("polynomial division is not exact")
+    return quotient
+
+
+def _squarefree_parts(ics: Sequence[int]) -> list[tuple[list[int], int]]:
+    """[(a_k, k), ...] with p = c * Prod_k a_k**k, each a_k square-free and nonconstant.
+
+    Yun's algorithm (Yun, *On square-free decomposition algorithms*, SYMSAC
+    1976) over Z: the a_k are pairwise coprime, so every root of p is a
+    simple root of exactly one a_k, and k is its multiplicity.  A square-free
+    p, the usual case, costs one modular coprimality check of p and p'.
+    """
+    dp = _derivative(ics)
+    g = _int_gcd(ics, dp)
+    if len(g) == 1:
+        return [(list(ics), 1)]
+    c, d = _exact_quotient(ics, g), _exact_quotient(dp, g)
+    parts, k = [], 1
+    while len(c) > 1:
+        d = _subtract(d, _derivative(c))
+        a = _int_gcd(c, d)
+        if len(a) > 1:
+            parts.append((a, k))
+        c, d = _exact_quotient(c, a), _exact_quotient(d, a)
+        k += 1
+    return parts
+
+
+def _certified_simple_roots(
+    ics: Sequence[int], tol: float, max_iter: int
+) -> tuple[np.ndarray, str | None]:
+    """(iterates, failure): ``find_roots``' iteration on a square-free p.
+
+    ``ics`` are p's integer coefficients, ascending, with both ends nonzero
+    and degree >= 1.  ``failure`` is None when every iterate is a certified
+    root, else the reason it is not.
+    """
+    deg = len(ics) - 1
+    asc = np.array([float(c) for c in ics], dtype=np.float64)
     # Scale to unit maximum coefficient magnitude; the roots and the
     # relative residual are unchanged, the float range headroom improves.
     asc /= np.abs(asc).max()
@@ -604,7 +705,7 @@ def find_roots(
     d_rev = rev[1:] * np.arange(1, deg + 1, dtype=np.float64)
     coeffs = (asc, d_asc, rev, d_rev)
 
-    z = _newton_polygon_start(cs)
+    z = _newton_polygon_start(ics)
     # After the residual drops below tolerance, run extra sweeps: the
     # residual certifies backward error, but an ill-conditioned simple root
     # can still sit noticeably off when the test first passes.  The extra
@@ -637,24 +738,68 @@ def find_roots(
         # (``_newton_step``) until the step is at rounding level, which
         # lands on the true root to within float rounding; a root already
         # there costs one evaluation.
-        certified = [_certify_newton(cs, complex(v)) for v in z]
+        certified = [_certify_newton(ics, complex(v)) for v in z]
         uncertified = sum(not ok for _, ok in certified)
         # A root that did not converge keeps its Aberth iterate, since
         # Newton from it may have wandered off.
         z = np.array([r if ok else v for (r, ok), v in zip(certified, z)])
         _, res = _newton_and_residual(z, *coeffs)
-    roots = zero_roots + [complex(v) for v in z]
-    roots.sort(key=lambda r: (r.real, r.imag))
     if float(res.max()) >= tol:
-        raise RootFindingError(
+        return z, (
             f"root finding did not reach residual {tol} within {max_iter} "
-            f"iterations (worst residual {float(res.max()):.3e})",
-            roots,
+            f"iterations (worst residual {float(res.max()):.3e})"
         )
     if uncertified:
-        raise RootFindingError(
+        return z, (
             f"{uncertified} of {deg} roots did not converge under exact Newton "
-            "steps; the double-precision iteration cannot resolve this polynomial",
-            roots,
+            "steps; the double-precision iteration cannot resolve this polynomial"
         )
+    return z, None
+
+
+def find_roots(
+    poly: LaurentPoly, *, tol: float = 1e-10, max_iter: int = 500
+) -> list[complex]:
+    """All complex roots of an ordinary polynomial (min_deg >= 0), degree >= 1.
+
+    Roots are listed with multiplicity.  The integer numerators are first
+    split exactly into square-free parts (``_squarefree_parts``), so the
+    iteration only ever meets simple roots, and a root of multiplicity k is
+    found once and listed k times.  On each part: Aberth-Ehrlich
+    simultaneous iteration on double-precision coefficients, started on the
+    circles of the Newton polygon of log|a_i| (Bini 1996), one circle per
+    hull edge at the size of the roots it accounts for.  Each sweep
+    evaluates p/p' and the relative backward error
+    |p(r)| / sum_i |a_i||r|**i of all iterates from one power matrix per side
+    of |r| = 1 (``_newton_and_residual``).  Converged when every backward
+    error is below ``tol``; then polishing sweeps, and every root is
+    certified by Newton steps with p and p' evaluated on the integer
+    coefficients in fixed point to a proven error bound (exact in the
+    limit), repeated until the step is at rounding level, which leaves the
+    root accurate to float rounding.  RootFindingError, carrying the best
+    iterates sorted like the result, is raised when the sweeps do not
+    converge within ``max_iter`` or when some root is still moving after the
+    certification's step cap; the latter happens on cores (such as the S_n
+    identity cores for n >= 15) whose roots double precision cannot
+    separate.  Results are sorted by (real, imag).
+    """
+    if poly.min_deg < 0:
+        raise ValueError("find_roots expects an ordinary polynomial (min_deg >= 0)")
+    # Roots of the monomial-shifted polynomial part: X = 0 with multiplicity
+    # min_deg, plus the roots of the coefficient vector.
+    roots = [0j] * poly.min_deg
+    cs = poly.numers
+    if len(cs) < 2:
+        if not roots:
+            raise ValueError("find_roots requires degree >= 1")
+        return roots
+    failures = []
+    for ics, mult in _squarefree_parts(cs):
+        z, failure = _certified_simple_roots(ics, tol, max_iter)
+        roots += [complex(v) for v in z for _ in range(mult)]
+        if failure:
+            failures.append(failure)
+    roots.sort(key=lambda r: (r.real, r.imag))
+    if failures:
+        raise RootFindingError("; ".join(failures), roots)
     return roots

@@ -225,6 +225,24 @@ def test_roots_sn_sweep(capsys, tmp_path):
     assert labels == {"4", "6", "8", "10"}  # degree-2 core is constant: no roots
 
 
+def test_roots_user_fixture_with_repeated_roots(capsys, tmp_path):
+    # (X^2 + X + 1)^2: each primitive cube root of unity twice.
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text("name=C3SQ; lowest=0; coeffs=1,2,3,2,1\n")
+    out_file = tmp_path / "c3sq.csv"
+    code, _, err = run(
+        capsys, "roots", "--fixtures", str(fixtures), "--fixture", "C3SQ",
+        "--out", str(out_file),
+    )
+    assert code == 0, err
+    rows = out_file.read_text().strip().splitlines()[1:]
+    assert len(rows) == 4
+    assert len(set(rows)) == 2
+    for row in rows:
+        re, im = map(float, row.split(","))
+        assert abs(complex(re, im) ** 3 - 1) < 1e-10  # 12 printed digits
+
+
 def test_roots_svg(capsys, tmp_path):
     out_file = tmp_path / "g2.svg"
     code, _, _ = run(capsys, "roots", "--fixture", "G2", "--out", str(out_file))

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from wfact.laurent import (
     _newton_and_residual,
     _newton_polygon_start,
     _newton_step,
+    _squarefree_parts,
     _strip_x_minus_one,
     extract_phi,
     find_roots,
@@ -609,6 +611,80 @@ def test_find_roots_certifies_or_raises(name):
         return
     worst = max(relative_newton_step(list(phi.numers), r) for r in roots)
     assert worst <= 1e-15, worst
+
+
+def _times(*factors):
+    """Integer ascending coefficients of the product of the factors."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# Square-free, pairwise coprime factors with their multiplicities.  The last
+# product is palindromic: the H3 core times squares of cyclotomic factors.
+REPEATED = {
+    "(X-1)^2": [([-1, 1], 2)],
+    "(X+1)^2": [([1, 1], 2)],
+    "(X^2+X+1)^2": [([1, 1, 1], 2)],
+    "(X-1)^3": [([-1, 1], 3)],
+    "(X^2+1)^2(X-2)(3X+1)^4": [([1, 0, 1], 2), ([-2, 1], 1), ([1, 3], 4)],
+    "H3(X+1)^2(X^2+X+1)^2": [
+        (list(load_phi_fixtures()["H3"].numers), 1),
+        ([1, 1], 2),
+        ([1, 1, 1], 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", REPEATED)
+def test_find_roots_lists_repeated_roots_with_multiplicity(name):
+    # A root of multiplicity k is found once, on its square-free factor,
+    # certified there and listed k times as the same double.
+    factors = REPEATED[name]
+    numers = _times(*(f for f, k in factors for _ in range(k)))
+    roots = find_roots(LaurentPoly(0, numers))
+    assert len(roots) == len(numers) - 1
+    assert roots == sorted(roots, key=lambda r: (r.real, r.imag))
+    counts = Counter(roots)
+    for f, k in factors:
+        mine = [r for r in counts if relative_newton_step(f, r) <= 1e-15]
+        assert len(mine) == len(f) - 1, (f, mine)
+        assert all(counts[r] == k for r in mine), (f, counts)
+
+
+def _primitive_form(a):
+    g = math.gcd(*a)
+    return tuple(c // g if a[-1] > 0 else -c // g for c in a)
+
+
+# Distinct linear factors X - r and quadratics X**2 + c (c > 0), so any
+# choice of them is pairwise coprime and square-free.
+DISTINCT_FACTORS = [[-r, 1] for r in range(-3, 4)] + [[c, 0, 1] for c in (1, 2, 5)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.dictionaries(
+        st.integers(0, len(DISTINCT_FACTORS) - 1), st.integers(1, 4), min_size=1, max_size=5
+    ),
+    st.sampled_from([1, -3, 2**31 - 1]),
+)
+def test_squarefree_parts_matches_construction(multiplicity, content):
+    # Content 2**31 - 1 makes the modular coprimality check inapplicable,
+    # so the exact pseudo-remainder path runs as well.
+    numers = [content * c for c in _times(
+        *(DISTINCT_FACTORS[i] for i, k in multiplicity.items() for _ in range(k))
+    )]
+    expected = {}
+    for i, k in multiplicity.items():
+        expected[k] = _times(expected.get(k, [1]), DISTINCT_FACTORS[i])
+    got = {k: _primitive_form(a) for a, k in _squarefree_parts(numers)}
+    assert got == {k: _primitive_form(a) for k, a in expected.items()}
 
 
 magnitudes = st.floats(1e-3, 1e3)
