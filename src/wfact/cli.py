@@ -39,7 +39,7 @@ from .fixtures import TABLE1, load_phi_fixtures
 from .groups import Element, GroupParams, identity, element_to_json, parse_element
 from .laurent import LaurentPoly, RootFindingError, extract_phi, find_roots
 from .oracle import class_representatives, count_factorizations
-from .symmetric import dyz_identity_series, full_series_sn
+from .symmetric import FULL_GUARD, dyz_identity_series, full_series_sn
 
 ELEMENT_GRAMMAR = (
     "element grammar: either 'perm=(2,1); colors=(1,0)' (1-based image tuple "
@@ -288,6 +288,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
         top = args.sn_sweep
         if top < 2:
             raise UsageError("--sn-sweep expects an integer >= 2")
+        # Past FULL_GUARD the double-precision iteration cannot resolve the
+        # cores (S_15 and S_16 already fail), so refuse before building any.
+        if top > FULL_GUARD:
+            raise CapabilityError(f"--sn-sweep is guarded at {FULL_GUARD}; got {top}")
         labelled = True
         for degree in range(2, top + 1, 2):
             series = dyz_identity_series(degree)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -414,7 +414,7 @@ def _newton_polygon_start(ics: Sequence[int]) -> np.ndarray:
 
 
 def _newton_and_residual(
-    z: np.ndarray, asc: np.ndarray, d_asc: np.ndarray, rev: np.ndarray, d_rev: np.ndarray
+    z: np.ndarray, asc: np.ndarray, d_asc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p/p', relative backward error |p| / sum_i |a_i| |z|**i) at each z.
 
@@ -422,29 +422,26 @@ def _newton_and_residual(
     can resolve: at an exact root the computed |p(z)| is roundoff of size
     ~deg * eps * sum_i |a_i||z|**i, so the ratio bottoms out near deg * eps
     whatever the coefficient magnitudes.  Overflow-safe for |z| > 1 via
-    w = 1/z and the reversed coefficients q, p(z) = z**deg * q(w):
-    p'(z)/p(z) = deg/z - w**2 * q'(w)/q(w), and the ratio is
-    |q(w)| / sum |a~_i||w|**i.
+    w = 1/z and the reversed coefficients: p(z) = z**deg * q(w) and
+    p'(z) = z**(deg - 1) * r(w), where q and r have the reversed
+    coefficients of p and p', so p/p' = z * q(w)/r(w) with no subtraction,
+    and the ratio is |q(w)| / sum |a~_i||w|**i.
 
     Each side of |z| = 1 is evaluated by ``_power_eval`` at x = z or x = w,
     so |x| <= 1.  Its power x**i carries at most i roundings, the same order
     as Horner's rule.
     """
-    deg = len(asc) - 1
     newton = np.empty_like(z)
     res = np.empty(len(z))
     small = np.abs(z) <= 1.0
-    if small.any():
-        p, dp, mag = _power_eval(z[small], asc, d_asc)
-        res[small] = np.abs(p) / mag
-        newton[small] = p / np.where(dp == 0, 1e-300, dp)
-    if (~small).any():
-        zl = z[~small]
-        w = 1.0 / zl
-        q, dq, mag = _power_eval(w, rev, d_rev)
-        res[~small] = np.abs(q) / mag
-        ratio = deg / zl - w * w * (dq / np.where(q == 0, 1e-300, q))
-        newton[~small] = 1.0 / np.where(ratio == 0, 1e-300, ratio)
+    for side, x, cs, d_cs in (
+        (small, z[small], asc, d_asc),
+        (~small, 1.0 / z[~small], asc[::-1], d_asc[::-1]),
+    ):
+        p, dp, mag = _power_eval(x, cs, d_cs)
+        res[side] = np.abs(p) / mag
+        newton[side] = p / np.where(dp == 0, 1e-300, dp)
+    newton[~small] *= z[~small]
     return newton, res
 
 
@@ -567,9 +564,6 @@ def _int_horner(ics: Sequence[int], A: int, B: int, D: int) -> tuple[int, int]:
 # Square-free decomposition: exact, on integer polynomials as ascending
 # coefficient lists; [] is the zero polynomial.
 
-# The largest prime below 2**31: a product of two residues fits in an int64.
-_GCD_PRIME = 2**31 - 1
-
 
 def _derivative(a: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
@@ -589,21 +583,39 @@ def _primitive(a: Sequence[int]) -> list[int]:
     return [c // g if a[-1] > 0 else -c // g for c in a]
 
 
-def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True when ``_GCD_PRIME`` does not divide lc(a) and a, b are coprime modulo it.
+def _word_primes() -> Iterator[int]:
+    """Every prime below 2**31, descending: a product of two residues fits in an int64.
 
-    Then a and b are coprime over Q: a common factor h of a and b over Z
-    has lc(h) | lc(a), so h keeps its degree modulo the prime and divides
-    both reductions.  Euclid's algorithm runs on int64 arrays, one array
-    operation per elimination.  False proves nothing.
+    Miller-Rabin with the bases 2, 7 and 61 is exact below 4,759,123,141
+    (Jaeschke, *Math. Comp.* 61 (1993)); a power a**d that is 0 means n is 7
+    or 61.
     """
-    q = _GCD_PRIME
-    if a[-1] % q == 0:
-        return False
+    for n in range(2**31 - 1, 2, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+        for a in (2, 7, 61):
+            x = pow(a, (n - 1) >> s, n)
+            if x in (0, 1):
+                continue
+            for _ in range(s):
+                if x == n - 1:
+                    break
+                x = x * x % n
+            else:
+                break  # a witnesses that n is composite
+        else:
+            yield n
+
+
+def _monic_gcd_mod(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """The monic gcd of a and b modulo the prime q, ascending, for q not dividing lc(a).
+
+    Euclid's algorithm runs on int64 arrays of residues, one array operation
+    per elimination.
+    """
     # Descending residues, so u[0] is the leading coefficient.
     u = np.array([c % q for c in reversed(a)], dtype=np.int64)
     v = np.trim_zeros(np.array([c % q for c in reversed(b)], dtype=np.int64), "f")
-    while len(v) > 1:
+    while len(v):
         n = len(v)
         inv = pow(int(v[0]), -1, q)
         while len(u) >= n:
@@ -612,34 +624,49 @@ def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
             u[1:n] %= q
             u = u[1:]
         u, v = v, np.trim_zeros(u, "f")
-    return len(v) == 1
-
-
-def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The remainder of lc(b)**k * a by b over Z, for deg a >= deg b >= 1."""
-    r, lead = list(a), b[-1]
-    while len(r) >= len(b):
-        f, shift = r[-1], len(r) - len(b)
-        r = [lead * c for c in r[:-1]]
-        for i, c in enumerate(b[:-1]):
-            r[shift + i] -= f * c
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    inv = pow(int(u[0]), -1, q)
+    return [int(c) * inv % q for c in reversed(u)]
 
 
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The primitive gcd of a != 0 and b with deg a >= deg b; [1] when coprime.
+    """The primitive gcd h of a != 0 and b over Z; [1] when coprime.
 
-    A coprimality check modulo a prime settles the usual case; otherwise the
-    primitive pseudo-remainder sequence, exact on ints.
+    Brown's modular algorithm (Brown, *J. ACM* 18 (1971)).  Modulo a prime
+    that divides neither leading coefficient, h keeps its degree and divides
+    both reductions, so the monic gcd there has degree >= deg h, with
+    equality for all but finitely many primes; primes above the least degree
+    seen are skipped.  The gcds of least degree, scaled to l = gcd(lc a, lc b),
+    a multiple of lc h, are combined by CRT until the primitive part of the
+    symmetric residues divides a and b exactly: a common divisor of degree
+    >= deg h is h.  A coprime pair ends on the first prime with degree 0.
     """
-    if b and _coprime_mod_prime(a, b):
-        return [1]
-    while b:
-        r = _pseudo_remainder(a, b)
-        a, b = b, _primitive(r) if r else r
-    return _primitive(a)
+    if not b:
+        return _primitive(a)
+    lead = math.gcd(a[-1], b[-1])
+    residues: list[int] = []
+    modulus = 1
+    for q in _word_primes():
+        if a[-1] % q == 0 or b[-1] % q == 0:
+            continue
+        g = _monic_gcd_mod(a, b, q)
+        if residues and len(g) > len(residues):
+            continue
+        if len(g) != len(residues):  # the first prime, or the earlier ones were unlucky
+            residues, modulus = [0] * len(g), 1
+        # x = r mod modulus and x = l * g mod q, by Garner's step.
+        lift, scale = pow(modulus, -1, q), lead % q
+        residues = [
+            r + modulus * ((scale * c - r) * lift % q) for r, c in zip(residues, g)
+        ]
+        modulus *= q
+        candidate = _primitive([r - modulus if 2 * r > modulus else r for r in residues])
+        try:
+            _exact_quotient(a, candidate)
+            _exact_quotient(b, candidate)
+        except ArithmeticError:
+            continue
+        return candidate
+    raise ArithmeticError("ran out of word-size primes")
 
 
 def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -667,13 +694,12 @@ def _squarefree_parts(ics: Sequence[int]) -> list[tuple[list[int], int]]:
 
     Yun's algorithm (Yun, *On square-free decomposition algorithms*, SYMSAC
     1976) over Z: the a_k are pairwise coprime, so every root of p is a
-    simple root of exactly one a_k, and k is its multiplicity.  A square-free
-    p, the usual case, costs one modular coprimality check of p and p'.
+    simple root of exactly one a_k, and k is its multiplicity.  Each gcd is
+    ``_int_gcd``; for a square-free p the first is normally one modular
+    Euclid pass.
     """
     dp = _derivative(ics)
     g = _int_gcd(ics, dp)
-    if len(g) == 1:
-        return [(list(ics), 1)]
     c, d = _exact_quotient(ics, g), _exact_quotient(dp, g)
     parts, k = [], 1
     while len(c) > 1:
@@ -686,8 +712,12 @@ def _squarefree_parts(ics: Sequence[int]) -> list[tuple[list[int], int]]:
     return parts
 
 
+# The sweeps have converged when every relative backward error is below this.
+_TOL = 1e-10
+
+
 def _certified_simple_roots(
-    ics: Sequence[int], tol: float, max_iter: int
+    ics: Sequence[int], max_iter: int
 ) -> tuple[np.ndarray, str | None]:
     """(iterates, failure): ``find_roots``' iteration on a square-free p.
 
@@ -700,10 +730,7 @@ def _certified_simple_roots(
     # Scale to unit maximum coefficient magnitude; the roots and the
     # relative residual are unchanged, the float range headroom improves.
     asc /= np.abs(asc).max()
-    rev = asc[::-1].copy()
-    d_asc = asc[1:] * np.arange(1, deg + 1, dtype=np.float64)
-    d_rev = rev[1:] * np.arange(1, deg + 1, dtype=np.float64)
-    coeffs = (asc, d_asc, rev, d_rev)
+    coeffs = (asc, asc[1:] * np.arange(1, deg + 1, dtype=np.float64))
 
     z = _newton_polygon_start(ics)
     # After the residual drops below tolerance, run extra sweeps: the
@@ -714,7 +741,7 @@ def _certified_simple_roots(
     polish_left = 15
     for _ in range(max_iter):
         newton, res = _newton_and_residual(z, *coeffs)
-        if float(res.max()) < tol:
+        if float(res.max()) < _TOL:
             if polish_left == 0:
                 break
             polish_left -= 1
@@ -729,7 +756,7 @@ def _certified_simple_roots(
     else:  # the budget ran out: judge the last step's iterates
         _, res = _newton_and_residual(z, *coeffs)
     uncertified = 0
-    if float(res.max()) < tol:
+    if float(res.max()) < _TOL:
         # Certification: double-precision evaluation noise caps the
         # attainable accuracy of a root with condition number kappa at about
         # eps * kappa, which for the largest inputs is worse than the root
@@ -744,9 +771,9 @@ def _certified_simple_roots(
         # Newton from it may have wandered off.
         z = np.array([r if ok else v for (r, ok), v in zip(certified, z)])
         _, res = _newton_and_residual(z, *coeffs)
-    if float(res.max()) >= tol:
+    if float(res.max()) >= _TOL:
         return z, (
-            f"root finding did not reach residual {tol} within {max_iter} "
+            f"root finding did not reach residual {_TOL} within {max_iter} "
             f"iterations (worst residual {float(res.max()):.3e})"
         )
     if uncertified:
@@ -757,9 +784,7 @@ def _certified_simple_roots(
     return z, None
 
 
-def find_roots(
-    poly: LaurentPoly, *, tol: float = 1e-10, max_iter: int = 500
-) -> list[complex]:
+def find_roots(poly: LaurentPoly, *, max_iter: int = 500) -> list[complex]:
     """All complex roots of an ordinary polynomial (min_deg >= 0), degree >= 1.
 
     Roots are listed with multiplicity.  The integer numerators are first
@@ -772,7 +797,7 @@ def find_roots(
     evaluates p/p' and the relative backward error
     |p(r)| / sum_i |a_i||r|**i of all iterates from one power matrix per side
     of |r| = 1 (``_newton_and_residual``).  Converged when every backward
-    error is below ``tol``; then polishing sweeps, and every root is
+    error is below ``_TOL``; then polishing sweeps, and every root is
     certified by Newton steps with p and p' evaluated on the integer
     coefficients in fixed point to a proven error bound (exact in the
     limit), repeated until the step is at rounding level, which leaves the
@@ -795,7 +820,7 @@ def find_roots(
         return roots
     failures = []
     for ics, mult in _squarefree_parts(cs):
-        z, failure = _certified_simple_roots(ics, tol, max_iter)
+        z, failure = _certified_simple_roots(ics, max_iter)
         roots += [complex(v) for v in z for _ in range(mult)]
         if failure:
             failures.append(failure)

@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, file outputs, self-tests."""
 
+import cmath
 import json
 from fractions import Fraction
 
@@ -223,6 +224,39 @@ def test_roots_sn_sweep(capsys, tmp_path):
     assert lines[0] == "label,re,im"
     labels = {line.split(",")[0] for line in lines[1:]}
     assert labels == {"4", "6", "8", "10"}  # degree-2 core is constant: no roots
+
+
+def test_roots_sn_sweep_guard(capsys, tmp_path):
+    # S_15 and S_16 do not certify, so a sweep past FULL_GUARD is refused
+    # before any core is built; the largest one allowed still succeeds.
+    out_file = tmp_path / "sn.csv"
+    code, _, err = run(capsys, "roots", "--sn-sweep", "16", "--out", str(out_file))
+    assert code == 3
+    assert "capability limit" in err
+    assert not out_file.exists()
+    code, _, err = run(capsys, "roots", "--sn-sweep", "14", "--out", str(out_file))
+    assert code == 0, err
+    labels = {line.split(",")[0] for line in out_file.read_text().splitlines()[1:]}
+    assert labels == {"4", "6", "8", "10", "12", "14"}
+
+
+def test_roots_phi_from_with_repeated_roots(capsys, tmp_path):
+    # This core of G(2,1,7) has X = -1 as a root of multiplicity 12 and each
+    # primitive 7th root of unity as a double root.
+    out_file = tmp_path / "w.csv"
+    code, _, err = run(
+        capsys, "roots", "--phi-from", "2,1,7",
+        "--cycles", "(1,0),(1,0),(1,0),(1,1),(1,1),(1,1),(1,1)",
+        "--out", str(out_file),
+    )
+    assert code == 0, err
+    rows = out_file.read_text().strip().splitlines()[1:]
+    assert len(rows) == 84
+    assert rows.count("-1,0") == 12
+    roots = [complex(*map(float, row.split(","))) for row in rows]
+    for k in range(1, 7):
+        zeta = cmath.exp(2j * cmath.pi * k / 7)
+        assert sum(abs(r - zeta) < 1e-10 for r in roots) == 2, k
 
 
 def test_roots_user_fixture_with_repeated_roots(capsys, tmp_path):

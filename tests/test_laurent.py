@@ -1,6 +1,7 @@
 """Exact Laurent polynomials in X = e**z and the bridge to z-series counts."""
 
 import cmath
+import itertools
 import math
 import random
 from collections import Counter
@@ -18,12 +19,14 @@ from wfact.laurent import (
     RootFindingError,
     _certify_newton,
     _fixed_horner,
+    _int_gcd,
     _int_horner,
     _newton_and_residual,
     _newton_polygon_start,
     _newton_step,
     _squarefree_parts,
     _strip_x_minus_one,
+    _word_primes,
     extract_phi,
     find_roots,
     laurent_from_egf,
@@ -675,8 +678,8 @@ DISTINCT_FACTORS = [[-r, 1] for r in range(-3, 4)] + [[c, 0, 1] for c in (1, 2, 
     st.sampled_from([1, -3, 2**31 - 1]),
 )
 def test_squarefree_parts_matches_construction(multiplicity, content):
-    # Content 2**31 - 1 makes the modular coprimality check inapplicable,
-    # so the exact pseudo-remainder path runs as well.
+    # Content 2**31 - 1 divides both leading coefficients, so the modular gcd
+    # skips its first prime.
     numers = [content * c for c in _times(
         *(DISTINCT_FACTORS[i] for i, k in multiplicity.items() for _ in range(k))
     )]
@@ -685,6 +688,50 @@ def test_squarefree_parts_matches_construction(multiplicity, content):
         expected[k] = _times(expected.get(k, [1]), DISTINCT_FACTORS[i])
     got = {k: _primitive_form(a) for a, k in _squarefree_parts(numers)}
     assert got == {k: _primitive_form(a) for k, a in expected.items()}
+
+
+Q31 = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "a, b, gcd",
+    [
+        # Modulo 2**31 - 1 the gcd is (X - 1)(X - 2), of too high a degree.
+        (_times([-1, 1], [-2, 1]), _times([-1, 1], [-2 - Q31, 1]), [-1, 1]),
+        # The first prime divides both leading coefficients.
+        (_times([-1, Q31], [3, 1]), _times([-1, Q31], [5, 1]), [-1, Q31]),
+        # Coefficients of up to 111 bits: CRT over several primes.
+        (
+            _times([3**70, -(5**60), 7**40, 1], [3, 2, 1]),
+            _times([3**70, -(5**60), 7**40, 1], [5, 0, 1, 7]),
+            [3**70, -(5**60), 7**40, 1],
+        ),
+        (_times([1, 2], [1, 1]), [-3, 0, 2], [1]),
+    ],
+    ids=["unlucky-prime", "lead-divisible", "several-primes", "coprime"],
+)
+def test_int_gcd_known_cases(a, b, gcd):
+    assert _int_gcd(a, b) == gcd
+
+
+def test_word_primes_descend_below_2_31():
+    def is_prime(n):
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    primes = list(itertools.islice(_word_primes(), 25))
+    assert primes == [n for n in range(Q31, primes[-1] - 1, -1) if is_prime(n)]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[("E8", 1), ([1, 1, 1], 2)], [("E8", 2)]],
+    ids=["E8(X^2+X+1)^2", "E8^2"],
+)
+def test_squarefree_parts_of_large_repeated_cores(factors):
+    factors = [(list(_core(f).numers) if f == "E8" else f, k) for f, k in factors]
+    numers = _times(*(f for f, k in factors for _ in range(k)))
+    got = {k: _primitive_form(a) for a, k in _squarefree_parts(numers)}
+    assert got == {k: _primitive_form(f) for f, k in factors}
 
 
 magnitudes = st.floats(1e-3, 1e3)
@@ -797,37 +844,28 @@ evaluator_points = st.one_of(
 )
 @example([1, 0, 1], [1j, -1j, 1.0, 0.5, 2.0])
 @example([-1] + [0] * 79 + [1], [1.0, -1.0, 1j, 1e3, 1e-3j])
+@example([4503599627370494, 1], [1.5])
 def test_newton_and_residual_matches_exact_values(ics, zs):
     # The float evaluator against exact integer arithmetic at the same
     # doubles, on both sides of |z| = 1 in one call.  The coefficients are
     # doubles exactly (|a_i| <= 2**53), so the only error is the evaluator's.
     n = len(ics) - 1
     asc = np.array(ics, dtype=np.float64)
-    rev = asc[::-1].copy()
     d_asc = asc[1:] * np.arange(1, n + 1, dtype=np.float64)
-    d_rev = rev[1:] * np.arange(1, n + 1, dtype=np.float64)
-    z_arr = np.array(zs, dtype=complex)
-    newton, res = _newton_and_residual(z_arr, asc, d_asc, rev, d_rev)
-    # The side is the evaluator's: numpy's |z| can differ from Python's in
-    # the last bit, e.g. at 1.0 * cmath.exp(1.578125j).
-    small = np.abs(z_arr) <= 1.0
+    newton, res = _newton_and_residual(np.array(zs, dtype=complex), asc, d_asc)
     unit = 8 * (n + 1) * Decimal(2) ** -53
-    for z, is_small, got_step, got_res in zip(zs, small, newton, res):
+    for z, got_step, got_res in zip(zs, newton, res):
         p, mag, dp, d_mag = _exact_sums(ics, z)
         # A priori: each power carries at most n roundings, each dot product
         # n more, and w = 1/z a few; together a few (n + 1) units of 2**-53.
         assert abs(Decimal(float(got_res)) - p / mag) <= unit, z
         if not p or not dp:
             continue
-        # The step's relative error is at most ``unit`` times a condition
-        # number: mag/|p| + d_mag/|p'| for |z| <= 1.  For |z| > 1 the
-        # subtraction p'/p = n/z - w**2 q'/q also cancels when |p'/p| is
-        # far below n/|z|, which the factor 1 + 2*kappa accounts for.
-        if is_small:
-            cond = mag / p + d_mag / dp
-        else:
-            kappa = n * p / (Decimal(abs(z)) * dp)
-            cond = mag / p * (1 + 2 * kappa)
+        # The step's relative error is at most ``unit`` times the condition
+        # number mag/|p| + d_mag/|p'| on both sides of |z| = 1: for |z| > 1
+        # the reversed evaluations q(w) and r(w) have the same relative
+        # condition numbers, as p(z) and p'(z) are z**n q(w) and z**(n-1) r(w).
+        cond = mag / p + d_mag / dp
         if unit * cond <= Decimal("1e-8"):
             sr, si = exact_newton_step(ics, z)
             err = (F(got_step.real) - sr) ** 2 + (F(got_step.imag) - si) ** 2
