@@ -177,7 +177,8 @@ def lead_from_phi(phi: LaurentPoly, group_order: int, ell: int) -> Fraction:
     """Minimum-length count from the core polynomial: phi(1) * ell! / order."""
     if group_order < 1 or ell < 0:
         raise ValueError("need a positive group order and nonnegative ell")
-    return phi.evaluate(Fraction(1)) * factorial(ell) / group_order
+    # phi(1) is the sum of the coefficients.
+    return Fraction(sum(phi.numers) * factorial(ell), phi.denom * group_order)
 
 
 def phi_data(params: GroupParams, g: Element) -> tuple[LaurentPoly, int, LaurentPoly]:

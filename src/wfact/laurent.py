@@ -3,7 +3,11 @@
 A factorization-count series Sum_N count(N) z^N/N! that happens to be a finite
 Laurent polynomial in X = e^z is stored here exactly, as integer numerators
 over one common denominator: #W times a full-factorization series even has
-integer coefficients, so every ring operation runs on Python ints.
+integer coefficients, so every ring operation runs on Python ints.  The
+construction rule: the public constructor validates (int or Fraction
+coefficients, a nonzero integer denominator) and canonicalises; internal ring
+operations, whose inputs are ints by construction, canonicalise their result
+once through ``LaurentPoly._from_ints`` and skip the validation.
 ``egf_prefix`` expands back to counts; ``laurent_from_egf`` reconstructs the
 Laurent form from enough counts by exact Lagrange inversion on the integer
 nodes of the degree window, in integer arithmetic, and checks every surplus
@@ -55,6 +59,29 @@ def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
     return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
+def _set_canonical(poly, min_deg: int, numers: Sequence[int], denom: int) -> None:
+    """Store numers / denom (denom > 0) on ``poly`` in canonical form.
+
+    Trims zero ends and divides out gcd(numers, denom); zero becomes (0, (), 1).
+    """
+    lo, hi = 0, len(numers)
+    while lo < hi and not numers[lo]:
+        lo += 1
+    while hi > lo and not numers[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        min_deg, kept, denom = 0, (), 1
+    else:
+        g = math.gcd(denom, *numers[lo:hi]) if denom != 1 else 1
+        if g == 1:
+            kept = tuple(numers[lo:hi])
+        else:
+            kept, denom = tuple(n // g for n in numers[lo:hi]), denom // g
+        min_deg += lo
+    # The dataclass is frozen; its fields live in the instance __dict__.
+    poly.__dict__.update(min_deg=min_deg, numers=kept, denom=denom)
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """Immutable Laurent polynomial: integer numerators over one denominator.
@@ -79,28 +106,28 @@ class LaurentPoly:
         if denom == 0:
             raise ZeroDivisionError("LaurentPoly with denominator 0")
         numers, d = _over_common_denominator(coeffs)
-        denom *= d
-        # Trim zero ends, then divide out gcd(numers, denom), signed so that
-        # the denominator comes out positive (and 1 for the zero polynomial).
-        lo, hi = 0, len(numers)
-        while lo < hi and not numers[lo]:
-            lo += 1
-        while hi > lo and not numers[hi - 1]:
-            hi -= 1
-        g = math.gcd(denom, *numers[lo:hi])
         if denom < 0:
-            g = -g
-        object.__setattr__(self, "min_deg", min_deg + lo if lo < hi else 0)
-        object.__setattr__(self, "numers", tuple(n // g for n in numers[lo:hi]))
-        object.__setattr__(self, "denom", denom // g)
+            numers, denom = [-n for n in numers], -denom
+        _set_canonical(self, min_deg, numers, denom * d)
+
+    @classmethod
+    def _from_ints(cls, min_deg: int, numers: Sequence[int], denom: int) -> "LaurentPoly":
+        """numers / denom at min_deg, canonicalised; ints only and denom > 0, unchecked.
+
+        The constructor for results whose inputs are ints by construction:
+        it skips the constructor's validation and per-coefficient type scan.
+        """
+        poly = object.__new__(cls)
+        _set_canonical(poly, min_deg, numers, denom)
+        return poly
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(0, ())
+        return cls._from_ints(0, (), 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls(0, (1,))
+        return cls._from_ints(0, (1,), 1)
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "LaurentPoly":
@@ -157,10 +184,10 @@ class LaurentPoly:
             f = d // poly.denom
             for i, c in enumerate(poly.numers, poly.min_deg - lo):
                 out[i] += c * f
-        return LaurentPoly(lo, out, d)
+        return LaurentPoly._from_ints(lo, out, d)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.min_deg, [-c for c in self.numers], self.denom)
+        return LaurentPoly._from_ints(self.min_deg, [-c for c in self.numers], self.denom)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -179,13 +206,15 @@ class LaurentPoly:
             if a:
                 for j, b in enumerate(other.numers, i):
                     out[j] += a * b
-        return LaurentPoly(self.min_deg + other.min_deg, out, self.denom * other.denom)
+        return LaurentPoly._from_ints(
+            self.min_deg + other.min_deg, out, self.denom * other.denom
+        )
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "LaurentPoly":
         f = _as_fraction(factor)
-        return LaurentPoly(
+        return LaurentPoly._from_ints(
             self.min_deg, [c * f.numerator for c in self.numers], self.denom * f.denominator
         )
 
@@ -197,7 +226,7 @@ class LaurentPoly:
             return self
         out = [0] * ((len(self.numers) - 1) * c + 1)
         out[::c] = self.numers
-        return LaurentPoly(self.min_deg * c, out, self.denom)
+        return LaurentPoly._from_ints(self.min_deg * c, out, self.denom)
 
     # -- evaluation / expansion -------------------------------------------
 
@@ -234,11 +263,14 @@ class LaurentPoly:
         if self.is_zero():
             return self
         # Write self = X**min_deg * P(X) / denom.  P = (X-1) Q means
-        # p_i = q_{i-1} - q_i, so q_i = -(p_0 + ... + p_i) and P(1) = 0.
+        # p_i = q_{i-1} - q_i, so q_i = -(p_0 + ... + p_i) = p_{i+1} + ... + p_deg
+        # as P(1) = 0: the running sums of p from the top.
         p = self.numers
         if sum(p):
             raise ValueError("polynomial is not divisible by (X - 1)")
-        return LaurentPoly(self.min_deg, [-s for s in accumulate(p[:-1])], self.denom)
+        return LaurentPoly._from_ints(
+            self.min_deg, list(accumulate(p[:0:-1]))[::-1], self.denom
+        )
 
     # -- misc --------------------------------------------------------------
 
@@ -259,10 +291,13 @@ class LaurentPoly:
         return " + ".join(parts)
 
     def to_json(self) -> dict:
-        return {
-            "min_deg": self.min_deg,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
-        }
+        """{"min_deg": ..., "coeffs": ["n/d", ...]}, each coefficient in lowest terms."""
+        d = self.denom
+        if d == 1:
+            coeffs = [f"{n}/1" for n in self.numers]
+        else:
+            coeffs = [f"{n // g}/{d // g}" for n in self.numers for g in (math.gcd(n, d),)]
+        return {"min_deg": self.min_deg, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
@@ -319,7 +354,7 @@ def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPol
                 f"at index {j}: expected {Fraction(counts[j], den)}, reconstruction "
                 f"gives {Fraction(got, spread * den)}"
             )
-    return LaurentPoly(min_deg, numers, spread * den)
+    return LaurentPoly._from_ints(min_deg, numers, spread * den)
 
 
 def _strip_x_minus_one(poly: LaurentPoly) -> tuple[LaurentPoly, int]:
@@ -358,7 +393,12 @@ def extract_phi(
     if poly.is_zero():
         raise ValueError("cannot extract the core polynomial of the zero series")
     current, ell = _strip_x_minus_one(poly)
-    phi = current.scale(group_order) * LaurentPoly.monomial(num_hyperplanes)
+    order = _as_fraction(group_order)
+    phi = LaurentPoly._from_ints(
+        current.min_deg + num_hyperplanes,
+        [c * order.numerator for c in current.numers],
+        current.denom * order.denominator,
+    )
     if phi.min_deg < 0:
         raise ValueError(
             "series has support below the stated hyperplane count "
@@ -614,8 +654,15 @@ def _monic_gcd_mod(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     """
     # Descending residues, so u[0] is the leading coefficient.
     u = np.array([c % q for c in reversed(a)], dtype=np.int64)
-    v = np.trim_zeros(np.array([c % q for c in reversed(b)], dtype=np.int64), "f")
-    while len(v):
+    v = np.array([c % q for c in reversed(b)], dtype=np.int64)
+    while True:
+        # Drop v's leading zeros; a remainder rarely has more than one.
+        lead = 0
+        while lead < len(v) and v[lead] == 0:
+            lead += 1
+        v = v[lead:]
+        if not len(v):
+            break
         n = len(v)
         inv = pow(int(v[0]), -1, q)
         while len(u) >= n:
@@ -623,13 +670,17 @@ def _monic_gcd_mod(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
             u[1:n] -= f * v[1:]
             u[1:n] %= q
             u = u[1:]
-        u, v = v, np.trim_zeros(u, "f")
+        u, v = v, u
     inv = pow(int(u[0]), -1, q)
     return [int(c) * inv % q for c in reversed(u)]
 
 
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The primitive gcd h of a != 0 and b over Z; [1] when coprime.
+def _int_gcd(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """(h, a / h, b / h): the primitive gcd h of a != 0 and b over Z, and the cofactors.
+
+    h is [1] when a and b are coprime.
 
     Brown's modular algorithm (Brown, *J. ACM* 18 (1971)).  Modulo a prime
     that divides neither leading coefficient, h keeps its degree and divides
@@ -639,9 +690,11 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     a multiple of lc h, are combined by CRT until the primitive part of the
     symmetric residues divides a and b exactly: a common divisor of degree
     >= deg h is h.  A coprime pair ends on the first prime with degree 0.
+    The exact divisions that prove h give the cofactors.
     """
     if not b:
-        return _primitive(a)
+        h = _primitive(a)
+        return h, [a[-1] // h[-1]], []
     lead = math.gcd(a[-1], b[-1])
     residues: list[int] = []
     modulus = 1
@@ -661,11 +714,9 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         modulus *= q
         candidate = _primitive([r - modulus if 2 * r > modulus else r for r in residues])
         try:
-            _exact_quotient(a, candidate)
-            _exact_quotient(b, candidate)
+            return candidate, _exact_quotient(a, candidate), _exact_quotient(b, candidate)
         except ArithmeticError:
             continue
-        return candidate
     raise ArithmeticError("ran out of word-size primes")
 
 
@@ -695,19 +746,16 @@ def _squarefree_parts(ics: Sequence[int]) -> list[tuple[list[int], int]]:
     Yun's algorithm (Yun, *On square-free decomposition algorithms*, SYMSAC
     1976) over Z: the a_k are pairwise coprime, so every root of p is a
     simple root of exactly one a_k, and k is its multiplicity.  Each gcd is
-    ``_int_gcd``; for a square-free p the first is normally one modular
-    Euclid pass.
+    ``_int_gcd``, whose cofactors the loop continues with; for a square-free
+    p the first is normally one modular Euclid pass.
     """
-    dp = _derivative(ics)
-    g = _int_gcd(ics, dp)
-    c, d = _exact_quotient(ics, g), _exact_quotient(dp, g)
+    _, c, d = _int_gcd(ics, _derivative(ics))
     parts, k = [], 1
     while len(c) > 1:
         d = _subtract(d, _derivative(c))
-        a = _int_gcd(c, d)
+        a, c, d = _int_gcd(c, d)
         if len(a) > 1:
             parts.append((a, k))
-        c, d = _exact_quotient(c, a), _exact_quotient(d, a)
         k += 1
     return parts
 

@@ -1,6 +1,7 @@
 """Command-line surface: JSON output, exit codes, file outputs, self-tests."""
 
 import cmath
+import hashlib
 import json
 from fractions import Fraction
 
@@ -116,6 +117,43 @@ def test_series_prefix_len_within_int_string_limit(capsys, prefix_len, code):
     else:
         assert out == ""
         assert "--prefix-len 8000" in err and "4300 digits" in err
+
+
+# sha256 of the exact stdout of `wfact series --m M --p P --n N --cycles C`.
+SERIES_STDOUT_SHA256 = {
+    # p = 1
+    ("2", "1", "4", "(2,1),(1,0),(1,0)"):
+        "21838e17af07057cb66f014415ca47bd02b2e71f4487f82dae5c43d43e6fc1b9",
+    ("3", "1", "3", "(2,1),(1,1)"):
+        "907a9b6f45b910b8b64303af224bce650c831583a656878b50020a729d80ad94",
+    # 1 < p < m
+    ("4", "2", "3", "(2,1),(1,1)"):
+        "e9e62fcafd8514c3ce6ee599e6fa06d02a6f3d64c79a48c94764ebbe3b5d9b45",
+    ("6", "3", "3", "(1,3),(1,3),(1,0)"):
+        "37af26702974673d7e50994121eb1e40128137f62886f733e3a918d456db4ef3",
+    # p = m
+    ("3", "3", "3", "(3,0)"):
+        "a8f06c96476723af3668490e2636ea4d59a40b5e41a8a0a236c5579b1b09f357",
+    ("4", "4", "2", "(1,2),(1,2)"):
+        "faf9baebb87df80c61341a177861713186767e924796e03b313e22c4f934fef0",
+    ("2", "2", "4", "(1,0),(1,0),(1,0),(1,0)"):
+        "d6483b30aab68f333e6a861e38f18bfc1892f14ca7c0df5feee488dd993a2f4a",
+    # n = 1; the first has phi = -2 + 2X + 3X^2 + 2X^3 + X^4
+    ("6", "1", "1", "(1,0)"):
+        "b02146987871475da7d5285d9dc17b70124b2d492655c6cce5bf63c6b9737e5a",
+    ("4", "1", "1", "(1,2)"):
+        "352055beb6c2eb0970e2d6412d38a926f89a9bf5a52c0a767947d3bbf6cf86cb",
+    # S_5; most series coefficients here are non-integers, and some are negative
+    ("1", "1", "5", "(3,0),(2,0)"):
+        "32f42f397756a3b0969a291c4745bfdcf26f1862c77f1cfd4dffb9cc336ebc00",
+}
+
+
+@pytest.mark.parametrize("m, p, n, cycles", list(SERIES_STDOUT_SHA256))
+def test_series_stdout_is_byte_identical(capsys, m, p, n, cycles):
+    code, out, _ = run(capsys, "series", "--m", m, "--p", p, "--n", n, "--cycles", cycles)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_STDOUT_SHA256[m, p, n, cycles]
 
 
 def test_series_past_guard_exits_3(capsys):

@@ -21,6 +21,7 @@ from wfact.laurent import (
     _fixed_horner,
     _int_gcd,
     _int_horner,
+    _monic_gcd_mod,
     _newton_and_residual,
     _newton_polygon_start,
     _newton_step,
@@ -168,6 +169,24 @@ def test_constructor_rejects_float_and_zero_denominator():
         LaurentPoly(0, [1], 2.0)
     with pytest.raises(ZeroDivisionError):
         LaurentPoly(0, [1], 0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(laurent_polys(), laurent_polys(), coefficients, st.integers(1, 4), st.integers(0, 2))
+def test_internal_results_are_canonical(a, b, q, c, surplus):
+    # Every ring operation builds its result through the private
+    # constructor; the public one must give the very same fields.
+    divisible = a * X_MINUS_1
+    results = [
+        a + b, a - b, a * b, -a, a - a,
+        a.scale(q), a.substitute_power(c), divisible.divide_by_x_minus_one(),
+        laurent_from_egf(a.egf_prefix(a.max_deg - a.min_deg + surplus), a.min_deg, a.max_deg),
+    ]
+    for r in results:
+        rebuilt = LaurentPoly(r.min_deg, list(r.numers), r.denom)
+        assert (rebuilt.min_deg, rebuilt.numers, rebuilt.denom) == (r.min_deg, r.numers, r.denom)
+        assert_canonical(r)
+        assert r.to_json()["coeffs"] == [f"{x.numerator}/{x.denominator}" for x in r.coeffs]
 
 
 @settings(deadline=None, max_examples=80)
@@ -711,7 +730,56 @@ Q31 = 2**31 - 1
     ids=["unlucky-prime", "lead-divisible", "several-primes", "coprime"],
 )
 def test_int_gcd_known_cases(a, b, gcd):
-    assert _int_gcd(a, b) == gcd
+    h, a_over_h, b_over_h = _int_gcd(a, b)
+    assert h == gcd
+    assert _times(h, a_over_h) == a
+    assert _times(h, b_over_h) == b
+
+
+def test_int_gcd_of_zero_is_primitive_part():
+    assert _int_gcd([-6, 0, -4], []) == ([3, 0, 2], [-2], [])
+
+
+def _euclid_mod(a, b, q):
+    """Monic gcd of a and b modulo q by schoolbook Euclid on ascending lists."""
+
+    def reduce(x):
+        x = [c % q for c in x]
+        while x and x[-1] == 0:
+            x.pop()
+        return x
+
+    u, v = reduce(a), reduce(b)
+    while v:
+        inv = pow(v[-1], -1, q)
+        while len(u) >= len(v):
+            f, shift = u[-1] * inv % q, len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] -= f * c
+            u = reduce(u)
+        u, v = v, u
+    inv = pow(u[-1], -1, q)
+    return [c * inv % q for c in u]
+
+
+small_ints = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    small_ints, small_ints, small_ints, small_ints, st.sampled_from([3, 7, 101, Q31])
+)
+@example([1, 0, 0, 0, 1], [1, 1], [0, 1], [5], 7)
+def test_monic_gcd_mod_matches_schoolbook_euclid(b, s, r, common, q):
+    # a = common * (b * s + r) with deg r well below deg b, so the first
+    # remainder mod b drops several degrees: several leading zeros to skip.
+    b, s, common = (x + [1] for x in (b, s, common))
+    r = r[: max(0, len(b) - 4)]
+    body = _times(b, s)
+    body = [c + (r[i] if i < len(r) else 0) for i, c in enumerate(body)]
+    a, b = _times(common, body), _times(common, b)
+    assert _monic_gcd_mod(a, b, q) == _euclid_mod(a, b, q)
+    assert _monic_gcd_mod(b, a, q) == _euclid_mod(b, a, q)
 
 
 def test_word_primes_descend_below_2_31():
