@@ -1,12 +1,15 @@
 """Numpy kernels for the exhaustive-verification tables.
 
-* ``build_mult_table`` — full index-level multiplication table of a group
-  whose elements are given as 0-based permutation image rows plus color rows,
-  from the columns of a generating set;
+* ``build_mult_table`` — the reflection columns of a group's multiplication
+  table, mult[i, r] = index of element_i * reflection_r, for a group whose
+  elements are given as 0-based permutation image rows plus color rows;
 * ``subgroup_closure`` — members of the subgroup generated by a set of
-  element indices, grown coset by coset from a known subgroup of it
+  reflection columns, grown coset by coset from a known subgroup of it
   (Dimino's algorithm; Butler, *Fundamental Algorithms for Permutation
   Groups*, LNCS 559).
+
+Every walk and closure multiplies by a reflection on the right, so the
+#W x #R columns are the whole table.
 """
 
 from __future__ import annotations
@@ -28,67 +31,50 @@ def _keys(perms: np.ndarray, colors: np.ndarray, m: int) -> np.ndarray:
 
 
 def build_mult_table(perms: np.ndarray, colors: np.ndarray, m: int, gens) -> np.ndarray:
-    """mult[i, j] = index of element_i * element_j.
+    """int32 (W, len(gens)): mult[i, r] = index of element_i * element_{gens[r]}.
 
     ``perms``: int32 (W, n), 0-based image tables; ``colors``: int32 (W, n)
     in [0, m).  The product convention is perm_out[t] = x.perm[y.perm[t]],
     colors_out[t] = x.colors[y.perm[t]] + y.colors[t] mod m.  ``gens``
-    indexes a generating set: only their columns are computed (and checked)
-    from the element rows.  Every other column follows by associativity,
-    column(x * g) = column(g)[column(x)], in breadth-first order from them.
-    The table is column-major, so each column is contiguous.
+    indexes the reflections; each column is computed from the element rows
+    and checked against their keys.  The table is column-major, so each
+    column is contiguous.
     """
     perms = np.ascontiguousarray(perms, dtype=np.int32)
     colors = np.ascontiguousarray(colors, dtype=np.int32)
-    count = perms.shape[0]
     keys = _keys(perms, colors, m)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    cols = np.empty((count, count), dtype=np.int32)  # cols[j] = mult[:, j]
-    reached = np.zeros(count, dtype=bool)
-    gen_list = sorted({int(g) for g in gens})
-    for j in gen_list:
+    cols = np.empty((len(gens), perms.shape[0]), dtype=np.int32)  # cols[r] = mult[:, r]
+    for r, j in enumerate(gens):
         yp = perms[j]
-        out_perms = perms[:, yp]
-        out_colors = (colors[:, yp] + colors[j][np.newaxis, :]) % m
-        out_keys = _keys(out_perms, out_colors, m)
+        out_keys = _keys(perms[:, yp], (colors[:, yp] + colors[j]) % m, m)
         pos = np.searchsorted(sorted_keys, out_keys)
         if not np.array_equal(sorted_keys[pos], out_keys):
             raise AssertionError("product fell outside the element set")
-        cols[j] = order[pos]
-        reached[j] = True
-    gen_cols = [cols[g] for g in gen_list]  # rows that are never rewritten
-    queue = list(gen_list)
-    for x in queue:
-        for col in gen_cols:
-            y = int(col[x])
-            if not reached[y]:
-                cols[y] = col[cols[x]]
-                reached[y] = True
-                queue.append(y)
-    if len(queue) != count:
-        raise AssertionError("the generators do not generate the element set")
+        cols[r] = order[pos]
     return cols.T
 
 
 def subgroup_closure(mult: np.ndarray, members, gens) -> np.ndarray:
-    """Sorted member indices of the subgroup K generated by ``gens``.
+    """Sorted member indices of the subgroup K generated by columns ``gens``.
 
     ``members`` lists the indices of a subgroup H of K (the identity alone
     will do).  K is the union of the right cosets H*y reachable from H by
-    right multiplication with ``gens``; each new coset is one column gather
-    ``mult[H, y]``, so the loop runs [K:H] * len(gens) times.
+    right multiplication with ``gens``.  Each coset is kept as an index
+    array, so the coset H*y*g is one gather ``mult[coset, g]`` of a
+    reflection column; the loop runs [K:H] * len(gens) times.
     """
     base = np.asarray(members, dtype=np.intp)
     member = np.zeros(mult.shape[0], dtype=bool)
     member[base] = True
     gen_list = sorted({int(g) for g in gens})
-    reps = [int(base[0])]
-    for rep in reps:
-        row = mult[rep]
+    cosets = [base]
+    for coset in cosets:
+        rep = coset[0]
         for g in gen_list:
-            y = int(row[g])
-            if not member[y]:
-                member[mult[base, y]] = True
-                reps.append(y)
+            if not member[mult[rep, g]]:
+                image = mult[coset, g]
+                member[image] = True
+                cosets.append(image)
     return np.flatnonzero(member).astype(np.int32)

@@ -114,6 +114,11 @@ def series_full_factored(params: GroupParams, g: Element) -> LaurentPoly:
     return (inner * cyc).scale(Fraction(1, (m // p) ** (n - 1)))
 
 
+def _color_gcd(params: GroupParams, cd: CycleData) -> int:
+    """The d of the case split: G(p,p,1) is trivial, so for n = 1 it is 1."""
+    return 1 if params.n == 1 else cd.d
+
+
 def full_length(params: GroupParams, g: Element) -> int:
     """Minimum length of a full reflection factorization of g.
 
@@ -124,10 +129,10 @@ def full_length(params: GroupParams, g: Element) -> int:
     """
     validate_element(g, params)
     cd = cycle_data(g, params)
-    n, k = params.n, cd.k
+    n, k, d = params.n, cd.k, _color_gcd(params, cd)
     if params.m == params.p:
-        return n + k - 2 if cd.d == 1 else n + k
-    if cd.d == 1:
+        return n + k - 2 if d == 1 else n + k
+    if d == 1:
         return n + k - 1 if cd.a == 1 else n + k
     return n + k + 1 if cd.a == 1 else n + k + 2
 
@@ -141,14 +146,14 @@ def lead_coeff(params: GroupParams, g: Element) -> Fraction:
     """
     validate_element(g, params)
     cd = cycle_data(g, params)
-    n, m, p, k = params.n, params.m, params.p, cd.k
+    n, m, p, k, d = params.n, params.m, params.p, cd.k, _color_gcd(params, cd)
     shape = cd.partition
     if m == p:
-        if cd.d == 1:
+        if d == 1:
             value = Fraction(m ** (k - 1)) * hurwitz_h0(shape)
         else:
-            value = Fraction(m ** (k + 1) * jordan_j2(cd.d), cd.d**2) * hurwitz_h1(shape)
-    elif cd.d == 1:
+            value = Fraction(m ** (k + 1) * jordan_j2(d), d**2) * hurwitz_h1(shape)
+    elif d == 1:
         if cd.a == 1:
             value = Fraction(n * (n + k - 1) * m ** (k - 1)) * hurwitz_h0(shape)
         else:
@@ -158,7 +163,7 @@ def lead_coeff(params: GroupParams, g: Element) -> Fraction:
                 * hurwitz_h0(shape)
             )
     else:
-        jfactor = Fraction(jordan_j2(cd.d), cd.d**2)
+        jfactor = Fraction(jordan_j2(d), d**2)
         if cd.a == 1:
             value = Fraction(n * (n + k + 1) * m ** (k + 1)) * jfactor * hurwitz_h1(shape)
         else:

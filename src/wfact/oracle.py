@@ -1,10 +1,11 @@
 """Ground truth by exhaustion for small G(m,p,n).
 
-Builds complete index-level tables of one group: its elements, their
-multiplication table, and the lattice of subgroups generated by reflection
-subsets, each keyed by the reflections it contains and closed coset by
-coset.  Counts of reflection factorizations of every length then come from
-exact walks over elements, one sweep serving every element:
+Builds complete index-level tables of one group: its elements, the
+reflection columns of their multiplication table, and the lattice of
+subgroups generated by reflection subsets, each keyed by the reflections it
+contains and closed coset by coset.  Counts of reflection factorizations of
+every length then come from exact walks over elements, one sweep serving
+every element:
 
 * mode "all": walk_W(g), the number of reflection sequences with product g.
   It uses no lattice machinery.
@@ -71,9 +72,26 @@ def _cap_w() -> int:
     return DEFAULT_CAP_W
 
 
+def _check_cap(params: GroupParams) -> int:
+    """The oracle cap on the group order; CapabilityError above it."""
+    cap = _cap_w()
+    if params.order > cap:
+        raise CapabilityError(
+            f"{params} has order {params.order}, above the oracle cap {cap} "
+            f"(override with the {_CAP_ENV} environment variable)"
+        )
+    return cap
+
+
 @dataclass
 class ElementTable:
-    """Complete indexed model of one group."""
+    """Complete indexed model of one group.
+
+    ``mult[i, r]`` is the index of elements[i] * reflection_list[r]: the
+    table keeps one column per reflection, an int32 (#W, #R) array, since
+    every walk multiplies by reflections on the right.  ``refl_indices[r]``
+    is the element index of reflection_list[r].
+    """
 
     params: GroupParams
     elements: list[Element]
@@ -138,16 +156,10 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     Guards: group order above the cap (default 5000, env WFACT_CAP_W) or
     more than 20000 subgroups raise CapabilityError.
     """
-    cap = _cap_w()
-    key = (params, cap)
+    key = (params, _check_cap(params))
     cached = _cache_get(_TABLE_CACHE, key)
     if cached is not None:
         return cached
-    if params.order > cap:
-        raise CapabilityError(
-            f"{params} has order {params.order}, above the oracle cap {cap} "
-            f"(override with the {_CAP_ENV} environment variable)"
-        )
     elements = list(all_elements(params))
     if len(elements) != params.order:
         raise AssertionError(
@@ -159,8 +171,7 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     identity_index = index[identity(params)]
     refl_list = reflections(params)
     refl_indices = [index[t.to_element(params)] for t in refl_list]
-    # The reflections generate the group (the trivial group needs its identity).
-    mult = build_mult_table(perms0, colors, params.m, refl_indices or [identity_index])
+    mult = build_mult_table(perms0, colors, params.m, refl_indices)
     etable = ElementTable(
         params, elements, index, mult, identity_index, refl_list, refl_indices
     )
@@ -171,15 +182,14 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
 
 def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     mult = etable.mult
-    refl_elems = etable.refl_indices
-    refl_array = np.array(refl_elems, dtype=np.intp)
-    num_refl = len(refl_elems)
+    refl_array = np.array(etable.refl_indices, dtype=np.intp)
+    num_refl = len(refl_array)
     total = len(etable.elements)
 
     members: list[np.ndarray] = []
     masks: list[int] = []
     interned: dict[int, int] = {}
-    gens_of: list[tuple[int, ...]] = []
+    gens_of: list[tuple[int, ...]] = []  # reflection columns generating each
     via: list[tuple[int, int]] = []  # (parent, reflection) whose join found it
     join: list[list[int]] = []
 
@@ -215,7 +225,7 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     while queue:
         s = queue.popleft()
         parent, last = via[s]
-        for ri, gen_elem in enumerate(refl_elems):
+        for ri in range(num_refl):
             if masks[s] >> ri & 1:
                 join[s][ri] = s
                 continue
@@ -224,7 +234,7 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
             if parent >= 0 and join[join[parent][ri]][last] >= 0:
                 join[s][ri] = join[join[parent][ri]][last]
                 continue
-            gens = gens_of[s] + (gen_elem,)
+            gens = gens_of[s] + (ri,)
             closure = subgroup_closure(mult, members[s], gens)
             target, fresh = intern(closure, gens, (s, ri))
             join[s][ri] = target
@@ -261,13 +271,13 @@ def _mobius_to_top(members: list[np.ndarray], masks: list[int], top: int) -> lis
 
 
 def _walk(
-    mult: np.ndarray, members: np.ndarray, refls: list[int], start: int, n_max: int
+    mult: np.ndarray, members: np.ndarray, refls, start: int, n_max: int
 ) -> np.ndarray:
     """walk[N, i]: sequences of N reflections from ``refls`` with product members[i].
 
-    ``members`` are the sorted indices of a subgroup H, ``refls`` its
-    reflections and ``start`` the identity.  Exact: object entries hold
-    Python ints.  A length-N product y ends in some t, with y * t**-1 the
+    ``members`` are the sorted indices of a subgroup H, ``refls`` the
+    ``mult`` columns of its reflections and ``start`` the identity.  Exact:
+    object entries hold Python ints.  A length-N product y ends in some t, with y * t**-1 the
     length-(N-1) product; the inverses run over H's reflections as t does,
     so each step is one gather-add per reflection.
     """
@@ -302,16 +312,14 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
     etable, stable = build_tables(params)
     mult = etable.mult
     id_idx = etable.identity_index
-    refl_elems = etable.refl_indices
-    all_counts = _walk(
-        mult, np.arange(len(etable.elements)), refl_elems, id_idx, n_max
-    )
+    num_refl = mult.shape[1]
+    all_counts = _walk(mult, np.arange(mult.shape[0]), range(num_refl), id_idx, n_max)
     full_counts = all_counts.copy()
     for s, mu in enumerate(stable.mobius):
         if not mu or s == stable.full_index:
             continue
         mask = stable.masks[s]
-        refls = [t for ri, t in enumerate(refl_elems) if mask >> ri & 1]
+        refls = [ri for ri in range(num_refl) if mask >> ri & 1]
         walk = _walk(mult, stable.members[s], refls, id_idx, n_max)
         full_counts[:, stable.members[s]] += mu * walk
     _cache_put(_SWEEP_CACHE, params, (n_max, all_counts, full_counts))
@@ -354,11 +362,7 @@ def class_representatives(params: GroupParams) -> list[Element]:
     permutes the reflection set), so sweeping representatives covers every
     conjugacy class of the group.
     """
-    if params.order > _cap_w():
-        raise CapabilityError(
-            f"{params} has order {params.order}, above the oracle cap {_cap_w()} "
-            f"(override with the {_CAP_ENV} environment variable)"
-        )
+    _check_cap(params)
     reps: dict[tuple, Element] = {}
     for g in all_elements(params):
         key = cycle_data(g, params).class_key

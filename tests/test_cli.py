@@ -94,6 +94,15 @@ def test_series_identity_default_element(capsys):
     assert doc["lead_coeff"] == "48/1"
 
 
+def test_series_rank_one_with_p_above_one(capsys):
+    code, out, _ = run(
+        capsys, "series", "--m", "6", "--p", "2", "--n", "1", "--cycles", "(1,2)",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["ell_full"], doc["lead_coeff"]) == (1, "1/1")
+
+
 @pytest.mark.parametrize("name", ["lead_coeff", "full_length"])
 def test_series_consistency_failure_exits_1(capsys, monkeypatch, name):
     real = getattr(cli, name)

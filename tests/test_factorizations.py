@@ -30,7 +30,7 @@ from wfact.groups import (
     weight,
 )
 from wfact.laurent import LaurentPoly, extract_phi, lowest_order
-from wfact.numtheory import jordan_j2
+from wfact.numtheory import divisors, jordan_j2
 from wfact.oracle import class_representatives, count_factorizations
 from wfact.symmetric import full_series_sn
 
@@ -187,6 +187,21 @@ def test_lowest_order_matches_case_analysis():
                 full_length(params, g),
                 lead_coeff(params, g),
             ), (params, g)
+
+
+def test_lowest_order_matches_case_analysis_in_rank_one():
+    # G(p,p,1) is trivial, so the cycle colors impose no condition at n = 1
+    seen = 0
+    for m in range(1, 13):
+        for p in divisors(m):
+            params = GroupParams(m, p, 1)
+            for g in all_elements(params):
+                assert lowest_order(series_full(params, g)) == (
+                    full_length(params, g),
+                    lead_coeff(params, g),
+                ), (params, g)
+                seen += 1
+    assert seen == 127
 
 
 def test_factored_form_identity():

@@ -54,16 +54,23 @@ def test_build_tables_s2():
     assert len(stable.members) == 2
 
 
-def test_mult_table_random_probes():
-    params = GroupParams(4, 2, 2)
-    etable, _ = build_tables(params)
-    rng = random.Random(3)
-    n_elems = len(etable.elements)
-    for _ in range(1000):
-        i = rng.randrange(n_elems)
-        j = rng.randrange(n_elems)
-        product = multiply(etable.elements[i], etable.elements[j], params)
-        assert etable.elements[etable.mult[i, j]] == product
+def test_mult_table_reflection_columns():
+    # every (element, reflection) entry, rank 1 and the trivial group included
+    for params in [
+        GroupParams(4, 2, 2),
+        GroupParams(2, 1, 3),
+        GroupParams(3, 3, 3),
+        GroupParams(4, 2, 1),
+        GroupParams(1, 1, 1),
+    ]:
+        etable, _ = build_tables(params)
+        refls = [t.to_element(params) for t in etable.reflection_list]
+        assert etable.mult.shape == (params.order, params.num_reflections)
+        for i, x in enumerate(etable.elements):
+            for r, t in enumerate(refls):
+                assert etable.elements[etable.mult[i, r]] == multiply(x, t, params)
+    mult = build_tables(GroupParams(3, 1, 4))[0].mult
+    assert (mult.shape, mult.dtype) == ((1944, 26), np.int32)
 
 
 def test_cap_via_environment(monkeypatch):
@@ -178,7 +185,8 @@ def test_lattice_members_are_subgroups_with_their_reflections():
     refl = np.array(etable.refl_indices)
     for members, mask in zip(stable.members, stable.masks):
         assert etable.identity_index in members
-        assert np.isin(etable.mult[np.ix_(members, members)], members).all()
+        elems = {etable.elements[i] for i in members}
+        assert all(multiply(x, y, params) in elems for x in elems for y in elems)
         inside = np.isin(refl, members)
         assert mask == sum(1 << ri for ri in np.flatnonzero(inside).tolist())
 
@@ -255,7 +263,7 @@ def test_length_reads_match_series():
 def test_dp_order_independence():
     params = GroupParams(3, 3, 2)
     etable, _ = build_tables(params)
-    refl = list(etable.refl_indices)
+    refl = list(range(len(etable.reflection_list)))  # mult columns
 
     def manual_all_counts(order, target_idx, top):
         dp = {etable.identity_index: 1}
