@@ -9,11 +9,18 @@ minimum-length factorizations; both also have direct closed forms (the
 four-case length formula and the Hurwitz-number leading coefficients), which
 are computed here from cycle data alone so series-vs-formula comparisons are
 genuine two-route checks.
+
+The series depends on g only through its class key (λ, d, a): the cycle
+type, the gcd of the cycle colors with p and the order of g's color in the
+cyclic quotient.  ``series_full`` and ``phi_data`` therefore compute each
+key once per process, in bounded LRU caches; ``series_full_factored``,
+``full_length`` and ``lead_coeff`` read no cache, so they stay second routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .cyclic import cyclic_element_order, cyclic_full_series
@@ -40,16 +47,23 @@ def series_window(params: GroupParams) -> tuple[int, int]:
     return (-params.num_hyperplanes, params.num_reflections)
 
 
-def _moebius_sum(n: int, cd: CycleData, scale_base: int) -> LaurentPoly:
+# Entries per key cache.  One key holds at most ~200 KB at the S_n guard
+# (G(12,3,14): series 80 KB, phi 116 KB), so the two caches together stay
+# under ~50 MB in a long-lived process.
+KEY_CACHE_SIZE = 256
+
+
+def _moebius_sum(n: int, partition: tuple[int, ...], d: int, scale_base: int) -> LaurentPoly:
     """Sum over r | d of moebius(r) r^(n+k-2) S_lambda(X -> X^(scale_base/r))."""
     acc = LaurentPoly.zero()
-    base_series = full_series_sn_type(cd.partition)
-    for r in divisors(cd.d):
+    base_series = full_series_sn_type(partition)
+    k = len(partition)
+    for r in divisors(d):
         mu = moebius(r)
         if mu == 0:
             continue
         term = base_series.substitute_power(scale_base // r)
-        acc = acc + term.scale(mu * r ** (n + cd.k - 2))
+        acc = acc + term.scale(mu * r ** (n + k - 2))
     return acc
 
 
@@ -67,7 +81,7 @@ def series_ppn(p: int, n: int, cd: CycleData) -> LaurentPoly:
         raise ValueError(f"cycle-color gcd d = {cd.d} must divide p = {p}")
     if n == 1:
         return LaurentPoly.one()
-    return _moebius_sum(n, cd, p).scale(Fraction(1, p ** (n - 1)))
+    return _moebius_sum(n, cd.partition, cd.d, p).scale(Fraction(1, p ** (n - 1)))
 
 
 def _cyclic_factor(params: GroupParams, g: Element) -> LaurentPoly:
@@ -76,22 +90,50 @@ def _cyclic_factor(params: GroupParams, g: Element) -> LaurentPoly:
     return cyclic_full_series(params.m // params.p, order)
 
 
+def _class_key(params: GroupParams, g: Element) -> tuple:
+    """(params, λ, d, a): everything the full series of g depends on.
+
+    cycle_data validates g, so a non-member raises ValueError here.
+    """
+    cd = cycle_data(g, params)
+    return params, cd.partition, cd.d, cd.a
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
+def _series_by_key(
+    params: GroupParams, partition: tuple[int, ...], d: int, a: int
+) -> LaurentPoly:
+    """series_full for every element with cycle type partition and this d and a.
+
+    The color's image in the cyclic quotient has order m/gcd(wt, m) = m/(a p).
+    """
+    n, m = params.n, params.m
+    cyc = cyclic_full_series(m // params.p, m // (a * params.p))
+    if n == 1:
+        return cyc
+    body = _moebius_sum(n, partition, d, m)
+    return (cyc.substitute_power(n) * body).scale(Fraction(1, m ** (n - 1)))
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
+def _phi_by_key(
+    params: GroupParams, partition: tuple[int, ...], d: int, a: int
+) -> tuple[LaurentPoly, int]:
+    """(phi, ell) of the series of _series_by_key for the same key."""
+    series = _series_by_key(params, partition, d, a)
+    return extract_phi(series, params.order, params.num_hyperplanes)
+
+
 def series_full(params: GroupParams, g: Element) -> LaurentPoly:
     """Full-factorization series of g in G(m,p,n) as an exact Laurent polynomial.
 
     (1/m^(n-1)) * cyclic_factor(z -> n z) *
     Sum_{r | d} moebius(r) r^(n+k-2) S_lambda(z -> (m/r) z).
     For p = m the cyclic factor is the trivial series 1; for n = 1 the whole
-    group is cyclic and the series is exactly the cyclic factor.
+    group is cyclic and the series is exactly the cyclic factor.  Computed
+    once per class key (λ, d, a) and kept in a bounded cache.
     """
-    validate_element(g, params)
-    n, m = params.n, params.m
-    if n == 1:
-        return _cyclic_factor(params, g)
-    cd = cycle_data(g, params)
-    body = _moebius_sum(n, cd, m)
-    cyc = _cyclic_factor(params, g).substitute_power(n)
-    return (cyc * body).scale(Fraction(1, m ** (n - 1)))
+    return _series_by_key(*_class_key(params, g))
 
 
 def series_full_factored(params: GroupParams, g: Element) -> LaurentPoly:
@@ -187,7 +229,10 @@ def lead_from_phi(phi: LaurentPoly, group_order: int, ell: int) -> Fraction:
 
 
 def phi_data(params: GroupParams, g: Element) -> tuple[LaurentPoly, int, LaurentPoly]:
-    """(phi, ell, series): core polynomial and root-1 multiplicity of g's series."""
-    series = series_full(params, g)
-    phi, ell = extract_phi(series, params.order, params.num_hyperplanes)
-    return phi, ell, series
+    """(phi, ell, series): core polynomial and root-1 multiplicity of g's series.
+
+    Like the series, (phi, ell) is computed once per class key.
+    """
+    key = _class_key(params, g)
+    phi, ell = _phi_by_key(*key)
+    return phi, ell, _series_by_key(*key)

@@ -23,8 +23,9 @@ certify the closed-form pipeline, never to replace it.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -34,13 +35,14 @@ from .groups import (
     Element,
     GroupParams,
     Reflection,
+    _canonical_from_cycles,
     all_elements,
-    cycle_data,
     identity,
     reflections,
     validate_element,
 )
 from .laurent import LaurentPoly, laurent_from_egf
+from .partitions import integer_partitions
 
 __all__ = [
     "DEFAULT_CAP_W",
@@ -355,20 +357,30 @@ def oracle_series(params: GroupParams, g: Element, mode: str = "full") -> Lauren
 
 
 def class_representatives(params: GroupParams) -> list[Element]:
-    """One representative per (cycle length, cycle color) class.
+    """One representative per (cycle length, cycle color) class, by sorted key.
 
     Both the closed-form series and the brute-force counts are constant on
     these classes (conjugation by any permutation-plus-diagonal element
     permutes the reflection set), so sweeping representatives covers every
-    conjugacy class of the group.
+    conjugacy class of the group.  The keys are listed from the partitions
+    of n without touching the group: each part length of multiplicity c
+    takes a multiset of c colors, and a key belongs to G(m,p,n) when its
+    colors sum to 0 mod p.  Each representative is the canonical element
+    with those cycles.
     """
     _check_cap(params)
-    reps: dict[tuple, Element] = {}
-    for g in all_elements(params):
-        key = cycle_data(g, params).class_key
-        if key not in reps:
-            reps[key] = g
-    return [reps[key] for key in sorted(reps)]
+    keys = []
+    for partition in integer_partitions(params.n):
+        blocks = [
+            [[(length, c) for c in colors]
+             for colors in combinations_with_replacement(range(params.m), count)]
+            for length, count in Counter(partition).items()
+        ]
+        for choice in product(*blocks):
+            pairs = [pair for block in choice for pair in block]
+            if sum(c for _, c in pairs) % params.p == 0:
+                keys.append(tuple(sorted(pairs)))
+    return [_canonical_from_cycles(list(key), params) for key in sorted(keys)]
 
 
 def generates_by_closure(params: GroupParams, refls: list[Reflection]) -> bool:

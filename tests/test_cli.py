@@ -3,7 +3,11 @@
 import cmath
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,24 @@ def test_series_past_guard_exits_3(capsys):
     assert code == 3
     assert "capability limit" in err
     assert out == ""
+
+
+def test_series_into_a_closed_pipe_exits_0():
+    # As in `wfact series ... | head -n 2`: the reader leaves after one line
+    # of a 168 KB document, so the write fails with EPIPE.  A reader that
+    # stops early is no verification failure (exit 1) and no traceback.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wfact.cli", "series", "--m", "6", "--p", "2", "--n", "6",
+         "--prefix-len", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 # ---------------------------------------------------------------- oracle-verify

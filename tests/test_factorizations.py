@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfact import factorizations
 from wfact.cyclic import cyclic_element_order, cyclic_full_series
 from wfact.factorizations import (
     full_length,
@@ -30,7 +32,7 @@ from wfact.groups import (
     weight,
 )
 from wfact.laurent import LaurentPoly, extract_phi, lowest_order
-from wfact.numtheory import divisors, jordan_j2
+from wfact.numtheory import divisors, jordan_j2, moebius
 from wfact.oracle import class_representatives, count_factorizations
 from wfact.symmetric import full_series_sn
 
@@ -294,6 +296,143 @@ def test_identity_series_equals_oracle_on_g332():
         assert series.egf_prefix(top) == count_factorizations(
             params, g, top, mode="full"
         )
+
+
+# ---------------------------------------------------------------- class-weighted anchor
+
+
+def connected_edge_series(n: int) -> LaurentPoly:
+    """C_n(X) = n! [y^n] log Sum_j X^C(j,2) y^j / j!  (Stanley, EC2 section 5.1).
+
+    With X = e^z, X^C(j,2) is the EGF of all edge sequences on j labelled
+    vertices, and C_n that of the connected ones.  Splitting off the
+    component of vertex 1 gives c_j = X^C(j,2) - Sum_{k<j} C(j-1,k-1)
+    c_k X^C(j-k,2).
+    """
+    c = [LaurentPoly.zero()]
+    for j in range(1, n + 1):
+        acc = LaurentPoly.monomial(comb(j, 2))
+        for k in range(1, j):
+            split = c[k] * LaurentPoly.monomial(comb(j - k, 2))
+            acc = acc - split.scale(comb(j - 1, k - 1))
+        c.append(acc)
+    return c[n]
+
+
+def class_weighted_full_sum(params: GroupParams) -> LaurentPoly:
+    """Sum over g in G(m,p,n) of the full series of g, in closed form.
+
+    [Sum_{d|m, gcd(d,p)=1} Sum_{d|d'|m} mu(d'/d) d'^(n-1) C_n(X^(m/d'))]
+      * [Sum_{p|e|m} mu(e/p) X^(n(m/e-1))].
+
+    Proof sketch.  The left side is the EGF of all reflection sequences
+    that generate G(m,p,n).  A sequence generates exactly when three things
+    hold: its colored-transposition graph on the n positions is connected;
+    the exponents of its diagonal reflections generate pZ_m; and the color
+    sums around the cycles of its graph generate some dZ_m with
+    gcd(d, p) = 1.  The transposition-like and diagonal reflections shuffle,
+    so the EGF is the product of one factor for each.  A connected sequence
+    of N edges whose cycle sums all lie in d'Z_m has d'^(n-1) (m/d')^N
+    colorings, one for each potential mod d' on the vertices; that is
+    d'^(n-1) C_n(X^(m/d')), and Moebius inversion over d | d' | m keeps the
+    sequences whose cycle sums generate exactly dZ_m.  Likewise
+    X^(n(m/e-1)) counts the diagonal sequences with exponents in eZ_m, and
+    inversion over p | e | m keeps those generating exactly pZ_m.
+
+    For n = 1 the graph has no cycles, so the first factor is [p = 1]; but
+    G(m,p,1) with p > 1 is the cyclic group of order m/p, not empty, so the
+    identity needs n >= 2 or p = 1.
+    """
+    m, p, n = params.m, params.p, params.n
+    connected = connected_edge_series(n)
+    graphs = LaurentPoly.zero()
+    for d in divisors(m):
+        if gcd(d, p) != 1:
+            continue
+        for d2 in divisors(m):
+            if d2 % d == 0 and moebius(d2 // d):
+                term = connected.substitute_power(m // d2)
+                graphs = graphs + term.scale(moebius(d2 // d) * d2 ** (n - 1))
+    diagonals = LaurentPoly.zero()
+    for e in divisors(m):
+        if e % p == 0 and moebius(e // p):
+            diagonals = diagonals + LaurentPoly.monomial(n * (m // e - 1), moebius(e // p))
+    return graphs * diagonals
+
+
+# n >= 2 or p = 1 only: G(p,p,1) is trivial, and the identity's n = 1 case
+# holds for p = 1 alone (see class_weighted_full_sum).
+ANCHOR_GROUPS = [
+    GroupParams(*mpn)
+    for mpn in [
+        (1, 1, 1), (1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2),
+        (3, 1, 3), (3, 3, 3), (4, 1, 1), (4, 2, 3), (4, 4, 4), (6, 2, 2), (6, 3, 2),
+        (12, 3, 2), (12, 6, 3),
+    ]
+]
+
+
+@pytest.mark.parametrize("params", ANCHOR_GROUPS, ids=str)
+def test_series_summed_over_the_group_matches_the_class_weighted_identity(params):
+    total = LaurentPoly.zero()
+    for g in all_elements(params):
+        total = total + series_full(params, g)
+    assert total == class_weighted_full_sum(params)
+
+
+def test_connected_edge_series_counts_spanning_trees():
+    # Cayley: no sequence of fewer than n-1 edges connects n vertices, and
+    # the n^(n-2) spanning trees come in (n-1)! edge orders each.
+    for n in range(2, 7):
+        prefix = connected_edge_series(n).egf_prefix(n - 1)
+        assert prefix == [0] * (n - 1) + [n ** (n - 2) * factorial(n - 1)]
+
+
+# ---------------------------------------------------------------- key cache
+
+
+PER_ELEMENT_GROUPS = [
+    GroupParams(2, 1, 3), GroupParams(4, 2, 2), GroupParams(3, 3, 3),
+    GroupParams(6, 3, 2), GroupParams(4, 2, 3),
+]
+
+
+def test_series_full_matches_the_oracle_on_every_element():
+    # The key cache's premise: the series of g depends on its key (λ, d, a)
+    # alone.  Checked on every element, not only the class representatives.
+    factorizations._series_by_key.cache_clear()
+    for params in PER_ELEMENT_GROUPS:
+        top = params.num_reflections + 2
+        for g in all_elements(params):
+            expected = count_factorizations(params, g, top, mode="full")
+            assert series_full(params, g).egf_prefix(top) == expected, (params, g)
+    assert factorizations._series_by_key.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("cached", ["_series_by_key", "_phi_by_key"])
+def test_key_caches_stay_at_their_bound(cached):
+    cache = getattr(factorizations, cached)
+    cache.cache_clear()
+    bound = factorizations.KEY_CACHE_SIZE
+    for m in range(1, bound + 11):  # one key per group G(m,1,1)
+        params = GroupParams(m, 1, 1)
+        phi_data(params, identity(params))
+    info = cache.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 10)
+
+
+def test_uncached_routes_leave_the_key_caches_alone():
+    factorizations._series_by_key.cache_clear()
+    factorizations._phi_by_key.cache_clear()
+    params = GroupParams(4, 2, 3)
+    for g in class_representatives(params):
+        series_full_factored(params, g)
+        full_length(params, g)
+        lead_coeff(params, g)
+    assert factorizations._series_by_key.cache_info().currsize == 0
+    assert factorizations._phi_by_key.cache_info().currsize == 0
+    series_full(params, identity(params))
+    assert factorizations._phi_by_key.cache_info().currsize == 0  # no extract_phi
 
 
 # ---------------------------------------------------------------- class invariance

@@ -16,6 +16,7 @@ from wfact.groups import (
     Element,
     GroupParams,
     all_elements,
+    cycle_data,
     identity,
     is_full_set,
     multiply,
@@ -124,6 +125,28 @@ def test_count_rejects_unknown_mode():
     params = GroupParams(2, 2, 2)
     with pytest.raises(ValueError):
         count_factorizations(params, identity(params), 2, mode="partial")
+
+
+# ---------------------------------------------------------------- classes
+
+
+SMALL_GROUPS = [
+    GroupParams(m, p, n)
+    for m in range(1, 7)
+    for p in range(1, m + 1)
+    if m % p == 0
+    for n in range(1, 5)
+    if GroupParams(m, p, n).order <= 2000
+]
+
+
+@pytest.mark.parametrize("params", SMALL_GROUPS, ids=str)
+def test_class_representatives_match_an_element_scan(params):
+    # The reference scans every element; cycle_data also rejects a
+    # representative that is not in the group.
+    scanned = sorted({cycle_data(g, params).class_key for g in all_elements(params)})
+    reps = class_representatives(params)
+    assert [cycle_data(g, params).class_key for g in reps] == scanned
 
 
 # ---------------------------------------------------------------- lattice
