@@ -23,17 +23,20 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 from pathlib import Path
 
 from .errors import CapabilityError
 from .factorizations import (
+    KEY_CACHE_SIZE,
     full_length,
     lead_coeff,
     lead_from_phi,
     phi_data,
+    phi_data_by_key,
     series_full,
+    series_key,
     series_window,
 )
 from .fixtures import TABLE1, load_phi_fixtures
@@ -94,34 +97,32 @@ def _is_unimodal(values: tuple[int, ...]) -> bool:
     return True
 
 
-def cmd_series(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
-    g = _element_from_args(params, args)
-    phi, ell_from_phi, series = phi_data(params, g)
-    ell = full_length(params, g)
-    lead = lead_coeff(params, g)
-    # phi = #W * X^#A * series / (X-1)^ell, so this is lowest_order(series)
-    order_check = (ell_from_phi, lead_from_phi(phi, params.order, ell_from_phi))
-    if order_check != (ell, lead):
-        print(
-            "internal consistency failure: series lowest order "
-            f"{order_check} vs case analysis ({ell}, {lead})",
-            file=sys.stderr,
-        )
-        return 1
+def _json_items(fields: dict) -> str:
+    """json.dumps(fields, indent=2) without its outer braces and newlines.
+
+    The pretty-printed dump of a dict is "{\n" + its items + "\n}", so the
+    items of two dicts join into the dump of their union with ",\n".
+    """
+    return json.dumps(fields, indent=2)[2:-2]
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
+def _series_body(key: tuple, top_len: int) -> str:
+    """Every field of the `wfact series` document after "element", rendered.
+
+    They depend on g only through its series key, so each (key, top_len) is
+    rendered once.  The UsageError for counts too long to print is raised
+    again on each call: lru_cache keeps no exceptions.
+    """
+    params = key[0]
+    phi, ell, series = phi_data_by_key(key)
     lo, hi = series_window(params)
-    top_len = args.prefix_len if args.prefix_len is not None else ell + 4
-    if top_len < 0:
-        raise UsageError("--prefix-len must be nonnegative")
-    prefix = series.egf_prefix(top_len)
-    doc = {
-        "group": str(params),
-        "element": element_to_json(g, params),
+    fields = {
         "laurent": series.to_json(),
         "ell_full": ell,
-        "lead_coeff": _fraction_str(lead),
+        "lead_coeff": _fraction_str(lead_from_phi(phi, params.order, ell)),
         "phi": phi.to_json(),
-        "egf_prefix": [_egf_entry(q) for q in prefix],
+        "egf_prefix": [_egf_entry(q) for q in series.egf_prefix(top_len)],
         "window": [lo, hi],
         "observations": {
             "phi_degree": phi.max_deg,
@@ -134,7 +135,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         },
     }
     try:
-        text = json.dumps(doc, indent=2)
+        return _json_items(fields)
     except ValueError:
         # Python refuses to turn an int of more than
         # sys.get_int_max_str_digits() digits into a string.
@@ -143,7 +144,32 @@ def cmd_series(args: argparse.Namespace) -> int:
             f"{sys.get_int_max_str_digits()} digits, past the interpreter's "
             "limit for printing an int (sys.get_int_max_str_digits)"
         ) from None
-    print(text)
+
+
+def cmd_series(args: argparse.Namespace) -> int:
+    params = _params_from_args(args)
+    g = _element_from_args(params, args)
+    key = series_key(params, g)
+    phi, ell_from_phi, _ = phi_data_by_key(key)
+    ell = full_length(params, g)
+    lead = lead_coeff(params, g)
+    # phi = #W * X^#A * series / (X-1)^ell, so this is lowest_order(series)
+    order_check = (ell_from_phi, lead_from_phi(phi, params.order, ell_from_phi))
+    if order_check != (ell, lead):
+        print(
+            "internal consistency failure: series lowest order "
+            f"{order_check} vs case analysis ({ell}, {lead})",
+            file=sys.stderr,
+        )
+        return 1
+    top_len = args.prefix_len if args.prefix_len is not None else ell + 4
+    if top_len < 0:
+        raise UsageError("--prefix-len must be nonnegative")
+    # The body's ell_full and lead_coeff come from phi; the check above has
+    # just shown them equal to this element's case analysis.
+    body = _series_body(key, top_len)
+    head = _json_items({"group": str(params), "element": element_to_json(g, params)})
+    print("{\n" + head + ",\n" + body + "\n}")
     return 0
 
 

@@ -13,7 +13,8 @@ genuine two-route checks.
 The series depends on g only through its class key (λ, d, a): the cycle
 type, the gcd of the cycle colors with p and the order of g's color in the
 cyclic quotient.  ``series_full`` and ``phi_data`` therefore compute each
-key once per process, in bounded LRU caches; ``series_full_factored``,
+key once per process, in bounded LRU caches; ``series_key`` names the key, so
+callers can cache what they derive from it.  ``series_full_factored``,
 ``full_length`` and ``lead_coeff`` read no cache, so they stay second routes.
 """
 
@@ -39,6 +40,8 @@ __all__ = [
     "lead_from_phi",
     "series_window",
     "phi_data",
+    "phi_data_by_key",
+    "series_key",
 ]
 
 
@@ -48,8 +51,10 @@ def series_window(params: GroupParams) -> tuple[int, int]:
 
 
 # Entries per key cache.  One key holds at most ~200 KB at the S_n guard
-# (G(12,3,14): series 80 KB, phi 116 KB), so the two caches together stay
-# under ~50 MB in a long-lived process.
+# (G(12,3,14): series 80 KB, phi 116 KB), so the two caches here stay under
+# ~50 MB in a long-lived process.  `wfact series` keeps a third cache of this
+# size, of rendered JSON bodies: ~170 KB at G(12,3,14)'s identity, so under
+# ~44 MB more.
 KEY_CACHE_SIZE = 256
 
 
@@ -90,7 +95,7 @@ def _cyclic_factor(params: GroupParams, g: Element) -> LaurentPoly:
     return cyclic_full_series(params.m // params.p, order)
 
 
-def _class_key(params: GroupParams, g: Element) -> tuple:
+def series_key(params: GroupParams, g: Element) -> tuple:
     """(params, λ, d, a): everything the full series of g depends on.
 
     cycle_data validates g, so a non-member raises ValueError here.
@@ -133,7 +138,7 @@ def series_full(params: GroupParams, g: Element) -> LaurentPoly:
     group is cyclic and the series is exactly the cyclic factor.  Computed
     once per class key (λ, d, a) and kept in a bounded cache.
     """
-    return _series_by_key(*_class_key(params, g))
+    return _series_by_key(*series_key(params, g))
 
 
 def series_full_factored(params: GroupParams, g: Element) -> LaurentPoly:
@@ -233,6 +238,10 @@ def phi_data(params: GroupParams, g: Element) -> tuple[LaurentPoly, int, Laurent
 
     Like the series, (phi, ell) is computed once per class key.
     """
-    key = _class_key(params, g)
+    return phi_data_by_key(series_key(params, g))
+
+
+def phi_data_by_key(key: tuple) -> tuple[LaurentPoly, int, LaurentPoly]:
+    """phi_data of every element whose series_key is key."""
     phi, ell = _phi_by_key(*key)
     return phi, ell, _series_by_key(*key)

@@ -22,8 +22,12 @@ from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .laurent import LaurentPoly
+
+if TYPE_CHECKING:
+    from importlib.abc import Traversable
 
 __all__ = ["load_phi_fixtures", "default_fixture_path", "TABLE1"]
 
@@ -51,16 +55,20 @@ TABLE1: dict[str, LaurentPoly] = {
 }
 
 
-def default_fixture_path() -> Path:
-    """Path of the fixture file bundled with the package."""
-    return Path(str(resources.files("wfact").joinpath("data/phi_fixtures.txt")))
+def default_fixture_path() -> Traversable:
+    """The fixture file bundled with the package, as a package resource.
+
+    Not a filesystem path: the package may be imported from a zip archive.
+    """
+    return resources.files("wfact").joinpath("data/phi_fixtures.txt")
 
 
 def load_phi_fixtures(path: str | Path | None = None) -> dict[str, LaurentPoly]:
     """Parse a fixture file into a name -> LaurentPoly mapping.
 
-    Raises FileNotFoundError if the file is absent and ValueError (with the
-    offending line number) on any malformed record.
+    Without a path, reads the bundled file.  Raises FileNotFoundError if the
+    file is absent and ValueError (with the offending line number) on any
+    malformed record.
     """
     fpath = Path(path) if path is not None else default_fixture_path()
     if not fpath.is_file():

@@ -13,8 +13,11 @@ import pytest
 
 from wfact import cli
 from wfact.cli import main
+from wfact.factorizations import KEY_CACHE_SIZE, lead_coeff, phi_data, series_window
 from wfact.fixtures import TABLE1, default_fixture_path
+from wfact.groups import GroupParams, all_elements, conjugate, element_to_json
 from wfact.laurent import LaurentPoly, RootFindingError
+from wfact.oracle import class_representatives
 
 
 def run(capsys, *argv):
@@ -192,6 +195,107 @@ def test_series_into_a_closed_pipe_exits_0():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def _old_series_stdout(params, g, prefix_len=None):
+    """`wfact series` stdout as one json.dumps of the whole document."""
+    phi, ell, series = phi_data(params, g)
+    lead = lead_coeff(params, g)
+    lo, hi = series_window(params)
+    top = ell + 4 if prefix_len is None else prefix_len
+    slopes = [b - a for a, b in zip(phi.coeffs, phi.coeffs[1:])]
+    first_fall = next((i for i, s in enumerate(slopes) if s < 0), len(slopes))
+    doc = {
+        "group": str(params),
+        "element": element_to_json(g, params),
+        "laurent": series.to_json(),
+        "ell_full": ell,
+        "lead_coeff": f"{lead.numerator}/{lead.denominator}",
+        "phi": phi.to_json(),
+        "egf_prefix": [
+            q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+            for q in series.egf_prefix(top)
+        ],
+        "window": [lo, hi],
+        "observations": {
+            "phi_degree": phi.max_deg,
+            "phi_palindromic": phi.coeffs == phi.coeffs[::-1],
+            "phi_nonnegative": all(c >= 0 for c in phi.coeffs),
+            "phi_unimodal": all(s <= 0 for s in slopes[first_fall:]),
+            "window_attained": [series.min_deg == lo, series.max_deg == hi],
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _other_conjugate(params, g):
+    """Some h g h^-1 other than g, or g itself when g is central."""
+    for h in all_elements(params):
+        conj = conjugate(g, h, params)
+        if conj != g:
+            return conj
+    return g
+
+
+def _element_arg(g):
+    return f"perm={list(g.perm)}; colors={list(g.colors)}"
+
+
+@pytest.mark.parametrize("m, p, n", [(2, 1, 4), (4, 2, 3), (3, 3, 3)])
+@pytest.mark.parametrize("prefix_len", [None, 0, 40])
+def test_series_stdout_matches_one_dump_of_the_document(capsys, m, p, n, prefix_len):
+    # Every class runs twice: once as it comes (a miss unless an earlier
+    # class shared its key) and then as another conjugate, which must hit
+    # the rendered-body cache and still print its own element.
+    params = GroupParams(m, p, n)
+    cli._series_body.cache_clear()
+    extra = [] if prefix_len is None else ["--prefix-len", str(prefix_len)]
+    for g in class_representatives(params):
+        for element in (g, _other_conjugate(params, g)):
+            hits = cli._series_body.cache_info().hits
+            code, out, _ = run(
+                capsys, "series", "--m", str(m), "--p", str(p), "--n", str(n),
+                "--element", _element_arg(element), *extra,
+            )
+            assert code == 0
+            assert out == _old_series_stdout(params, element, prefix_len), element
+        assert cli._series_body.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("name", ["lead_coeff", "full_length"])
+def test_series_consistency_failure_exits_1_on_a_cache_hit(capsys, monkeypatch, name):
+    cli._series_body.cache_clear()
+    argv = ("series", "--m", "2", "--p", "1", "--n", "3")
+    assert run(capsys, *argv)[0] == 0
+    assert cli._series_body.cache_info().currsize == 1
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda params, g: real(params, g) + 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "internal consistency failure" in err
+    assert out == ""
+
+
+def test_series_prefix_len_past_int_limit_exits_2_with_the_key_cached(capsys):
+    cli._series_body.cache_clear()
+    argv = ("series", "--m", "2", "--p", "1", "--n", "2")
+    assert run(capsys, *argv)[0] == 0
+    for _ in range(2):  # the cache keeps no exception
+        code, out, err = run(capsys, *argv, "--prefix-len", "8000")
+        assert code == 2
+        assert out == ""
+        assert "--prefix-len 8000" in err and "4300 digits" in err
+    assert cli._series_body.cache_info().currsize == 1
+
+
+def test_series_body_cache_stays_at_its_bound(capsys):
+    cli._series_body.cache_clear()
+    for m in range(1, KEY_CACHE_SIZE + 11):  # one key per group G(m,1,1)
+        assert run(capsys, "series", "--m", str(m), "--p", "1", "--n", "1")[0] == 0
+    info = cli._series_body.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (
+        KEY_CACHE_SIZE, KEY_CACHE_SIZE, KEY_CACHE_SIZE + 10,
+    )
 
 
 # ---------------------------------------------------------------- oracle-verify
@@ -423,6 +527,25 @@ def test_fixtures_check_clean(capsys):
     assert json.loads(out) == {"status": "ok", "failures": []}
     assert err.count("PASS") == 8
     assert "FAIL" not in err
+
+
+def test_bundled_fixtures_load_from_a_zipped_package(tmp_path):
+    # Imported from a zip archive, the package's data file has no filesystem
+    # path; the commands that read it must still run.
+    archive = tmp_path / "wfact.zip"
+    package = Path(cli.__file__).resolve().parent
+    subprocess.run(
+        [sys.executable, "-m", "zipfile", "-c", str(archive), str(package)], check=True
+    )
+    env = {**os.environ, "PYTHONPATH": str(archive)}
+    csv = tmp_path / "g2.csv"
+    for argv in (["fixtures-check"], ["roots", "--fixture", "G2", "--out", str(csv)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wfact.cli", *argv],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert len(csv.read_text().splitlines()) == 9  # header and G2's 8 roots
 
 
 def test_fixtures_check_flipped_coefficient(capsys, tmp_path):
