@@ -65,9 +65,9 @@ def _egf_entry(q: Fraction):
     return q.numerator if q.denominator == 1 else _fraction_str(q)
 
 
-def _params_from_args(args: argparse.Namespace) -> GroupParams:
+def _group_params(m: int, p: int, n: int) -> GroupParams:
     try:
-        return GroupParams(args.m, args.p, args.n)
+        return GroupParams(m, p, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -147,7 +147,7 @@ def _series_body(key: tuple, top_len: int) -> str:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = _group_params(args.m, args.p, args.n)
     g = _element_from_args(params, args)
     key = series_key(params, g)
     phi, ell_from_phi, _ = phi_data_by_key(key)
@@ -174,7 +174,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = _group_params(args.m, args.p, args.n)
     explicit = getattr(args, "cycles", None) is not None or (
         getattr(args, "element", None) is not None
     )
@@ -304,10 +304,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
             m, p, n = (int(part) for part in args.phi_from.split(","))
         except ValueError:
             raise UsageError("--phi-from expects 'm,p,n'") from None
-        try:
-            params = GroupParams(m, p, n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        params = _group_params(m, p, n)
         g = _element_from_args(params, args)
         phi, _, _ = phi_data(params, g)
         cores.append((str(params), phi))

@@ -174,7 +174,6 @@ def full_length(params: GroupParams, g: Element) -> int:
     m != p: n+k-1 (a=1, d=1), n+k (a!=1, d=1), n+k+1 (a=1, d!=1),
             n+k+2 (a!=1, d!=1).
     """
-    validate_element(g, params)
     cd = cycle_data(g, params)
     n, k, d = params.n, cd.k, _color_gcd(params, cd)
     if params.m == params.p:
@@ -191,7 +190,6 @@ def lead_coeff(params: GroupParams, g: Element) -> Fraction:
     of m, n, k, Euler phi and the second Jordan totient; the case split
     mirrors full_length.  Exact and checked integral.
     """
-    validate_element(g, params)
     cd = cycle_data(g, params)
     n, m, p, k, d = params.n, params.m, params.p, cd.k, _color_gcd(params, cd)
     shape = cd.partition

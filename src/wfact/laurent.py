@@ -762,11 +762,11 @@ def _squarefree_parts(ics: Sequence[int]) -> list[tuple[list[int], int]]:
 
 # The sweeps have converged when every relative backward error is below this.
 _TOL = 1e-10
+# The budget of Aberth sweeps per square-free part, polishing included.
+_MAX_ITER = 500
 
 
-def _certified_simple_roots(
-    ics: Sequence[int], max_iter: int
-) -> tuple[np.ndarray, str | None]:
+def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]:
     """(iterates, failure): ``find_roots``' iteration on a square-free p.
 
     ``ics`` are p's integer coefficients, ascending, with both ends nonzero
@@ -787,7 +787,7 @@ def _certified_simple_roots(
     # sweeps use the same repelled step as the main loop (plain Newton could
     # collapse two iterates onto one root) and count against the budget.
     polish_left = 15
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         newton, res = _newton_and_residual(z, *coeffs)
         if float(res.max()) < _TOL:
             if polish_left == 0:
@@ -821,7 +821,7 @@ def _certified_simple_roots(
         _, res = _newton_and_residual(z, *coeffs)
     if float(res.max()) >= _TOL:
         return z, (
-            f"root finding did not reach residual {_TOL} within {max_iter} "
+            f"root finding did not reach residual {_TOL} within {_MAX_ITER} "
             f"iterations (worst residual {float(res.max()):.3e})"
         )
     if uncertified:
@@ -832,7 +832,7 @@ def _certified_simple_roots(
     return z, None
 
 
-def find_roots(poly: LaurentPoly, *, max_iter: int = 500) -> list[complex]:
+def find_roots(poly: LaurentPoly) -> list[complex]:
     """All complex roots of an ordinary polynomial (min_deg >= 0), degree >= 1.
 
     Roots are listed with multiplicity.  The integer numerators are first
@@ -851,7 +851,7 @@ def find_roots(poly: LaurentPoly, *, max_iter: int = 500) -> list[complex]:
     limit), repeated until the step is at rounding level, which leaves the
     root accurate to float rounding.  RootFindingError, carrying the best
     iterates sorted like the result, is raised when the sweeps do not
-    converge within ``max_iter`` or when some root is still moving after the
+    converge within ``_MAX_ITER`` or when some root is still moving after the
     certification's step cap; the latter happens on cores (such as the S_n
     identity cores for n >= 15) whose roots double precision cannot
     separate.  Results are sorted by (real, imag).
@@ -868,7 +868,7 @@ def find_roots(poly: LaurentPoly, *, max_iter: int = 500) -> list[complex]:
         return roots
     failures = []
     for ics, mult in _squarefree_parts(cs):
-        z, failure = _certified_simple_roots(ics, max_iter)
+        z, failure = _certified_simple_roots(ics)
         roots += [complex(v) for v in z for _ in range(mult)]
         if failure:
             failures.append(failure)

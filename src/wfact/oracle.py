@@ -23,8 +23,9 @@ certify the closed-form pipeline, never to replace it.
 from __future__ import annotations
 
 import os
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -123,45 +124,32 @@ class SubgroupTable:
 
 
 _CACHE_GROUPS = 8
-_TABLE_CACHE: OrderedDict[tuple[GroupParams, int], tuple[ElementTable, SubgroupTable]] = (
-    OrderedDict()
-)
-_SWEEP_CACHE: OrderedDict[GroupParams, tuple[int, np.ndarray, np.ndarray]] = OrderedDict()
-
-
-def _cache_get(cache: OrderedDict, key):
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-    return value
-
-
-def _cache_put(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > _CACHE_GROUPS:
-        cache.popitem(last=False)
 
 
 def clear_caches() -> None:
     """Drop every cached table and count sweep.
 
-    Each cache keeps the 8 most recently used groups on its own.
+    The tables keep the 8 most recently used groups and the sweeps the 8
+    most recently used (group, depth) pairs; ``_tables.cache_info()`` and
+    ``_sweep.cache_info()`` report their hits and misses.
     """
-    _TABLE_CACHE.clear()
-    _SWEEP_CACHE.clear()
+    _tables.cache_clear()
+    _sweep.cache_clear()
 
 
 def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
-    """Element and subgroup tables for the group, cached per parameters.
+    """Element and subgroup tables for the group, cached per group.
 
     Guards: group order above the cap (default 5000, env WFACT_CAP_W) or
-    more than 20000 subgroups raise CapabilityError.
+    more than 20000 subgroups raise CapabilityError.  The cap is checked on
+    every call, cached or not.
     """
-    key = (params, _check_cap(params))
-    cached = _cache_get(_TABLE_CACHE, key)
-    if cached is not None:
-        return cached
+    _check_cap(params)
+    return _tables(params)
+
+
+@lru_cache(maxsize=_CACHE_GROUPS)
+def _tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     elements = list(all_elements(params))
     if len(elements) != params.order:
         raise AssertionError(
@@ -177,9 +165,7 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     etable = ElementTable(
         params, elements, index, mult, identity_index, refl_list, refl_indices
     )
-    stable = _build_subgroups(etable)
-    _cache_put(_TABLE_CACHE, key, (etable, stable))
-    return etable, stable
+    return etable, _build_subgroups(etable)
 
 
 def _build_subgroups(etable: ElementTable) -> SubgroupTable:
@@ -304,13 +290,16 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
     inversion: the sum over subgroups H with mu(H, W) != 0 of mu(H, W)
     times the walk inside H.  The H = W term is the "all" walk itself.
     One sweep serves every element of the group.  Entries are Python ints.
+    Cached per (group, n_max); the cap is checked on every call.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    cached = _cache_get(_SWEEP_CACHE, params)
-    if cached is not None and cached[0] >= n_max:
-        _, all_counts, full_counts = cached
-        return all_counts[: n_max + 1], full_counts[: n_max + 1]
+    _check_cap(params)
+    return _sweep(params, n_max)
+
+
+@lru_cache(maxsize=_CACHE_GROUPS)
+def _sweep(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     etable, stable = build_tables(params)
     mult = etable.mult
     id_idx = etable.identity_index
@@ -324,7 +313,6 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
         refls = [ri for ri in range(num_refl) if mask >> ri & 1]
         walk = _walk(mult, stable.members[s], refls, id_idx, n_max)
         full_counts[:, stable.members[s]] += mu * walk
-    _cache_put(_SWEEP_CACHE, params, (n_max, all_counts, full_counts))
     return all_counts, full_counts
 
 

@@ -477,6 +477,14 @@ def test_roots_constant_core_writes_no_rows(capsys, tmp_path, phi_from):
     assert "wrote 0 root(s)" in err
 
 
+def test_roots_phi_from_bad_params_exits_2_like_series(capsys, tmp_path):
+    out_file = tmp_path / "x.csv"
+    code, _, err = run(capsys, "roots", "--phi-from", "4,3,2", "--out", str(out_file))
+    assert code == 2
+    assert err == run(capsys, "series", "--m", "4", "--p", "3", "--n", "2")[2]
+    assert not out_file.exists()
+
+
 def test_roots_csv_orders_conjugates_by_printed_value(capsys, monkeypatch, tmp_path):
     # The real parts agree to 12 digits; the printed rows sort as equal there,
     # so the negative imaginary part comes first.

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfact import laurent
 from wfact.fixtures import load_phi_fixtures
 from wfact.laurent import (
     LaurentPoly,
@@ -488,10 +489,11 @@ def test_find_roots_requires_degree():
         find_roots(poly(-1, 1, 1))  # negative min_deg not an ordinary polynomial
 
 
-def test_find_roots_failure_carries_best_iterate():
+def test_find_roots_failure_carries_best_iterate(monkeypatch):
     phi = load_phi_fixtures()["H4"]
+    monkeypatch.setattr(laurent, "_MAX_ITER", 2)
     with pytest.raises(RootFindingError) as info:
-        find_roots(phi, max_iter=2)
+        find_roots(phi)
     best = info.value.best
     assert len(best) == phi.max_deg
     assert best == sorted(best, key=lambda r: (r.real, r.imag))
@@ -558,11 +560,12 @@ CORES = list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 15)]
 
 
 @pytest.mark.parametrize("name", CORES)
-def test_find_roots_sweep_budget(name):
+def test_find_roots_sweep_budget(name, monkeypatch):
     # The Newton-polygon start converges in well under 100 sweeps on every
     # bundled fixture and every S_n identity core for n = 4..14.
     phi = _core(name)
-    assert len(find_roots(phi, max_iter=100)) == phi.max_deg
+    monkeypatch.setattr(laurent, "_MAX_ITER", 100)
+    assert len(find_roots(phi)) == phi.max_deg
 
 
 def _dyadic(z):

@@ -75,11 +75,23 @@ def test_mult_table_reflection_columns():
 
 
 def test_cap_via_environment(monkeypatch):
+    params = GroupParams(3, 1, 2)  # order 18
+    g = identity(params)
     monkeypatch.setenv("WFACT_CAP_W", "10")
     with pytest.raises(CapabilityError):
-        build_tables(GroupParams(3, 1, 2))  # order 18 > 10
+        build_tables(params)
     monkeypatch.setenv("WFACT_CAP_W", "20")
-    build_tables(GroupParams(3, 1, 2))
+    build_tables(params)
+    sweep_counts(params, 4)
+    count_factorizations(params, g, 4)
+    # Cached tables and sweeps do not get round a lowered cap.
+    monkeypatch.setenv("WFACT_CAP_W", "10")
+    with pytest.raises(CapabilityError):
+        build_tables(params)
+    with pytest.raises(CapabilityError):
+        sweep_counts(params, 4)
+    with pytest.raises(CapabilityError):
+        count_factorizations(params, g, 4)
 
 
 def test_default_cap_rejects_large_group():
@@ -229,12 +241,16 @@ def test_caches_keep_eight_groups():
     oracle.clear_caches()
     for params in groups:
         sweep_counts(params, 2)
-    assert len(oracle._TABLE_CACHE) == 8
-    assert len(oracle._SWEEP_CACHE) == 8
-    assert groups[0] not in oracle._SWEEP_CACHE
+    assert oracle._tables.cache_info().currsize == 8
+    assert oracle._sweep.cache_info().currsize == 8
+    # The least recently used group was evicted: asking again is a miss.
+    before = oracle._tables.cache_info().misses, oracle._sweep.cache_info().misses
+    sweep_counts(groups[0], 2)
+    after = oracle._tables.cache_info().misses, oracle._sweep.cache_info().misses
+    assert after == (before[0] + 1, before[1] + 1)
     oracle.clear_caches()
-    assert not oracle._TABLE_CACHE
-    assert not oracle._SWEEP_CACHE
+    assert oracle._tables.cache_info().currsize == 0
+    assert oracle._sweep.cache_info().currsize == 0
 
 
 def test_oracle_series_matches_closed_form():
