@@ -3,6 +3,9 @@
 * ``build_mult_table`` — the reflection columns of a group's multiplication
   table, mult[i, r] = index of element_i * reflection_r, for a group whose
   elements are given as 0-based permutation image rows plus color rows;
+* ``build_conjugation_table`` — the action of a normalizing group by
+  conjugation, conj[k, i] = index of v_k * element_i * v_k**-1 for each
+  given v_k, which need not lie in the group;
 * ``subgroup_closure`` — members of the subgroup generated by a set of
   reflection columns, grown coset by coset from a known subgroup of it
   (Dimino's algorithm; Butler, *Fundamental Algorithms for Permutation
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_mult_table", "subgroup_closure", "BACKEND"]
+__all__ = ["build_mult_table", "build_conjugation_table", "subgroup_closure", "BACKEND"]
 
 # The one implementation; the benchmark records it with the host details.
 BACKEND = "python"
@@ -28,6 +31,22 @@ def _keys(perms: np.ndarray, colors: np.ndarray, m: int) -> np.ndarray:
     radix = np.int64(n * m)
     weights = radix ** np.arange(n, dtype=np.int64)
     return ((perms.astype(np.int64) * m + colors.astype(np.int64)) * weights).sum(axis=1)
+
+
+def _key_index(perms: np.ndarray, colors: np.ndarray, m: int):
+    """(sorted keys, element index of each) for looking element rows up."""
+    keys = _keys(perms, colors, m)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def _locate(key_index, out_keys: np.ndarray, what: str) -> np.ndarray:
+    """Element indices of the rows with keys ``out_keys``; raises if any is absent."""
+    sorted_keys, order = key_index
+    pos = np.minimum(np.searchsorted(sorted_keys, out_keys), len(sorted_keys) - 1)
+    if not np.array_equal(sorted_keys[pos], out_keys):
+        raise AssertionError(f"{what} fell outside the element set")
+    return order[pos]
 
 
 def build_mult_table(perms: np.ndarray, colors: np.ndarray, m: int, gens) -> np.ndarray:
@@ -42,18 +61,41 @@ def build_mult_table(perms: np.ndarray, colors: np.ndarray, m: int, gens) -> np.
     """
     perms = np.ascontiguousarray(perms, dtype=np.int32)
     colors = np.ascontiguousarray(colors, dtype=np.int32)
-    keys = _keys(perms, colors, m)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    key_index = _key_index(perms, colors, m)
     cols = np.empty((len(gens), perms.shape[0]), dtype=np.int32)  # cols[r] = mult[:, r]
     for r, j in enumerate(gens):
         yp = perms[j]
         out_keys = _keys(perms[:, yp], (colors[:, yp] + colors[j]) % m, m)
-        pos = np.searchsorted(sorted_keys, out_keys)
-        if not np.array_equal(sorted_keys[pos], out_keys):
-            raise AssertionError("product fell outside the element set")
-        cols[r] = order[pos]
+        cols[r] = _locate(key_index, out_keys, "product")
     return cols.T
+
+
+def build_conjugation_table(
+    perms: np.ndarray, colors: np.ndarray, m: int, actors
+) -> np.ndarray:
+    """int32 (len(actors), W): conj[k, i] = index of v_k * element_i * v_k**-1.
+
+    ``perms`` and ``colors`` are the element rows as for build_mult_table;
+    each actor v_k is a (0-based perm, colors) pair of any element of
+    G(m,1,n), which need not lie in the group.  Raises unless every
+    conjugate is an element of the group, so a row of the table is a
+    permutation of the element indices.
+    """
+    perms = np.ascontiguousarray(perms, dtype=np.int32)
+    colors = np.ascontiguousarray(colors, dtype=np.int32)
+    key_index = _key_index(perms, colors, m)
+    conj = np.empty((len(actors), perms.shape[0]), dtype=np.int32)
+    for k, (vp, vc) in enumerate(actors):
+        vp = np.asarray(vp, dtype=np.int32)
+        vc = np.asarray(vc, dtype=np.int32)
+        ip = np.argsort(vp).astype(np.int32)  # v**-1 = [vp**-1; -vc o vp**-1]
+        ic = -vc[ip]
+        # v * e, then (v * e) * v**-1, by the product convention above
+        ve_perms, ve_colors = vp[perms], vc[perms] + colors
+        out_perms = ve_perms[:, ip]
+        out_colors = (ve_colors[:, ip] + ic) % m
+        conj[k] = _locate(key_index, _keys(out_perms, out_colors, m), "conjugate")
+    return conj
 
 
 def subgroup_closure(mult: np.ndarray, members, gens) -> np.ndarray:

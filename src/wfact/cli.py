@@ -505,7 +505,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A path that cannot be read or written: a missing fixture file, an
+        # --out that names a directory or sits in a missing one.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

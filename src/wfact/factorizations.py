@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from .cyclic import cyclic_element_order, cyclic_full_series
+from .errors import CapabilityError
 from .groups import CycleData, Element, GroupParams, cycle_data, project, validate_element, weight
 from .hurwitz import hurwitz_h0, hurwitz_h1
 from .laurent import LaurentPoly, extract_phi
@@ -42,6 +43,7 @@ __all__ = [
     "phi_data",
     "phi_data_by_key",
     "series_key",
+    "WINDOW_GUARD",
 ]
 
 
@@ -50,12 +52,30 @@ def series_window(params: GroupParams) -> tuple[int, int]:
     return (-params.num_hyperplanes, params.num_reflections)
 
 
-# Entries per key cache.  One key holds at most ~200 KB at the S_n guard
-# (G(12,3,14): series 80 KB, phi 116 KB), so the two caches here stay under
-# ~50 MB in a long-lived process.  `wfact series` keeps a third cache of this
-# size, of rendered JSON bodies: ~170 KB at G(12,3,14)'s identity, so under
-# ~44 MB more.
+# The series of G(m,p,n) has #R + #A + 1 coefficients, about 2m*C(n,2), and
+# its time, memory and output grow linearly in m, which nothing else bounds.
+# 4096 keeps every group of the tests and the benchmark (widest G(6,2,10),
+# 570) and G(12,3,14) (2240) inside; at the guard a series takes about
+# 0.1 s and prints about 0.3 MB.
+WINDOW_GUARD = 4096
+
+# Entries per key cache.  At the window guard one key's series holds at
+# most ~150 KB and its (phi, ell) ~230 KB (G(22,11,14), width 4032: 148 KB
+# and 227 KB), so the two caches here stay under ~39 MB and ~59 MB in a
+# long-lived process.  `wfact series` keeps a third cache of this size, of
+# rendered JSON bodies: ~330 KB at the guard with the default --prefix-len
+# (326 KB there), so under ~85 MB more.
 KEY_CACHE_SIZE = 256
+
+
+def _check_window(params: GroupParams) -> None:
+    """Raise CapabilityError when the series window #R + #A passes WINDOW_GUARD."""
+    width = params.num_reflections + params.num_hyperplanes
+    if width > WINDOW_GUARD:
+        raise CapabilityError(
+            f"the series of {params} spans #R + #A = {width} degrees, past the "
+            f"guard {WINDOW_GUARD}"
+        )
 
 
 def _moebius_sum(n: int, partition: tuple[int, ...], d: int, scale_base: int) -> LaurentPoly:
@@ -98,8 +118,10 @@ def _cyclic_factor(params: GroupParams, g: Element) -> LaurentPoly:
 def series_key(params: GroupParams, g: Element) -> tuple:
     """(params, λ, d, a): everything the full series of g depends on.
 
+    A window past WINDOW_GUARD raises CapabilityError before any arithmetic;
     cycle_data validates g, so a non-member raises ValueError here.
     """
+    _check_window(params)
     cd = cycle_data(g, params)
     return params, cd.partition, cd.d, cd.a
 
@@ -149,6 +171,7 @@ def series_full_factored(params: GroupParams, g: Element) -> LaurentPoly:
     Defined for p < m; agrees with series_full as an identity of Laurent
     polynomials.
     """
+    _check_window(params)
     validate_element(g, params)
     if params.p >= params.m:
         raise ValueError("the factored route applies to p < m")

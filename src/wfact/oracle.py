@@ -1,20 +1,29 @@
 """Ground truth by exhaustion for small G(m,p,n).
 
 Builds complete index-level tables of one group: its elements, the
-reflection columns of their multiplication table, and the lattice of
-subgroups generated by reflection subsets, each keyed by the reflections it
-contains and closed coset by coset.  Counts of reflection factorizations of
-every length then come from exact walks over elements, one sweep serving
-every element:
+reflection columns of their multiplication table, the action of
+V = G(m,1,n) on them by conjugation, and the lattice of subgroups generated
+by reflection subsets, each keyed by the reflections it contains and closed
+coset by coset.  Counts of reflection factorizations of every length then
+come from exact walks over elements, one sweep serving every element:
 
 * mode "all": walk_W(g), the number of reflection sequences with product g.
-  It uses no lattice machinery.
+  It uses no lattice machinery and no conjugation.
 * mode "full" (the factors generate the whole group W): Möbius inversion
   over the lattice (Rota, *On the foundations of combinatorial theory I*,
   1964).  A sequence lies in H exactly when the subgroup it generates lies
   under H, so full(g) = sum over reflection subgroups H of
   mu(H, W) * walk_H(g), where walk_H counts the sequences of reflections
   of H with product g.  Only the H with mu(H, W) != 0 are walked.
+
+V normalizes W and permutes its reflections, so conjugation by V permutes
+the reflection subgroups and keeps mu(H, W).  The V-orbit is the unit of
+work.  The lattice is searched over one representative per orbit: each new
+subgroup is interned with its whole orbit, and a conjugate's joins are
+carried over from its representative's instead of closed again.  The
+Möbius sum walks one representative H per orbit O and reads the orbit's
+total at g off the V-class C of g:
+sum_{H' in O} walk_{H'}(g) = (|O| / |C|) * sum_{y in H cap C} walk_H(y).
 
 Everything here is deliberately brute-force and capped; it exists to
 certify the closed-form pipeline, never to replace it.
@@ -30,7 +39,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from ._kernels import build_mult_table, subgroup_closure
+from ._kernels import build_conjugation_table, build_mult_table, subgroup_closure
 from .errors import CapabilityError
 from .groups import (
     Element,
@@ -94,6 +103,12 @@ class ElementTable:
     table keeps one column per reflection, an int32 (#W, #R) array, since
     every walk multiplies by reflections on the right.  ``refl_indices[r]``
     is the element index of reflection_list[r].
+
+    V = G(m,1,n) normalizes the group.  ``conj[k, i]`` is the index of
+    v_k * elements[i] * v_k**-1 for the generators v_k of V: the n - 1
+    adjacent transpositions, then zeta on the first coordinate when m > 1.
+    ``class_ids[i]`` numbers the V-conjugacy class of elements[i], and
+    ``class_sizes[c]`` is the size of class c.
     """
 
     params: GroupParams
@@ -103,6 +118,9 @@ class ElementTable:
     identity_index: int
     reflection_list: list[Reflection]
     refl_indices: list[int]
+    conj: np.ndarray
+    class_ids: np.ndarray
+    class_sizes: np.ndarray
 
 
 @dataclass
@@ -113,6 +131,9 @@ class SubgroupTable:
     subgroup s; a reflection subgroup is determined by its reflections, so
     the masks are distinct and containment is a bitmask subset test.
     ``mobius[s]`` is the Möbius function mu(s, top) of the lattice.
+    Conjugation by V permutes the subgroups: ``act[k, s]`` is the index of
+    v_k * s * v_k**-1, and ``orbits`` lists the V-orbits, each with its
+    representative first.
     """
 
     members: list[np.ndarray]
@@ -121,6 +142,8 @@ class SubgroupTable:
     mobius: list[int]
     trivial_index: int
     full_index: int
+    act: np.ndarray
+    orbits: list[list[int]]
 
 
 _CACHE_GROUPS = 8
@@ -148,6 +171,39 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     return _tables(params)
 
 
+def _normalizer_generators(params: GroupParams) -> list[Element]:
+    """Generators of V = G(m,1,n): adjacent transpositions, then zeta on e_1."""
+    n, m = params.n, params.m
+    gens = []
+    for i in range(n - 1):
+        perm = list(range(1, n + 1))
+        perm[i], perm[i + 1] = i + 2, i + 1
+        gens.append(Element(tuple(perm), (0,) * n))
+    if m > 1:
+        gens.append(Element(tuple(range(1, n + 1)), (1,) + (0,) * (n - 1)))
+    return gens
+
+
+def _orbit_ids(conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, sizes): the orbits of the permutations ``conj`` on 0..#W-1.
+
+    Every point takes the least index reachable from it, so points share a
+    label exactly when they share an orbit; ``ids`` renumbers the labels
+    0, 1, ... and ``sizes`` counts each.
+    """
+    label = np.arange(conj.shape[1])
+    while True:
+        new = label
+        for row in conj:
+            new = np.minimum(new, new[row])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, ids, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    return ids, sizes
+
+
 @lru_cache(maxsize=_CACHE_GROUPS)
 def _tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     elements = list(all_elements(params))
@@ -162,37 +218,55 @@ def _tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     refl_list = reflections(params)
     refl_indices = [index[t.to_element(params)] for t in refl_list]
     mult = build_mult_table(perms0, colors, params.m, refl_indices)
+    actors = [
+        ([v - 1 for v in g.perm], list(g.colors)) for g in _normalizer_generators(params)
+    ]
+    conj = build_conjugation_table(perms0, colors, params.m, actors)
+    class_ids, class_sizes = _orbit_ids(conj)
     etable = ElementTable(
-        params, elements, index, mult, identity_index, refl_list, refl_indices
+        params, elements, index, mult, identity_index, refl_list, refl_indices,
+        conj, class_ids, class_sizes,
     )
     return etable, _build_subgroups(etable)
 
 
+def _mask_of(refl_flags: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(refl_flags, bitorder="little").tobytes(), "little")
+
+
 def _build_subgroups(etable: ElementTable) -> SubgroupTable:
-    mult = etable.mult
+    """The lattice, searched breadth first over one subgroup per V-orbit.
+
+    A representative's joins come from closures; each new subgroup is
+    interned with its whole V-orbit at once, and the join row of a
+    conjugate s = v_k * t is transported from t's:
+    s v r = v_k * (t v v_k**-1 r v_k).
+    """
+    mult, conj = etable.mult, etable.conj
     refl_array = np.array(etable.refl_indices, dtype=np.intp)
     num_refl = len(refl_array)
     total = len(etable.elements)
+    # refl_inv[k, ri]: the column of v_k**-1 * reflection ri * v_k.
+    column_of = np.full(total, -1, dtype=np.intp)
+    column_of[refl_array] = np.arange(num_refl)
+    refl_perm = column_of[conj[:, refl_array]]
+    if (refl_perm < 0).any():
+        raise AssertionError("conjugation moved a reflection off the reflection set")
+    refl_inv = np.argsort(refl_perm, axis=1)
 
     members: list[np.ndarray] = []
     masks: list[int] = []
+    refl_flags: list[np.ndarray] = []
     interned: dict[int, int] = {}
-    gens_of: list[tuple[int, ...]] = []  # reflection columns generating each
-    via: list[tuple[int, int]] = []  # (parent, reflection) whose join found it
+    gens_of: dict[int, tuple[int, ...]] = {}  # reflection columns generating a rep
+    via: dict[int, tuple[int, int]] = {}  # (parent, reflection) whose join found a rep
+    source: dict[int, tuple[int, int]] = {}  # conjugate s -> (k, t) with s = v_k t
     join: list[list[int]] = []
+    act: list[list[int]] = [[] for _ in range(len(conj))]
+    orbits: list[list[int]] = []
+    orbit_of_rep: dict[int, list[int]] = {}
 
-    def intern(
-        member_array: np.ndarray, gens: tuple[int, ...], found_by: tuple[int, int]
-    ) -> tuple[int, bool]:
-        flags = np.zeros(total, dtype=bool)
-        flags[member_array] = True
-        packed = np.packbits(flags[refl_array], bitorder="little")
-        mask = int.from_bytes(packed.tobytes(), "little")
-        existing = interned.get(mask)
-        if existing is not None:
-            if len(members[existing]) != len(member_array):
-                raise AssertionError("two subgroups share the same reflections")
-            return existing, False
+    def add(member_array: np.ndarray, flags: np.ndarray, mask: int) -> int:
         if len(members) >= CAP_SUBGROUPS:
             raise CapabilityError(
                 f"{etable.params} produced more than {CAP_SUBGROUPS} reflection "
@@ -202,39 +276,84 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
         interned[mask] = idx
         members.append(member_array)
         masks.append(mask)
-        gens_of.append(gens)
-        via.append(found_by)
+        refl_flags.append(flags)
         join.append([-1] * num_refl)
-        return idx, True
+        for row in act:
+            row.append(-1)
+        return idx
+
+    def reflection_flags(member_array: np.ndarray) -> np.ndarray:
+        flags = np.zeros(total, dtype=bool)
+        flags[member_array] = True
+        return flags[refl_array]
+
+    def intern_orbit(
+        member_array: np.ndarray, rflags: np.ndarray, mask: int,
+        gens: tuple[int, ...], found_by: tuple[int, int],
+    ) -> int:
+        """Intern a subgroup of a new V-orbit as its representative, then the orbit."""
+        rep = add(member_array, rflags, mask)
+        gens_of[rep], via[rep] = gens, found_by
+        orbit = [rep]
+        for t in orbit:
+            images = refl_flags[t][refl_inv]  # row k: the reflections of v_k t
+            packed = np.packbits(images, axis=1, bitorder="little")
+            for k, image_flags in enumerate(images):
+                image_mask = int.from_bytes(packed[k].tobytes(), "little")
+                s = interned.get(image_mask)
+                if s is None:
+                    s = add(np.sort(conj[k][members[t]]), image_flags, image_mask)
+                    source[s] = (k, t)
+                    orbit.append(s)
+                act[k][t] = s
+        orbits.append(orbit)
+        orbit_of_rep[rep] = orbit
+        return rep
 
     trivial_members = np.array([etable.identity_index], dtype=np.int32)
-    trivial_index, _ = intern(trivial_members, (), (-1, -1))
+    trivial_flags = reflection_flags(trivial_members)
+    trivial_index = intern_orbit(
+        trivial_members, trivial_flags, _mask_of(trivial_flags), (), (-1, -1)
+    )
     queue: deque[int] = deque([trivial_index])
     while queue:
         s = queue.popleft()
         parent, last = via[s]
+        row = join[s]
         for ri in range(num_refl):
             if masks[s] >> ri & 1:
-                join[s][ri] = s
+                row[ri] = s
                 continue
             # s = parent v last, so s v ri = (parent v ri) v last: no closure
-            # when the breadth-first order has already joined that.
+            # when the search has already joined that.
             if parent >= 0 and join[join[parent][ri]][last] >= 0:
-                join[s][ri] = join[join[parent][ri]][last]
+                row[ri] = join[join[parent][ri]][last]
                 continue
             gens = gens_of[s] + (ri,)
             closure = subgroup_closure(mult, members[s], gens)
-            target, fresh = intern(closure, gens, (s, ri))
-            join[s][ri] = target
-            if fresh:
+            rflags = reflection_flags(closure)
+            mask = _mask_of(rflags)
+            target = interned.get(mask)
+            if target is None:
+                target = intern_orbit(closure, rflags, mask, gens, (s, ri))
                 queue.append(target)
+            elif len(members[target]) != len(closure):
+                raise AssertionError("two subgroups share the same reflections")
+            row[ri] = target
+        for t in orbit_of_rep[s][1:]:
+            k, u = source[t]
+            act_k, join_u = act[k], join[u]
+            join[t] = [act_k[join_u[c]] for c in refl_inv[k].tolist()]
     full_index = interned.get((1 << num_refl) - 1, -1)
     if full_index < 0 or len(members[full_index]) != total:
         # Reflections of G(m,p,n) always generate it (the trivial group's
         # top is its trivial subgroup), so this is a table or closure bug.
         raise AssertionError("reflection subgroup lattice is missing the top")
     mobius = _mobius_to_top(members, masks, full_index)
-    return SubgroupTable(members, masks, join, mobius, trivial_index, full_index)
+    act_table = np.array(act, dtype=np.int32).reshape(len(act), len(members))
+    return SubgroupTable(
+        members, masks, join, mobius, trivial_index, full_index, act_table, orbits
+    )
 
 
 def _mobius_to_top(members: list[np.ndarray], masks: list[int], top: int) -> list[int]:
@@ -288,7 +407,8 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
     independent of the subgroup machinery.  ``full_counts[N][e]`` restricts
     to sequences whose factors generate the whole group, by Möbius
     inversion: the sum over subgroups H with mu(H, W) != 0 of mu(H, W)
-    times the walk inside H.  The H = W term is the "all" walk itself.
+    times the walk inside H.  The H = W term is the "all" walk itself; the
+    others are summed one V-orbit at a time (see ``_orbit_sweep``).
     One sweep serves every element of the group.  Entries are Python ints.
     Cached per (group, n_max); the cap is checked on every call.
     """
@@ -300,20 +420,51 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
 
 @lru_cache(maxsize=_CACHE_GROUPS)
 def _sweep(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    etable, stable = build_tables(params)
+    return _orbit_sweep(*build_tables(params), n_max)
+
+
+def _orbit_sweep(
+    etable: ElementTable, stable: SubgroupTable, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """sweep_counts from the tables, with one walk per V-orbit of subgroups.
+
+    Conjugating by v in V carries walk_H(y) to walk_{vHv^-1}(vyv^-1), so
+    the orbit's total over O at g is a class function of g.  Summing it over
+    g's V-class C and dividing by |C| gives
+    sum_{H' in O} walk_{H'}(g) = (|O| / |C|) * sum_{y in H cap C} walk_H(y)
+    for the representative H.  The totals are kept per class and spread
+    to the elements with one gather at the end.
+    """
     mult = etable.mult
     id_idx = etable.identity_index
     num_refl = mult.shape[1]
     all_counts = _walk(mult, np.arange(mult.shape[0]), range(num_refl), id_idx, n_max)
-    full_counts = all_counts.copy()
-    for s, mu in enumerate(stable.mobius):
-        if not mu or s == stable.full_index:
+    class_ids = etable.class_ids
+    sizes = etable.class_sizes.astype(object)
+    by_class = np.zeros((n_max + 1, len(sizes)), dtype=object)
+    for orbit in stable.orbits:
+        rep = orbit[0]
+        mu = stable.mobius[rep]
+        if not mu or rep == stable.full_index:
             continue
-        mask = stable.masks[s]
+        mask = stable.masks[rep]
         refls = [ri for ri in range(num_refl) if mask >> ri & 1]
-        walk = _walk(mult, stable.members[s], refls, id_idx, n_max)
-        full_counts[:, stable.members[s]] += mu * walk
-    return all_counts, full_counts
+        members = stable.members[rep]
+        walk = _walk(mult, members, refls, id_idx, n_max)
+        member_classes = class_ids[members]
+        order = np.argsort(member_classes, kind="stable")
+        ranked = member_classes[order]
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        classes = ranked[starts]
+        total = np.add.reduceat(walk[:, order], starts, axis=1) * len(orbit)
+        class_size = sizes[classes]
+        if any((total % class_size).flat):
+            raise AssertionError(
+                f"an orbit of {len(orbit)} subgroups of {etable.params} gives "
+                "class sums that its class sizes do not divide"
+            )
+        by_class[:, classes] += mu * (total // class_size)
+    return all_counts, all_counts + by_class[:, class_ids]
 
 
 def count_factorizations(

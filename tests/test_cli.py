@@ -1,21 +1,40 @@
 """Command-line surface: JSON output, exit codes, file outputs, self-tests."""
 
 import cmath
+import contextlib
 import hashlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from wfact import cli
 from wfact.cli import main
-from wfact.factorizations import KEY_CACHE_SIZE, lead_coeff, phi_data, series_window
+from wfact.factorizations import (
+    KEY_CACHE_SIZE,
+    WINDOW_GUARD,
+    lead_coeff,
+    phi_data,
+    series_window,
+)
 from wfact.fixtures import TABLE1, default_fixture_path
-from wfact.groups import GroupParams, all_elements, conjugate, element_to_json
+from wfact.groups import (
+    Element,
+    GroupParams,
+    all_elements,
+    conjugate,
+    cycle_data,
+    element_to_json,
+)
 from wfact.laurent import LaurentPoly, RootFindingError
 from wfact.oracle import class_representatives
 
@@ -177,6 +196,44 @@ def test_series_past_guard_exits_3(capsys):
     assert code == 3
     assert "capability limit" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "m, p, n",
+    [
+        (1025, 1, 2),  # #R + #A = 4100, the first G(m,1,2) past the guard
+        (22, 1, 14),  # 4312
+        (23, 23, 14),  # 4186
+        (100000, 1, 14),  # 18.2 million: would run for minutes unguarded
+    ],
+)
+def test_series_past_window_guard_exits_3_at_once(capsys, tmp_path, m, p, n):
+    params = GroupParams(m, p, n)
+    assert params.num_reflections + params.num_hyperplanes > WINDOW_GUARD
+    group = ["--m", str(m), "--p", str(p), "--n", str(n)]
+    out_file = tmp_path / "x.csv"
+    for argv in (
+        ["series", *group],
+        ["series", *group, "--cycles", f"({n},0)"],
+        ["roots", "--phi-from", f"{m},{p},{n}", "--out", str(out_file)],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert f"past the guard {WINDOW_GUARD}" in err
+    assert not out_file.exists()
+
+
+def test_window_guard_admits_the_widest_groups_below_it(capsys):
+    # G(1024,1,2) sits exactly at the guard; G(22,11,14) is the widest n = 14
+    # group inside it.
+    for m, p, n in [(1024, 1, 2), (22, 11, 14)]:
+        params = GroupParams(m, p, n)
+        assert params.num_reflections + params.num_hyperplanes <= WINDOW_GUARD
+        code, out, _ = run(capsys, "series", "--m", str(m), "--p", str(p), "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["window"] == list(series_window(params))
 
 
 def test_series_into_a_closed_pipe_exits_0():
@@ -587,3 +644,199 @@ def test_fixtures_check_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "fixtures-check", "--fixtures", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+# ---------------------------------------------------------------- exit-code contract
+
+
+class _Overran(Exception):
+    pass
+
+
+def _raise_overran(signum, frame):
+    raise _Overran
+
+
+def _contract_run(argv, seconds=20.0):
+    """(exit code, stderr) of main(argv), with a SIGALRM time limit.
+
+    In process, an exception escaping main is what would print a Traceback;
+    argparse's own errors arrive as SystemExit.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    except _Overran:
+        pytest.fail(f"{argv} ran past {seconds} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+def _check_contract(argv):
+    code, err = _contract_run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+_GARBAGE = st.sampled_from(["", "x", "1.5", "1e3", "(", "-", "--", "0x10", " 2", "+3"])
+_BAD_INT = st.one_of(st.integers(-3, 0).map(str), _GARBAGE)
+
+
+def _sometimes(draw, odds=6):
+    """True about once in ``odds`` draws: spoil or drop this part.
+
+    Shrinking moves towards the first entry, False, the unspoiled argv.
+    """
+    return draw(st.sampled_from([False] * (odds - 1) + [True]))
+
+
+@st.composite
+def _group_and_element(draw, max_m, max_n):
+    """[m, p, n] as text, and element flags: mostly valid, some spoiled."""
+    m = draw(st.integers(1, max_m))
+    p = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    n = draw(st.integers(1, max_n))
+    group = [str(m), str(p), str(n)]
+    for i in range(3):
+        if _sometimes(draw):
+            group[i] = draw(st.one_of(_BAD_INT, st.integers(1, 9).map(str)))
+    if _sometimes(draw, 10):
+        group[0] = draw(st.sampled_from(["1024", "1025", "100000"]))
+    perm = draw(st.permutations(range(1, n + 1)))
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    colors[-1] = (colors[-1] - sum(colors) % p) % m  # p | m: the sum is now 0 mod p
+    element = Element(tuple(perm), tuple(colors))
+    if _sometimes(draw, 3):
+        return group, []
+    if draw(st.booleans()):
+        text = "perm=({}); colors=({})".format(
+            ",".join(map(str, perm)), ",".join(map(str, colors))
+        )
+        if _sometimes(draw):
+            text = draw(st.one_of(_GARBAGE, st.text(max_size=8)))
+        return group, ["--element", text]
+    data = cycle_data(element, GroupParams(m, p, n))
+    pairs = list(zip(data.lengths, data.cycle_colors))
+    if _sometimes(draw):
+        pairs[0] = (draw(st.integers(-1, n + 1)), draw(st.integers(-2, m + 1)))
+    return group, ["--cycles", ",".join(f"({a},{b})" for a, b in pairs)]
+
+
+def _group_flags(group, draw):
+    flags = []
+    for name, value in zip(("--m", "--p", "--n"), group):
+        if not _sometimes(draw, 12):
+            flags += [name, value]
+    return flags
+
+
+def _int_flag(draw, name, low, high):
+    if _sometimes(draw, 4):
+        return []
+    value = draw(st.integers(low, high).map(str))
+    if _sometimes(draw):
+        value = draw(_GARBAGE)
+    return [name, value]
+
+
+_CONTRACT = settings(
+    deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def _series_argv(draw):
+    group, element = draw(_group_and_element(8, 15))
+    return (
+        ["series"] + _group_flags(group, draw) + element
+        + _int_flag(draw, "--prefix-len", -3, 40)
+    )
+
+
+@_CONTRACT
+@given(_series_argv())
+def test_series_exit_code_contract(argv):
+    _check_contract(argv)
+
+
+@st.composite
+def _oracle_verify_argv(draw):
+    group, element = draw(_group_and_element(4, 4))
+    extra = ["--all-classes"] if _sometimes(draw, 4) else []
+    return (
+        ["oracle-verify"] + _group_flags(group, draw) + element
+        + _int_flag(draw, "--max-len", -3, 12) + extra
+    )
+
+
+@_CONTRACT
+@given(_oracle_verify_argv())
+def test_oracle_verify_exit_code_contract(argv):
+    _check_contract(argv)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@st.composite
+def _roots_argv(draw):
+    argv = ["roots"]
+    choices = [draw(st.sampled_from(["fixture", "phi", "sweep"]))]
+    if _sometimes(draw, 8):
+        choices = draw(st.lists(st.sampled_from(["fixture", "phi", "sweep"])))
+    for choice in choices:
+        if choice == "fixture":
+            name = draw(st.sampled_from(["G2", "H3", "F4", "E6", "nope", ""]))
+            argv += ["--fixture", name]
+        elif choice == "phi":
+            group, element = draw(_group_and_element(6, 4))
+            text = ",".join(group)
+            if _sometimes(draw):
+                text = draw(st.one_of(_GARBAGE, st.sampled_from(["2,1", "a,b,c"])))
+            argv += ["--phi-from", text] + element
+        else:
+            argv += _int_flag(draw, "--sn-sweep", -1, 16)
+    if not _sometimes(draw, 10):
+        name = draw(st.sampled_from(["r.csv", "r.svg", "r.txt", "absent/r.csv", "."]))
+        argv += ["--out", name]
+    return argv
+
+
+@_CONTRACT
+@given(_roots_argv())
+@example(["roots", "--fixture", "G2", "--out", "."])
+@example(["roots", "--fixture", "G2", "--out", "absent/r.csv"])
+def test_roots_exit_code_contract(contract_dir, argv):
+    # --out names a file in contract_dir, or the directory itself.
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(contract_dir / argv[at])
+    _check_contract(argv)
+
+
+@_CONTRACT
+@given(
+    st.one_of(
+        st.none(),
+        st.sampled_from(["absent.txt", "."]).map(lambda name: (name, None)),
+        st.text(max_size=40).map(lambda body: ("fixtures.txt", body)),
+    )
+)
+def test_fixtures_check_exit_code_contract(contract_dir, fixtures):
+    argv = ["fixtures-check"]
+    if fixtures is not None:
+        name, body = fixtures
+        if body is not None:
+            (contract_dir / name).write_text(body)
+        argv += ["--fixtures", str(contract_dir / name)]
+    _check_contract(argv)

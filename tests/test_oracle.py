@@ -1,5 +1,6 @@
 """Brute-force enumeration oracle: tables, DP counts, lattice structure."""
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -16,6 +17,7 @@ from wfact.groups import (
     Element,
     GroupParams,
     all_elements,
+    conjugate,
     cycle_data,
     identity,
     is_full_set,
@@ -194,6 +196,132 @@ def test_full_counts_match_sequence_enumeration():
         for g in all_elements(params):
             counts = count_factorizations(params, g, top, mode="full")
             assert counts == [expected[g, length] for length in range(top + 1)]
+
+
+def reference_sweep(params, n_max):
+    """sweep_counts by one walk per subgroup with mu != 0, spread element by element."""
+    etable, stable = build_tables(params)
+    mult = etable.mult
+    id_idx = etable.identity_index
+    num_refl = mult.shape[1]
+    all_counts = oracle._walk(
+        mult, np.arange(mult.shape[0]), range(num_refl), id_idx, n_max
+    )
+    full_counts = all_counts.copy()
+    for s, mu in enumerate(stable.mobius):
+        if not mu or s == stable.full_index:
+            continue
+        mask = stable.masks[s]
+        refls = [ri for ri in range(num_refl) if mask >> ri & 1]
+        walk = oracle._walk(mult, stable.members[s], refls, id_idx, n_max)
+        full_counts[:, stable.members[s]] += mu * walk
+    return all_counts, full_counts
+
+
+@pytest.mark.parametrize(
+    "m, p, n",
+    [
+        (2, 1, 5), (1, 1, 6), (3, 1, 4), (3, 1, 3), (2, 1, 4),  # p = 1
+        (4, 2, 3), (6, 3, 3), (6, 2, 3), (2, 2, 5),  # 1 < p < m, and p = m
+        (3, 3, 4), (4, 4, 3), (2, 2, 4), (3, 3, 2),  # p = m
+        (1, 1, 1), (3, 1, 1), (4, 2, 1), (2, 2, 1),  # rank one and trivial
+    ],
+)
+def test_orbit_sweep_matches_per_subgroup_reference(m, p, n):
+    params = GroupParams(m, p, n)
+    n_max = params.num_reflections + 2
+    all_counts, full_counts = sweep_counts(params, n_max)
+    ref_all, ref_full = reference_sweep(params, n_max)
+    assert all_counts.shape == full_counts.shape == (n_max + 1, params.order)
+    assert np.array_equal(all_counts, ref_all)
+    assert np.array_equal(full_counts, ref_full)
+
+
+# ---------------------------------------------------------------- V-action
+
+
+ACTION_GROUPS = [
+    GroupParams(*mpn)
+    for mpn in [
+        (1, 1, 4), (2, 1, 3), (3, 1, 3), (2, 2, 4), (4, 2, 3), (6, 3, 3),
+        (3, 3, 4), (4, 4, 3), (3, 1, 1), (4, 2, 1), (1, 1, 1),
+    ]
+]
+
+
+@pytest.mark.parametrize("params", ACTION_GROUPS, ids=str)
+def test_conjugation_table_matches_group_arithmetic(params):
+    etable, _ = build_tables(params)
+    gens = oracle._normalizer_generators(params)
+    # V = G(m,1,n) has n - 1 adjacent transpositions, plus zeta when m > 1.
+    assert len(gens) == params.n - 1 + (params.m > 1)
+    assert etable.conj.shape == (len(gens), params.order)
+    for k, v in enumerate(gens):
+        images = [etable.elements[j] for j in etable.conj[k]]
+        assert images == [conjugate(g, v, params) for g in etable.elements]
+
+
+@pytest.mark.parametrize("params", ACTION_GROUPS, ids=str)
+def test_class_ids_group_elements_by_class_key(params):
+    etable, _ = build_tables(params)
+    keys = [cycle_data(g, params).class_key for g in etable.elements]
+    key_of_class = {}
+    for c, key in zip(etable.class_ids.tolist(), keys):
+        assert key_of_class.setdefault(c, key) == key
+    assert len(set(key_of_class.values())) == len(key_of_class)
+    assert etable.class_sizes.tolist() == [
+        keys.count(key_of_class[c]) for c in range(len(key_of_class))
+    ]
+
+
+@pytest.mark.parametrize("params", ACTION_GROUPS, ids=str)
+def test_subgroup_orbits_under_conjugation(params):
+    etable, stable = build_tables(params)
+    count = len(stable.members)
+    assert sum(len(orbit) for orbit in stable.orbits) == count
+    assert sorted(s for orbit in stable.orbits for s in orbit) == list(range(count))
+    assert stable.act.shape == (len(etable.conj), count)
+    orbit_of = {s: i for i, orbit in enumerate(stable.orbits) for s in orbit}
+    for k, row in enumerate(stable.act):
+        assert sorted(row.tolist()) == list(range(count))
+        for s, image in enumerate(row.tolist()):
+            assert orbit_of[image] == orbit_of[s]
+            expected = np.sort(etable.conj[k][stable.members[s]])
+            assert np.array_equal(stable.members[image], expected)
+    for orbit in stable.orbits:
+        assert len({stable.mobius[s] for s in orbit}) == 1
+        assert len({len(stable.members[s]) for s in orbit}) == 1
+    # The top and the trivial subgroup are fixed by conjugation.
+    assert [stable.full_index] in stable.orbits
+    assert [stable.trivial_index] in stable.orbits
+
+
+@pytest.mark.parametrize("m, p, n", [(2, 1, 4), (6, 3, 3), (3, 3, 4), (1, 1, 5)])
+def test_join_is_the_least_subgroup_above(m, p, n):
+    # Conjugates' rows are transported, not closed: check every entry.
+    _, stable = build_tables(GroupParams(m, p, n))
+    masks = stable.masks
+    for s, row in enumerate(stable.join):
+        for ri, target in enumerate(row):
+            need = masks[s] | 1 << ri
+            assert masks[target] & need == need
+            for other in masks:
+                if other & need == need:
+                    assert other & masks[target] == masks[target]
+
+
+@pytest.mark.parametrize("m, p, n", [(1, 1, 4), (2, 1, 3), (4, 2, 3), (3, 3, 3)])
+def test_orbit_sweep_raises_on_a_wrong_class_size(m, p, n):
+    # An explicit raise, so it also guards under python -O.
+    params = GroupParams(m, p, n)
+    etable, stable = build_tables(params)
+    assert stable.mobius[stable.trivial_index] != 0
+    sizes = etable.class_sizes.copy()
+    sizes[etable.class_ids[etable.identity_index]] += 1
+    mutant = dataclasses.replace(etable, class_sizes=sizes)
+    with pytest.raises(AssertionError, match="class sizes"):
+        oracle._orbit_sweep(mutant, stable, 4)
+    oracle._orbit_sweep(etable, stable, 4)
 
 
 def test_mobius_of_trivial_subgroup_in_symmetric_groups():
