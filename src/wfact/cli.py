@@ -30,8 +30,8 @@ from pathlib import Path
 from .errors import CapabilityError
 from .factorizations import (
     KEY_CACHE_SIZE,
+    closed_lowest_order,
     full_length,
-    lead_coeff,
     lead_from_phi,
     phi_data,
     phi_data_by_key,
@@ -151,8 +151,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     g = _element_from_args(params, args)
     key = series_key(params, g)
     phi, ell_from_phi, _ = phi_data_by_key(key)
-    ell = full_length(params, g)
-    lead = lead_coeff(params, g)
+    ell, lead = closed_lowest_order(*key)
     # phi = #W * X^#A * series / (X-1)^ell, so this is lowest_order(series)
     order_check = (ell_from_phi, lead_from_phi(phi, params.order, ell_from_phi))
     if order_check != (ell, lead):
@@ -166,7 +165,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     if top_len < 0:
         raise UsageError("--prefix-len must be nonnegative")
     # The body's ell_full and lead_coeff come from phi; the check above has
-    # just shown them equal to this element's case analysis.
+    # just shown them equal to the key's case analysis.
     body = _series_body(key, top_len)
     head = _json_items({"group": str(params), "element": element_to_json(g, params)})
     print("{\n" + head + ",\n" + body + "\n}")

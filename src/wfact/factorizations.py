@@ -5,24 +5,26 @@ into a cyclic-group series (driven by the element's total color) times a
 Möbius-weighted combination of symmetric-group full series in rescaled
 arguments (driven by the gcd d of the cycle colors with p).  From the series
 one reads the minimum full factorization length and the count of
-minimum-length factorizations; both also have direct closed forms (the
-four-case length formula and the Hurwitz-number leading coefficients), which
-are computed here from cycle data alone so series-vs-formula comparisons are
-genuine two-route checks.
+minimum-length factorizations; both also have direct closed forms (one case
+split on m = p, d and a over genus-0 and genus-1 Hurwitz numbers), which
+are computed here from the class key alone so series-vs-formula comparisons
+are genuine two-route checks.
 
 The series depends on g only through its class key (λ, d, a): the cycle
 type, the gcd of the cycle colors with p and the order of g's color in the
-cyclic quotient.  ``series_full`` and ``phi_data`` therefore compute each
-key once per process, in bounded LRU caches; ``series_key`` names the key, so
-callers can cache what they derive from it.  ``series_full_factored``,
-``full_length`` and ``lead_coeff`` read no cache, so they stay second routes.
+cyclic quotient.  ``phi_data_by_key`` therefore computes each key's
+(phi, ell, series) once per process, in one bounded LRU cache that
+``series_full`` and ``phi_data`` read; ``series_key`` names the key, so
+callers can cache what they derive from it.  ``closed_lowest_order``,
+``full_length``, ``lead_coeff`` and ``series_full_factored`` read no cache,
+so they stay second routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .cyclic import cyclic_element_order, cyclic_full_series
 from .errors import CapabilityError
@@ -43,6 +45,7 @@ __all__ = [
     "phi_data",
     "phi_data_by_key",
     "series_key",
+    "closed_lowest_order",
     "WINDOW_GUARD",
 ]
 
@@ -59,10 +62,10 @@ def series_window(params: GroupParams) -> tuple[int, int]:
 # 0.1 s and prints about 0.3 MB.
 WINDOW_GUARD = 4096
 
-# Entries per key cache.  At the window guard one key's series holds at
-# most ~150 KB and its (phi, ell) ~230 KB (G(22,11,14), width 4032: 148 KB
-# and 227 KB), so the two caches here stay under ~39 MB and ~59 MB in a
-# long-lived process.  `wfact series` keeps a third cache of this size, of
+# Entries in the key cache.  At the window guard one key's record
+# (phi, ell, series) holds at most ~380 KB (G(22,11,14), width 4032: 148 KB
+# of series and 227 KB of phi), so the cache stays under ~95 MB in a
+# long-lived process.  `wfact series` keeps a second cache of this size, of
 # rendered JSON bodies: ~330 KB at the guard with the default --prefix-len
 # (326 KB there), so under ~85 MB more.
 KEY_CACHE_SIZE = 256
@@ -127,28 +130,19 @@ def series_key(params: GroupParams, g: Element) -> tuple:
 
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
-def _series_by_key(
-    params: GroupParams, partition: tuple[int, ...], d: int, a: int
-) -> LaurentPoly:
-    """series_full for every element with cycle type partition and this d and a.
+def phi_data_by_key(key: tuple) -> tuple[LaurentPoly, int, LaurentPoly]:
+    """(phi, ell, series) of every element whose series_key is key.
 
     The color's image in the cyclic quotient has order m/gcd(wt, m) = m/(a p).
     """
+    params, partition, d, a = key
     n, m = params.n, params.m
-    cyc = cyclic_full_series(m // params.p, m // (a * params.p))
-    if n == 1:
-        return cyc
-    body = _moebius_sum(n, partition, d, m)
-    return (cyc.substitute_power(n) * body).scale(Fraction(1, m ** (n - 1)))
-
-
-@lru_cache(maxsize=KEY_CACHE_SIZE)
-def _phi_by_key(
-    params: GroupParams, partition: tuple[int, ...], d: int, a: int
-) -> tuple[LaurentPoly, int]:
-    """(phi, ell) of the series of _series_by_key for the same key."""
-    series = _series_by_key(params, partition, d, a)
-    return extract_phi(series, params.order, params.num_hyperplanes)
+    series = cyclic_full_series(m // params.p, m // (a * params.p))
+    if n > 1:
+        body = _moebius_sum(n, partition, d, m)
+        series = (series.substitute_power(n) * body).scale(Fraction(1, m ** (n - 1)))
+    phi, ell = extract_phi(series, params.order, params.num_hyperplanes)
+    return phi, ell, series
 
 
 def series_full(params: GroupParams, g: Element) -> LaurentPoly:
@@ -158,9 +152,9 @@ def series_full(params: GroupParams, g: Element) -> LaurentPoly:
     Sum_{r | d} moebius(r) r^(n+k-2) S_lambda(z -> (m/r) z).
     For p = m the cyclic factor is the trivial series 1; for n = 1 the whole
     group is cyclic and the series is exactly the cyclic factor.  Computed
-    once per class key (λ, d, a) and kept in a bounded cache.
+    once per class key (λ, d, a), with its (phi, ell), in phi_data_by_key.
     """
-    return _series_by_key(*series_key(params, g))
+    return phi_data_by_key(series_key(params, g))[2]
 
 
 def series_full_factored(params: GroupParams, g: Element) -> LaurentPoly:
@@ -184,66 +178,52 @@ def series_full_factored(params: GroupParams, g: Element) -> LaurentPoly:
     return (inner * cyc).scale(Fraction(1, (m // p) ** (n - 1)))
 
 
-def _color_gcd(params: GroupParams, cd: CycleData) -> int:
-    """The d of the case split: G(p,p,1) is trivial, so for n = 1 it is 1."""
-    return 1 if params.n == 1 else cd.d
+def closed_lowest_order(
+    params: GroupParams, partition: tuple[int, ...], d: int, a: int
+) -> tuple[int, Fraction]:
+    """(ell, lead) of the class key by the closed forms.
+
+    ell is the minimum full factorization length and lead the number of
+    full factorizations of that length.  One case split on (m = p), d and
+    a, with k = len(λ); G(p,p,1) is trivial, so d counts as 1 when n = 1.
+    From
+        d = 1:   ell0 = n+k-2, X = H_0(λ);
+        d != 1:  ell0 = n+k,   X = m^2 J_2(d)/d^2 H_1(λ),
+    m = p gives (ell0, m^(k-1) X); a = 1 gives ell = ell0+1 and
+    n ell m^(k-1) X; otherwise ell = ell0+2 and
+    n^2 C(ell,2) m^k phi(a)/(p a) X.  Exact and checked integral.  Reads no
+    cache, so it stays a second route to the series' lowest order.
+    """
+    n, m, p, k = params.n, params.m, params.p, len(partition)
+    if d == 1 or n == 1:
+        ell, x = n + k - 2, hurwitz_h0(partition)
+    else:
+        ell, x = n + k, Fraction(m * m * jordan_j2(d), d * d) * hurwitz_h1(partition)
+    if m == p:
+        lead = m ** (k - 1) * x
+    elif a == 1:
+        ell += 1
+        lead = n * ell * m ** (k - 1) * x
+    else:
+        ell += 2
+        lead = n * n * comb(ell, 2) * m**k * Fraction(euler_phi(a), p * a) * x
+    if lead.denominator != 1:
+        raise AssertionError(
+            f"leading count non-integral for {params}, key {(partition, d, a)}: {lead}"
+        )
+    return ell, lead
 
 
 def full_length(params: GroupParams, g: Element) -> int:
-    """Minimum length of a full reflection factorization of g.
-
-    Case split on (m = p), d, a from the cycle data:
-    m = p:  n+k-2 if d = 1, else n+k;
-    m != p: n+k-1 (a=1, d=1), n+k (a!=1, d=1), n+k+1 (a=1, d!=1),
-            n+k+2 (a!=1, d!=1).
-    """
+    """Minimum length of a full reflection factorization of g (closed_lowest_order)."""
     cd = cycle_data(g, params)
-    n, k, d = params.n, cd.k, _color_gcd(params, cd)
-    if params.m == params.p:
-        return n + k - 2 if d == 1 else n + k
-    if d == 1:
-        return n + k - 1 if cd.a == 1 else n + k
-    return n + k + 1 if cd.a == 1 else n + k + 2
+    return closed_lowest_order(params, cd.partition, cd.d, cd.a)[0]
 
 
 def lead_coeff(params: GroupParams, g: Element) -> Fraction:
-    """Count of minimum-length full factorizations of g, by the closed forms.
-
-    Hurwitz numbers of the underlying cycle type scaled by explicit factors
-    of m, n, k, Euler phi and the second Jordan totient; the case split
-    mirrors full_length.  Exact and checked integral.
-    """
+    """Count of minimum-length full factorizations of g (closed_lowest_order)."""
     cd = cycle_data(g, params)
-    n, m, p, k, d = params.n, params.m, params.p, cd.k, _color_gcd(params, cd)
-    shape = cd.partition
-    if m == p:
-        if d == 1:
-            value = Fraction(m ** (k - 1)) * hurwitz_h0(shape)
-        else:
-            value = Fraction(m ** (k + 1) * jordan_j2(d), d**2) * hurwitz_h1(shape)
-    elif d == 1:
-        if cd.a == 1:
-            value = Fraction(n * (n + k - 1) * m ** (k - 1)) * hurwitz_h0(shape)
-        else:
-            value = (
-                Fraction(n * n * (n + k) * (n + k - 1) * m**k, 2)
-                * Fraction(euler_phi(cd.a), p * cd.a)
-                * hurwitz_h0(shape)
-            )
-    else:
-        jfactor = Fraction(jordan_j2(d), d**2)
-        if cd.a == 1:
-            value = Fraction(n * (n + k + 1) * m ** (k + 1)) * jfactor * hurwitz_h1(shape)
-        else:
-            value = (
-                Fraction(n * n * (n + k + 2) * (n + k + 1) * m ** (k + 2), 2)
-                * Fraction(euler_phi(cd.a), p * cd.a)
-                * jfactor
-                * hurwitz_h1(shape)
-            )
-    if value.denominator != 1:
-        raise AssertionError(f"leading count non-integral for {g}: {value}")
-    return value
+    return closed_lowest_order(params, cd.partition, cd.d, cd.a)[1]
 
 
 def lead_from_phi(phi: LaurentPoly, group_order: int, ell: int) -> Fraction:
@@ -260,9 +240,3 @@ def phi_data(params: GroupParams, g: Element) -> tuple[LaurentPoly, int, Laurent
     Like the series, (phi, ell) is computed once per class key.
     """
     return phi_data_by_key(series_key(params, g))
-
-
-def phi_data_by_key(key: tuple) -> tuple[LaurentPoly, int, LaurentPoly]:
-    """phi_data of every element whose series_key is key."""
-    phi, ell = _phi_by_key(*key)
-    return phi, ell, _series_by_key(*key)

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wfact import cli
+from wfact import cli, factorizations, groups
 from wfact.cli import main
 from wfact.factorizations import (
     KEY_CACHE_SIZE,
@@ -129,10 +130,21 @@ def test_series_rank_one_with_p_above_one(capsys):
     assert (doc["ell_full"], doc["lead_coeff"]) == (1, "1/1")
 
 
-@pytest.mark.parametrize("name", ["lead_coeff", "full_length"])
-def test_series_consistency_failure_exits_1(capsys, monkeypatch, name):
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda params, g: real(params, g) + 1)
+def _perturb_closed_form(monkeypatch, which):
+    """Make the case analysis of `wfact series` return ell + 1 or lead + 1."""
+    real = cli.closed_lowest_order
+
+    def perturbed(*key):
+        got = list(real(*key))
+        got[which] += 1
+        return tuple(got)
+
+    monkeypatch.setattr(cli, "closed_lowest_order", perturbed)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["ell", "lead"])
+def test_series_consistency_failure_exits_1(capsys, monkeypatch, which):
+    _perturb_closed_form(monkeypatch, which)
     code, out, err = run(capsys, "series", "--m", "2", "--p", "1", "--n", "3")
     assert code == 1
     assert "internal consistency failure" in err
@@ -319,18 +331,43 @@ def test_series_stdout_matches_one_dump_of_the_document(capsys, m, p, n, prefix_
         assert cli._series_body.cache_info().hits == hits + 1
 
 
-@pytest.mark.parametrize("name", ["lead_coeff", "full_length"])
-def test_series_consistency_failure_exits_1_on_a_cache_hit(capsys, monkeypatch, name):
+@pytest.mark.parametrize("which", [0, 1], ids=["ell", "lead"])
+def test_series_consistency_failure_exits_1_on_a_cache_hit(capsys, monkeypatch, which):
     cli._series_body.cache_clear()
     argv = ("series", "--m", "2", "--p", "1", "--n", "3")
     assert run(capsys, *argv)[0] == 0
     assert cli._series_body.cache_info().currsize == 1
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda params, g: real(params, g) + 1)
+    _perturb_closed_form(monkeypatch, which)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "internal consistency failure" in err
     assert out == ""
+
+
+def test_series_reads_the_cycle_data_once_per_call(capsys, monkeypatch):
+    # parse_element validates the element and series_key's cycle_data
+    # validates it again; the case analysis then reads the key alone.
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        factorizations, "cycle_data", counting("cycle_data", factorizations.cycle_data)
+    )
+    monkeypatch.setattr(
+        groups, "validate_element", counting("validate_element", groups.validate_element)
+    )
+    cli._series_body.cache_clear()
+    factorizations.phi_data_by_key.cache_clear()
+    argv = ("series", "--m", "4", "--p", "2", "--n", "6", "--cycles", "(2,1),(3,1),(1,0)")
+    for _ in range(2):  # cold, then a cache hit
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == {"cycle_data": 1, "validate_element": 2}
 
 
 def test_series_prefix_len_past_int_limit_exits_2_with_the_key_cached(capsys):
@@ -403,6 +440,25 @@ def test_oracle_verify_capability_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle-verify", "--m", "3", "--p", "1", "--n", "2")
     assert code == 3
     assert "WFACT_CAP_W" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--m", "5000", "--p", "1", "--n", "1"),
+        ("--m", "1000", "--p", "1", "--n", "1"),
+        ("--m", "2", "--p", "1", "--n", "3", "--max-len", "20000"),
+    ],
+    ids=["G(5000,1,1)", "G(1000,1,1)", "max-len-20000"],
+)
+def test_oracle_verify_past_a_size_guard_exits_3_at_once(capsys, argv):
+    # G(5000,1,1) meets the series window guard first; the other two pass it
+    # and meet the walk guard.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle-verify", *argv)
+    assert (code, out) == (3, "")
+    assert "capability limit" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_oracle_verify_negative_max_len(capsys):

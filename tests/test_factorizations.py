@@ -1,8 +1,9 @@
 """Main pipeline: full series, minimum lengths, leading counts, core polynomials."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,8 @@ from wfact.groups import (
 from wfact.laurent import LaurentPoly, extract_phi, lowest_order
 from wfact.numtheory import divisors, jordan_j2, moebius
 from wfact.oracle import class_representatives, count_factorizations
-from wfact.symmetric import full_series_sn
+from wfact.partitions import integer_partitions
+from wfact.symmetric import full_series_sn, full_series_sn_type
 
 F = Fraction
 
@@ -343,8 +345,30 @@ def class_weighted_full_sum(params: GroupParams) -> LaurentPoly:
     G(m,p,1) with p > 1 is the cyclic group of order m/p, not empty, so the
     identity needs n >= 2 or p = 1.
     """
+    return _generating_sequences(params, connected_edge_series(params.n))
+
+
+def type_weighted_full_sum(params: GroupParams, partition: tuple[int, ...]) -> LaurentPoly:
+    """Sum over the g in G(m,p,n) of cycle type λ of the full series of g.
+
+    class_weighted_full_sum with C_n(X) replaced by (n!/z_λ) F_λ(X), where
+    F_λ is the S_n full series of one permutation of type λ.  The product of
+    a reflection sequence has as its underlying permutation the product of
+    the sequence's transpositions (diagonal reflections add none), and the
+    colorings counted there do not change that permutation.  So keeping the
+    products of type λ keeps, among the connected edge sequences, those
+    whose product has type λ, and the n!/z_λ permutations of type λ each
+    contribute F_λ.  Needs n >= 2, as the class-weighted identity does.
+    """
+    counts = Counter(partition)
+    z = prod(part**count * factorial(count) for part, count in counts.items())
+    typed = full_series_sn_type(partition).scale(factorial(params.n) // z)
+    return _generating_sequences(params, typed)
+
+
+def _generating_sequences(params: GroupParams, connected: LaurentPoly) -> LaurentPoly:
+    """The two factors of class_weighted_full_sum, with C_n given as connected."""
     m, p, n = params.m, params.p, params.n
-    connected = connected_edge_series(n)
     graphs = LaurentPoly.zero()
     for d in divisors(m):
         if gcd(d, p) != 1:
@@ -380,6 +404,29 @@ def test_series_summed_over_the_group_matches_the_class_weighted_identity(params
     assert total == class_weighted_full_sum(params)
 
 
+# 2 <= n <= 4, p = 1, 1 < p < m and p = m, and m with square factors (4, 8,
+# 12) so that the Moebius sums over d | d' | m and p | e | m are not trivial.
+TYPE_ANCHOR_GROUPS = [
+    GroupParams(*mpn)
+    for mpn in [
+        (2, 1, 2), (2, 2, 4), (3, 1, 3), (3, 3, 4), (4, 2, 3), (4, 4, 3), (4, 2, 4),
+        (6, 1, 2), (6, 2, 3), (6, 3, 3), (6, 6, 3), (8, 1, 3), (12, 4, 2), (12, 6, 3),
+        (12, 12, 2),
+    ]
+]
+
+
+@pytest.mark.parametrize("params", TYPE_ANCHOR_GROUPS, ids=str)
+def test_series_summed_over_each_cycle_type_matches_the_type_weighted_identity(params):
+    totals = {}
+    for g in all_elements(params):
+        partition = cycle_data(g, params).partition
+        totals[partition] = totals.get(partition, LaurentPoly.zero()) + series_full(params, g)
+    assert sorted(totals) == sorted(integer_partitions(params.n))
+    for partition, total in totals.items():
+        assert total == type_weighted_full_sum(params, partition), partition
+
+
 def test_connected_edge_series_counts_spanning_trees():
     # Cayley: no sequence of fewer than n-1 edges connects n vertices, and
     # the n^(n-2) spanning trees come in (n-1)! edge orders each.
@@ -400,18 +447,17 @@ PER_ELEMENT_GROUPS = [
 def test_series_full_matches_the_oracle_on_every_element():
     # The key cache's premise: the series of g depends on its key (λ, d, a)
     # alone.  Checked on every element, not only the class representatives.
-    factorizations._series_by_key.cache_clear()
+    factorizations.phi_data_by_key.cache_clear()
     for params in PER_ELEMENT_GROUPS:
         top = params.num_reflections + 2
         for g in all_elements(params):
             expected = count_factorizations(params, g, top, mode="full")
             assert series_full(params, g).egf_prefix(top) == expected, (params, g)
-    assert factorizations._series_by_key.cache_info().hits > 0
+    assert factorizations.phi_data_by_key.cache_info().hits > 0
 
 
-@pytest.mark.parametrize("cached", ["_series_by_key", "_phi_by_key"])
-def test_key_caches_stay_at_their_bound(cached):
-    cache = getattr(factorizations, cached)
+def test_key_cache_stays_at_its_bound():
+    cache = factorizations.phi_data_by_key
     cache.cache_clear()
     bound = factorizations.KEY_CACHE_SIZE
     for m in range(1, bound + 11):  # one key per group G(m,1,1)
@@ -421,18 +467,14 @@ def test_key_caches_stay_at_their_bound(cached):
     assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 10)
 
 
-def test_uncached_routes_leave_the_key_caches_alone():
-    factorizations._series_by_key.cache_clear()
-    factorizations._phi_by_key.cache_clear()
+def test_uncached_routes_leave_the_key_cache_alone():
+    factorizations.phi_data_by_key.cache_clear()
     params = GroupParams(4, 2, 3)
     for g in class_representatives(params):
         series_full_factored(params, g)
         full_length(params, g)
         lead_coeff(params, g)
-    assert factorizations._series_by_key.cache_info().currsize == 0
-    assert factorizations._phi_by_key.cache_info().currsize == 0
-    series_full(params, identity(params))
-    assert factorizations._phi_by_key.cache_info().currsize == 0  # no extract_phi
+    assert factorizations.phi_data_by_key.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- class invariance

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from collections import Counter
 from itertools import combinations, product
 from math import factorial
@@ -99,6 +100,34 @@ def test_cap_via_environment(monkeypatch):
 def test_default_cap_rejects_large_group():
     with pytest.raises(CapabilityError):
         build_tables(GroupParams(6, 1, 4))  # order 31104 > 5000
+
+
+# (n_max + 1)^2 * #R * #W: 6.3e14, 1.0e12 and 1.7e11, all inside the order
+# cap; G(1000,1,1) is inside the series window guard too.
+@pytest.mark.parametrize(
+    "m, p, n, n_max", [(5000, 1, 1, 5001), (1000, 1, 1, 1002), (2, 1, 3, 20000)]
+)
+def test_walk_guard_refuses_before_any_table_is_built(m, p, n, n_max):
+    params = GroupParams(m, p, n)
+    misses = oracle._tables.cache_info().misses
+    start = time.perf_counter()
+    for count in (
+        lambda: count_factorizations(params, identity(params), n_max, mode="full"),
+        lambda: sweep_counts(params, n_max),
+    ):
+        with pytest.raises(CapabilityError, match="past the guard"):
+            count()
+    assert time.perf_counter() - start < 1
+    assert oracle._tables.cache_info().misses == misses
+
+
+def test_walk_guard_admits_the_widest_benchmark_walk():
+    params = GroupParams(2, 1, 5)
+    width = params.num_hyperplanes + params.num_reflections + 1
+    size = (width + 2) ** 2 * params.num_reflections * params.order
+    assert 2 * 10**8 < size <= oracle.WALK_GUARD
+    g = Element((2, 3, 1, 5, 4), (1, 0, 0, 0, 1))
+    assert oracle_series(params, g) == series_full(params, g)
 
 
 # ---------------------------------------------------------------- counting
