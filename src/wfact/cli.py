@@ -110,9 +110,11 @@ def _json_items(fields: dict) -> str:
 def _series_body(key: tuple, top_len: int) -> str:
     """Every field of the `wfact series` document after "element", rendered.
 
-    They depend on g only through its series key, so each (key, top_len) is
-    rendered once.  The UsageError for counts too long to print is raised
-    again on each call: lru_cache keeps no exceptions.
+    They depend on g only through its series key, so each key's body at the
+    default prefix length is rendered once.  An explicit --prefix-len is
+    rendered through ``__wrapped__``, past the cache.  The UsageError for
+    counts too long to print is raised again on each call: lru_cache keeps
+    no exceptions.
     """
     params = key[0]
     phi, ell, series = phi_data_by_key(key)
@@ -161,12 +163,15 @@ def cmd_series(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    top_len = args.prefix_len if args.prefix_len is not None else ell + 4
-    if top_len < 0:
-        raise UsageError("--prefix-len must be nonnegative")
     # The body's ell_full and lead_coeff come from phi; the check above has
     # just shown them equal to the key's case analysis.
-    body = _series_body(key, top_len)
+    if args.prefix_len is None:
+        body = _series_body(key, ell + 4)
+    elif args.prefix_len < 0:
+        raise UsageError("--prefix-len must be nonnegative")
+    else:
+        # A body grows with its prefix, so an explicit one is not cached.
+        body = _series_body.__wrapped__(key, args.prefix_len)
     head = _json_items({"group": str(params), "element": element_to_json(g, params)})
     print("{\n" + head + ",\n" + body + "\n}")
     return 0
@@ -174,12 +179,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     params = _group_params(args.m, args.p, args.n)
-    explicit = getattr(args, "cycles", None) is not None or (
-        getattr(args, "element", None) is not None
-    )
-    if explicit and args.all_classes:
-        raise UsageError("--all-classes conflicts with --cycles/--element")
-    if explicit:
+    if args.cycles is not None or args.element is not None:
         targets = [_element_from_args(params, args)]
     else:
         targets = class_representatives(params)
@@ -455,11 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="largest factorization length to compare (default: window end + 2)",
-    )
-    p_verify.add_argument(
-        "--all-classes",
-        action="store_true",
-        help="check one representative per conjugacy class (default when no element given)",
     )
     p_verify.add_argument(
         "--self-test-corrupt", action="store_true", help=argparse.SUPPRESS

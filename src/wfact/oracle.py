@@ -31,7 +31,6 @@ certify the closed-form pipeline, never to replace it.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,8 +54,8 @@ from .laurent import LaurentPoly, laurent_from_egf
 from .partitions import integer_partitions
 
 __all__ = [
-    "DEFAULT_CAP_W",
     "CAP_SUBGROUPS",
+    "TABLE_GUARD",
     "WALK_GUARD",
     "ElementTable",
     "SubgroupTable",
@@ -70,8 +69,14 @@ __all__ = [
     "generates_by_closure",
 ]
 
-DEFAULT_CAP_W = 5000
 CAP_SUBGROUPS = 20000
+# #W * #R, the cells of the reflection-column multiplication table; the
+# lattice closures grow with it.  In process (Python 3.11, one core of a
+# Xeon), build_tables took 0.09 s on G(2,1,5) (96,000 cells, the widest
+# group the tests and the benchmark use), 0.11 s on G(1,1,7) (105,840),
+# 0.10 s on G(8,1,3) (138,240), 0.52 s on G(400,1,1) (159,600) and 0.86 s on
+# G(447,1,1) (199,362); oracle-verify ran 48 s on G(4000,1,1) (1.6e7 cells).
+TABLE_GUARD = 2 * 10**5
 # A sweep to depth n_max holds (n_max + 1) * #W ints of up to ~n_max bits
 # and adds #R of its rows per length, so its time and memory grow about as
 # (n_max + 1)^2 * #R * #W.  The benchmark's widest walk, G(2,1,5) to depth
@@ -80,28 +85,15 @@ CAP_SUBGROUPS = 20000
 # (Python 3.11, one core of a Xeon); G(5000,1,1) at its default depth is
 # 6e14.
 WALK_GUARD = 10**9
-_CAP_ENV = "WFACT_CAP_W"
 
 
-def _cap_w() -> int:
-    raw = os.environ.get(_CAP_ENV, "")
-    if raw.strip():
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
-    return DEFAULT_CAP_W
-
-
-def _check_cap(params: GroupParams) -> int:
-    """The oracle cap on the group order; CapabilityError above it."""
-    cap = _cap_w()
-    if params.order > cap:
+def _check_table_guard(params: GroupParams) -> None:
+    cells = params.order * params.num_reflections
+    if cells > TABLE_GUARD:
         raise CapabilityError(
-            f"{params} has order {params.order}, above the oracle cap {cap} "
-            f"(override with the {_CAP_ENV} environment variable)"
+            f"{params} has a table of #W * #R = {cells:.3g} cells, "
+            f"past the guard {TABLE_GUARD:.0e}"
         )
-    return cap
 
 
 @dataclass
@@ -162,22 +154,11 @@ def clear_caches() -> None:
     """Drop every cached table and count sweep.
 
     The tables keep the 8 most recently used groups and the sweeps the 8
-    most recently used (group, depth) pairs; ``_tables.cache_info()`` and
-    ``_sweep.cache_info()`` report their hits and misses.
+    most recently used (group, depth) pairs; ``build_tables.cache_info()``
+    and ``sweep_counts.cache_info()`` report their hits and misses.
     """
-    _tables.cache_clear()
-    _sweep.cache_clear()
-
-
-def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
-    """Element and subgroup tables for the group, cached per group.
-
-    Guards: group order above the cap (default 5000, env WFACT_CAP_W) or
-    more than 20000 subgroups raise CapabilityError.  The cap is checked on
-    every call, cached or not.
-    """
-    _check_cap(params)
-    return _tables(params)
+    build_tables.cache_clear()
+    sweep_counts.cache_clear()
 
 
 def _normalizer_generators(params: GroupParams) -> list[Element]:
@@ -214,7 +195,13 @@ def _orbit_ids(conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=_CACHE_GROUPS)
-def _tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
+def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
+    """Element and subgroup tables for the group, cached per group.
+
+    Guards: more than TABLE_GUARD cells #W * #R, checked before any work,
+    or more than CAP_SUBGROUPS subgroups raise CapabilityError.
+    """
+    _check_table_guard(params)
     elements = list(all_elements(params))
     if len(elements) != params.order:
         raise AssertionError(
@@ -408,6 +395,7 @@ def _walk(
     return walk
 
 
+@lru_cache(maxsize=_CACHE_GROUPS)
 def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(all_counts, full_counts): per length N <= n_max, per element index.
 
@@ -419,23 +407,17 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
     times the walk inside H.  The H = W term is the "all" walk itself; the
     others are summed one V-orbit at a time (see ``_orbit_sweep``).
     One sweep serves every element of the group.  Entries are Python ints.
-    Cached per (group, n_max); the order cap and WALK_GUARD are checked on
-    every call, before any table is built.
+    Cached per (group, n_max); WALK_GUARD is checked before any table is
+    built, and build_tables checks TABLE_GUARD.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    _check_cap(params)
     size = (n_max + 1) ** 2 * params.num_reflections * params.order
     if size > WALK_GUARD:
         raise CapabilityError(
             f"a walk of {params} to length {n_max} has size "
             f"(n_max + 1)^2 * #R * #W = {size:.3g}, past the guard {WALK_GUARD:.0e}"
         )
-    return _sweep(params, n_max)
-
-
-@lru_cache(maxsize=_CACHE_GROUPS)
-def _sweep(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return _orbit_sweep(*build_tables(params), n_max)
 
 
@@ -520,9 +502,9 @@ def class_representatives(params: GroupParams) -> list[Element]:
     of n without touching the group: each part length of multiplicity c
     takes a multiset of c colors, and a key belongs to G(m,p,n) when its
     colors sum to 0 mod p.  Each representative is the canonical element
-    with those cycles.
+    with those cycles.  TABLE_GUARD is checked first, as in build_tables.
     """
-    _check_cap(params)
+    _check_table_guard(params)
     keys = []
     for partition in integer_partitions(params.n):
         blocks = [

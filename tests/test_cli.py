@@ -315,7 +315,8 @@ def _element_arg(g):
 def test_series_stdout_matches_one_dump_of_the_document(capsys, m, p, n, prefix_len):
     # Every class runs twice: once as it comes (a miss unless an earlier
     # class shared its key) and then as another conjugate, which must hit
-    # the rendered-body cache and still print its own element.
+    # the rendered-body cache at the default prefix and still print its own
+    # element.  An explicit prefix is rendered past the cache.
     params = GroupParams(m, p, n)
     cli._series_body.cache_clear()
     extra = [] if prefix_len is None else ["--prefix-len", str(prefix_len)]
@@ -328,7 +329,10 @@ def test_series_stdout_matches_one_dump_of_the_document(capsys, m, p, n, prefix_
             )
             assert code == 0
             assert out == _old_series_stdout(params, element, prefix_len), element
-        assert cli._series_body.cache_info().hits == hits + 1
+        if prefix_len is None:
+            assert cli._series_body.cache_info().hits == hits + 1
+    if prefix_len is not None:
+        assert cli._series_body.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["ell", "lead"])
@@ -380,6 +384,18 @@ def test_series_prefix_len_past_int_limit_exits_2_with_the_key_cached(capsys):
         assert out == ""
         assert "--prefix-len 8000" in err and "4300 digits" in err
     assert cli._series_body.cache_info().currsize == 1
+
+
+def test_series_explicit_prefixes_leave_the_body_cache_alone(capsys):
+    # More explicit prefixes than the cache has entries: none is cached.
+    cli._series_body.cache_clear()
+    argv = ("series", "--m", "2", "--p", "1", "--n", "2")
+    assert run(capsys, *argv)[0] == 0
+    before = cli._series_body.cache_info()
+    for prefix_len in range(300):
+        assert run(capsys, *argv, "--prefix-len", str(prefix_len))[0] == 0
+    after = cli._series_body.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses) == (1, 1)
 
 
 def test_series_body_cache_stays_at_its_bound(capsys):
@@ -435,11 +451,15 @@ def test_oracle_verify_corrupt_hook_below_full_length(capsys):
     assert "MISMATCH" in err and "length=0" in err
 
 
-def test_oracle_verify_capability_cap(capsys, monkeypatch):
-    monkeypatch.setenv("WFACT_CAP_W", "4")
-    code, _, err = run(capsys, "oracle-verify", "--m", "3", "--p", "1", "--n", "2")
-    assert code == 3
-    assert "WFACT_CAP_W" in err
+def test_oracle_verify_capability_cap(capsys):
+    # G(4000,1,1) has 1.6e7 table cells, far past the table guard.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "oracle-verify", "--m", "4000", "--p", "1", "--n", "1", "--max-len", "0"
+    )
+    assert (code, out) == (3, "")
+    assert "past the guard" in err
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
@@ -452,8 +472,8 @@ def test_oracle_verify_capability_cap(capsys, monkeypatch):
     ids=["G(5000,1,1)", "G(1000,1,1)", "max-len-20000"],
 )
 def test_oracle_verify_past_a_size_guard_exits_3_at_once(capsys, argv):
-    # G(5000,1,1) meets the series window guard first; the other two pass it
-    # and meet the walk guard.
+    # G(5000,1,1) and G(1000,1,1) meet the table guard when their classes
+    # are listed; G(2,1,3) passes it and meets the walk guard.
     start = time.perf_counter()
     code, out, err = run(capsys, "oracle-verify", *argv)
     assert (code, out) == (3, "")
@@ -467,15 +487,6 @@ def test_oracle_verify_negative_max_len(capsys):
     )
     assert (code, out) == (2, "")
     assert "--max-len must be nonnegative" in err
-
-
-def test_oracle_verify_flag_conflict(capsys):
-    code, _, err = run(
-        capsys, "oracle-verify", "--m", "2", "--p", "2", "--n", "2",
-        "--cycles", "(2,1)", "--all-classes",
-    )
-    assert code == 2
-    assert err
 
 
 # ---------------------------------------------------------------- roots
@@ -826,10 +837,9 @@ def test_series_exit_code_contract(argv):
 @st.composite
 def _oracle_verify_argv(draw):
     group, element = draw(_group_and_element(4, 4))
-    extra = ["--all-classes"] if _sometimes(draw, 4) else []
     return (
         ["oracle-verify"] + _group_flags(group, draw) + element
-        + _int_flag(draw, "--max-len", -3, 12) + extra
+        + _int_flag(draw, "--max-len", -3, 12)
     )
 
 

@@ -554,8 +554,8 @@ def _core(name):
     return phi
 
 
-# S_14 is the largest identity core that ``--phi-from`` reaches under the
-# default group-order guard.
+# S_14 is the largest identity core that ``--phi-from`` reaches under
+# FULL_GUARD, the symmetric-group series guard.
 CORES = list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 15)]
 
 

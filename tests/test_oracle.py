@@ -77,48 +77,51 @@ def test_mult_table_reflection_columns():
     assert (mult.shape, mult.dtype) == ((1944, 26), np.int32)
 
 
-def test_cap_via_environment(monkeypatch):
-    params = GroupParams(3, 1, 2)  # order 18
-    g = identity(params)
-    monkeypatch.setenv("WFACT_CAP_W", "10")
-    with pytest.raises(CapabilityError):
-        build_tables(params)
-    monkeypatch.setenv("WFACT_CAP_W", "20")
-    build_tables(params)
-    sweep_counts(params, 4)
-    count_factorizations(params, g, 4)
-    # Cached tables and sweeps do not get round a lowered cap.
-    monkeypatch.setenv("WFACT_CAP_W", "10")
-    with pytest.raises(CapabilityError):
-        build_tables(params)
-    with pytest.raises(CapabilityError):
-        sweep_counts(params, 4)
-    with pytest.raises(CapabilityError):
-        count_factorizations(params, g, 4)
+# #W * #R past the guard: G(448,1,1) and G(9,1,3) are the first of their
+# families.
+@pytest.mark.parametrize("m, p, n", [(4000, 1, 1), (448, 1, 1), (9, 1, 3), (6, 1, 4)])
+def test_table_guard_refuses_before_any_work(m, p, n):
+    params = GroupParams(m, p, n)
+    assert params.order * params.num_reflections > oracle.TABLE_GUARD
+    start = time.perf_counter()
+    for call in (
+        lambda: build_tables(params),
+        lambda: generates_by_closure(params, []),
+        lambda: class_representatives(params),
+    ):
+        with pytest.raises(CapabilityError, match="past the guard"):
+            call()
+    assert time.perf_counter() - start < 1
 
 
-def test_default_cap_rejects_large_group():
-    with pytest.raises(CapabilityError):
-        build_tables(GroupParams(6, 1, 4))  # order 31104 > 5000
+def test_table_guard_admits_the_widest_groups():
+    # G(2,1,5) is the widest group of the tests and the benchmark.
+    for params in (GroupParams(2, 1, 5), GroupParams(1, 1, 7)):
+        assert params.order * params.num_reflections <= oracle.TABLE_GUARD
+        assert len(build_tables(params)[0].elements) == params.order
+    # G(447,1,1), the last rank-one group inside the guard, lists its classes.
+    edge = GroupParams(447, 1, 1)
+    assert edge.order * edge.num_reflections <= oracle.TABLE_GUARD
+    assert len(class_representatives(edge)) == 447
 
 
-# (n_max + 1)^2 * #R * #W: 6.3e14, 1.0e12 and 1.7e11, all inside the order
-# cap; G(1000,1,1) is inside the series window guard too.
+# (n_max + 1)^2 * #R * #W: 6.3e14, 1.0e12 and 1.7e11.  The first two groups
+# are past the table guard too, but a sweep checks the walk guard first.
 @pytest.mark.parametrize(
     "m, p, n, n_max", [(5000, 1, 1, 5001), (1000, 1, 1, 1002), (2, 1, 3, 20000)]
 )
 def test_walk_guard_refuses_before_any_table_is_built(m, p, n, n_max):
     params = GroupParams(m, p, n)
-    misses = oracle._tables.cache_info().misses
+    misses = build_tables.cache_info().misses
     start = time.perf_counter()
     for count in (
         lambda: count_factorizations(params, identity(params), n_max, mode="full"),
         lambda: sweep_counts(params, n_max),
     ):
-        with pytest.raises(CapabilityError, match="past the guard"):
+        with pytest.raises(CapabilityError, match="walk of .* past the guard"):
             count()
     assert time.perf_counter() - start < 1
-    assert oracle._tables.cache_info().misses == misses
+    assert build_tables.cache_info().misses == misses
 
 
 def test_walk_guard_admits_the_widest_benchmark_walk():
@@ -398,16 +401,16 @@ def test_caches_keep_eight_groups():
     oracle.clear_caches()
     for params in groups:
         sweep_counts(params, 2)
-    assert oracle._tables.cache_info().currsize == 8
-    assert oracle._sweep.cache_info().currsize == 8
+    assert build_tables.cache_info().currsize == 8
+    assert sweep_counts.cache_info().currsize == 8
     # The least recently used group was evicted: asking again is a miss.
-    before = oracle._tables.cache_info().misses, oracle._sweep.cache_info().misses
+    before = build_tables.cache_info().misses, sweep_counts.cache_info().misses
     sweep_counts(groups[0], 2)
-    after = oracle._tables.cache_info().misses, oracle._sweep.cache_info().misses
+    after = build_tables.cache_info().misses, sweep_counts.cache_info().misses
     assert after == (before[0] + 1, before[1] + 1)
     oracle.clear_caches()
-    assert oracle._tables.cache_info().currsize == 0
-    assert oracle._sweep.cache_info().currsize == 0
+    assert build_tables.cache_info().currsize == 0
+    assert sweep_counts.cache_info().currsize == 0
 
 
 def test_oracle_series_matches_closed_form():
