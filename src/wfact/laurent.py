@@ -28,6 +28,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import CapabilityError
+
 __all__ = [
     "LaurentPoly",
     "laurent_from_egf",
@@ -774,7 +776,14 @@ def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]
     root, else the reason it is not.
     """
     deg = len(ics) - 1
-    asc = np.array([float(c) for c in ics], dtype=np.float64)
+    try:
+        asc = np.array([float(c) for c in ics], dtype=np.float64)
+    except OverflowError:
+        raise CapabilityError(
+            f"a coefficient of a degree-{deg} square-free factor has "
+            f"{max(abs(c) for c in ics).bit_length()} bits; the double-precision "
+            "iteration takes coefficients below 2**1024"
+        ) from None
     # Scale to unit maximum coefficient magnitude; the roots and the
     # relative residual are unchanged, the float range headroom improves.
     asc /= np.abs(asc).max()
@@ -812,12 +821,32 @@ def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]
         # corrections whose p/p' is accurate to about 2**-63 relative
         # (``_newton_step``) until the step is at rounding level, which
         # lands on the true root to within float rounding; a root already
-        # there costs one evaluation.
-        certified = [_certify_newton(ics, complex(v)) for v in z]
-        uncertified = sum(not ok for _, ok in certified)
-        # A root that did not converge keeps its Aberth iterate, since
-        # Newton from it may have wandered off.
-        z = np.array([r if ok else v for (r, ok), v in zip(certified, z)])
+        # there costs one evaluation, and a conjugate pair one certification.
+        # p has real coefficients, so p(conj z) = conj p(z) and the exact
+        # Newton step at conj(r) is the conjugate of the step at r: conj(r)
+        # is certified exactly when r is.  Iterate k's partner is the j
+        # nearest to conj(z_k).  The first of a mutual pair is certified and
+        # the second takes the conjugate; a real root is its own partner, and
+        # it and an iterate whose partner does not pair back are certified
+        # on their own.
+        partner = np.abs(z[None, :] - z.conj()[:, None]).argmin(axis=1)
+        mirrored = set()
+        for k in range(deg):
+            if k in mirrored:
+                continue
+            r, ok = _certify_newton(ics, complex(z[k]))
+            j = int(partner[k])
+            mirror = j > k and partner[j] == k
+            if mirror:
+                mirrored.add(j)
+            if not ok:
+                # Both keep their Aberth iterates, since Newton from k may
+                # have wandered off.
+                uncertified += 2 if mirror else 1
+                continue
+            z[k] = r
+            if mirror:
+                z[j] = r.conjugate()
         _, res = _newton_and_residual(z, *coeffs)
     if float(res.max()) >= _TOL:
         return z, (
@@ -849,12 +878,17 @@ def find_roots(poly: LaurentPoly) -> list[complex]:
     certified by Newton steps with p and p' evaluated on the integer
     coefficients in fixed point to a proven error bound (exact in the
     limit), repeated until the step is at rounding level, which leaves the
-    root accurate to float rounding.  RootFindingError, carrying the best
-    iterates sorted like the result, is raised when the sweeps do not
-    converge within ``_MAX_ITER`` or when some root is still moving after the
-    certification's step cap; the latter happens on cores (such as the S_n
-    identity cores for n >= 15) whose roots double precision cannot
-    separate.  Results are sorted by (real, imag).
+    root accurate to float rounding.  Each conjugate pair of iterates is
+    certified once: p has real coefficients, so the exact Newton step at
+    conj(r) is the conjugate of the step at r, and the other member of the
+    pair takes the exact conjugate of the certified r.  RootFindingError,
+    carrying the best iterates sorted like the result, is raised when the
+    sweeps do not converge within ``_MAX_ITER`` or when some root is still
+    moving after the certification's step cap; the latter happens on cores
+    (such as the S_n identity cores for n >= 15) whose roots double
+    precision cannot separate.  CapabilityError is raised when a
+    coefficient of a square-free part does not fit in a double.  Results are
+    sorted by (real, imag).
     """
     if poly.min_deg < 0:
         raise ValueError("find_roots expects an ordinary polynomial (min_deg >= 0)")

@@ -574,6 +574,23 @@ def test_roots_user_fixture_with_repeated_roots(capsys, tmp_path):
         assert abs(complex(re, im) ** 3 - 1) < 1e-10  # 12 printed digits
 
 
+def test_roots_coefficient_beyond_double_range_exits_cleanly(tmp_path):
+    # 10**400 does not fit in a double: a clean refusal, not a traceback.
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text(f"name=BIG; lowest=0; coeffs={10**400},0,1\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wfact.cli", "roots", "--fixtures", str(fixtures),
+         "--fixture", "BIG", "--out", str(tmp_path / "big.csv")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode in (1, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "big.csv").exists()
+
+
 def test_roots_svg(capsys, tmp_path):
     out_file = tmp_path / "g2.svg"
     code, _, _ = run(capsys, "roots", "--fixture", "G2", "--out", str(out_file))

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfact import laurent
+from wfact.errors import CapabilityError
 from wfact.fixtures import load_phi_fixtures
 from wfact.laurent import (
     LaurentPoly,
@@ -636,6 +637,60 @@ def test_find_roots_certifies_or_raises(name):
         return
     worst = max(relative_newton_step(list(phi.numers), r) for r in roots)
     assert worst <= 1e-15, worst
+
+
+@pytest.mark.parametrize(
+    "name, numers, certifications",
+    [
+        # 112 roots, none real: 56 conjugate pairs.
+        ("E7", None, 56),
+        # 110 roots, 2 of them real: 54 pairs and 2 real roots.
+        ("S12", None, 56),
+        # (X-1)(X-2)(X-3): three real roots, each certified on its own.
+        ("(X-1)(X-2)(X-3)", [-6, 11, -6, 1], 3),
+    ],
+)
+def test_find_roots_certifies_each_conjugate_pair_once(
+    name, numers, certifications, monkeypatch
+):
+    phi = _core(name) if numers is None else LaurentPoly(0, numers)
+    calls = []
+    certify = laurent._certify_newton
+    monkeypatch.setattr(
+        laurent, "_certify_newton", lambda ics, z: calls.append(z) or certify(ics, z)
+    )
+    roots = find_roots(phi)
+    assert len(roots) == phi.max_deg
+    assert len(calls) == certifications
+
+
+@pytest.mark.parametrize("name", CORES)
+def test_find_roots_closed_under_exact_conjugation(name):
+    # The second root of each pair is the conjugate of the first, bit for bit.
+    # A real root is certified from a complex iterate and keeps an imaginary
+    # part at rounding level (S7's -2.3163... has 1.4e-38), so it has no
+    # partner; every other root must have its exact conjugate.
+    counts = Counter(find_roots(_core(name)))
+    for r, k in counts.items():
+        if abs(r.imag) > 1e-12 * abs(r):
+            assert counts[r.conjugate()] == k, r
+
+
+def test_find_roots_pair_fails_together(monkeypatch):
+    # A representative that does not converge leaves both members of its
+    # pair uncertified, at their Aberth iterates.
+    monkeypatch.setattr(laurent, "_certify_newton", lambda ics, z: (z + 1, False))
+    with pytest.raises(RootFindingError, match="2 of 2 roots") as info:
+        find_roots(LaurentPoly(0, [1, 0, 1]))  # X^2 + 1
+    # The Aberth iterates sit on -i and i, not where Newton (here z + 1) went.
+    best = info.value.best
+    assert len(best) == 2
+    assert abs(best[0] + 1j) < 1e-10 and abs(best[1] - 1j) < 1e-10, best
+
+
+def test_find_roots_refuses_coefficients_beyond_double_range():
+    with pytest.raises(CapabilityError, match="1329 bits"):
+        find_roots(LaurentPoly(0, [10**400, 0, 1]))
 
 
 def _times(*factors):
