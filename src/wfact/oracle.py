@@ -1,20 +1,29 @@
 """Ground truth by exhaustion for small G(m,p,n).
 
 Builds complete index-level tables of one group: its elements, the
-reflection columns of their multiplication table, the action of
-V = G(m,1,n) on them by conjugation, and the lattice of subgroups generated
-by reflection subsets, each keyed by the reflections it contains and closed
-coset by coset.  Counts of reflection factorizations of every length then
-come from exact walks over elements, one sweep serving every element:
+reflection columns of their multiplication table, conjugation by its
+reflections and by the generators of V = G(m,1,n), and the lattice of
+subgroups generated by reflection subsets, each keyed by the reflections it
+contains and closed coset by coset.  Counts of reflection factorizations of
+every length then come from exact walks, one sweep serving every element:
 
 * mode "all": walk_W(g), the number of reflection sequences with product g.
-  It uses no lattice machinery and no conjugation.
+  It uses no lattice machinery.
 * mode "full" (the factors generate the whole group W): Möbius inversion
   over the lattice (Rota, *On the foundations of combinatorial theory I*,
   1964).  A sequence lies in H exactly when the subgroup it generates lies
   under H, so full(g) = sum over reflection subgroups H of
   mu(H, W) * walk_H(g), where walk_H counts the sequences of reflections
   of H with product g.  Only the H with mu(H, W) != 0 are walked.
+
+The reflections of H are closed under conjugation by H, so walk_H is
+constant on the conjugacy classes of H, and each walk steps over classes,
+not elements.  Conjugating by H's reflections splits H into its classes;
+the walk then checks, with an explicit raise, that the identity is alone
+in its class and that the partition is equitable (every member of a class
+has the same multiset of classes among its successors y * t), which alone
+makes the quotient walk exact.  So the "all" counts do not rest on the
+conjugation table either.
 
 V normalizes W and permutes its reflections, so conjugation by V permutes
 the reflection subgroups and keeps mu(H, W).  The V-orbit is the unit of
@@ -70,20 +79,23 @@ __all__ = [
 ]
 
 CAP_SUBGROUPS = 20000
-# #W * #R, the cells of the reflection-column multiplication table; the
-# lattice closures grow with it.  In process (Python 3.11, one core of a
-# Xeon), build_tables took 0.09 s on G(2,1,5) (96,000 cells, the widest
-# group the tests and the benchmark use), 0.11 s on G(1,1,7) (105,840),
-# 0.10 s on G(8,1,3) (138,240), 0.52 s on G(400,1,1) (159,600) and 0.86 s on
-# G(447,1,1) (199,362); oracle-verify ran 48 s on G(4000,1,1) (1.6e7 cells).
+# #W * #R, the cells of the reflection-column multiplication table and of
+# the reflection conjugation table (int32 each, so 1.6 MB together at the
+# guard); the lattice closures grow with it.  In process (Python 3.11, one
+# core of a Xeon), build_tables with both tables took 0.09 s on G(2,1,5)
+# (96,000 cells, the widest group the tests and the benchmark use), 0.11 s
+# on G(1,1,7) (105,840), 0.09 s on G(8,1,3) (138,240), 0.40 s on
+# G(400,1,1) (159,600) and 0.71 s on G(447,1,1) (199,362); unguarded,
+# oracle-verify ran 48 s on G(4000,1,1) (1.6e7 cells).
 TABLE_GUARD = 2 * 10**5
-# A sweep to depth n_max holds (n_max + 1) * #W ints of up to ~n_max bits
-# and adds #R of its rows per length, so its time and memory grow about as
-# (n_max + 1)^2 * #R * #W.  The benchmark's widest walk, G(2,1,5) to depth
-# 52, is 2.7e8.  At 1e9 the counts of G(2,1,3), G(5,1,3), G(3,1,4) and
-# G(2,1,5), tables included, took 0.2-0.8 s and under 80 MB of RSS each
-# (Python 3.11, one core of a Xeon); G(5000,1,1) at its default depth is
-# 6e14.
+# A sweep to depth n_max returns (n_max + 1) * #W ints of up to ~n_max bits,
+# and each length of each walk adds at most #R rows of at most #W of them,
+# so its time and memory grow at most as (n_max + 1)^2 * #R * #W; the class
+# walks add rows of classes, never more than #W.  The benchmark's widest
+# walk, G(2,1,5) to depth 52, is 2.7e8.  At 1e9 the counts of G(2,1,3)
+# (depth 1520), G(5,1,3) (221), G(3,1,4) (139) and G(2,1,5) (101), tables
+# included, took 0.13-0.19 s and at most 60 MB of RSS each (Python 3.11,
+# one core of a Xeon); G(5000,1,1) at its default depth is 6e14.
 WALK_GUARD = 10**9
 
 
@@ -110,6 +122,11 @@ class ElementTable:
     adjacent transpositions, then zeta on the first coordinate when m > 1.
     ``class_ids[i]`` numbers the V-conjugacy class of elements[i], and
     ``class_sizes[c]`` is the size of class c.
+
+    ``rconj[r, i]`` is the index of t_r * elements[i] * t_r**-1 for
+    t_r = reflection_list[r], an int32 (#R, #W) array as large as ``mult``.
+    Restricted to the reflections of a subgroup H, it splits H into its
+    conjugacy classes, the states of H's class walk.
     """
 
     params: GroupParams
@@ -122,6 +139,7 @@ class ElementTable:
     conj: np.ndarray
     class_ids: np.ndarray
     class_sizes: np.ndarray
+    rconj: np.ndarray
 
 
 @dataclass
@@ -175,7 +193,7 @@ def _normalizer_generators(params: GroupParams) -> list[Element]:
 
 
 def _orbit_ids(conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, sizes): the orbits of the permutations ``conj`` on 0..#W-1.
+    """(ids, sizes): the orbits of the permutations ``conj`` on 0..N-1.
 
     Every point takes the least index reachable from it, so points share a
     label exactly when they share an orbit; ``ids`` renumbers the labels
@@ -219,9 +237,12 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     ]
     conj = build_conjugation_table(perms0, colors, params.m, actors)
     class_ids, class_sizes = _orbit_ids(conj)
+    rconj = build_conjugation_table(
+        perms0, colors, params.m, list(zip(perms0[refl_indices], colors[refl_indices]))
+    )
     etable = ElementTable(
         params, elements, index, mult, identity_index, refl_list, refl_indices,
-        conj, class_ids, class_sizes,
+        conj, class_ids, class_sizes, rconj,
     )
     return etable, _build_subgroups(etable)
 
@@ -373,20 +394,52 @@ def _mobius_to_top(members: list[np.ndarray], masks: list[int], top: int) -> lis
     return mobius
 
 
-def _walk(
-    mult: np.ndarray, members: np.ndarray, refls, start: int, n_max: int
+def _reflection_classes(
+    rconj: np.ndarray, members: np.ndarray, refls: list[int]
 ) -> np.ndarray:
-    """walk[N, i]: sequences of N reflections from ``refls`` with product members[i].
+    """Class ids of the members of H under conjugation by its reflections.
 
-    ``members`` are the sorted indices of a subgroup H, ``refls`` the
-    ``mult`` columns of its reflections and ``start`` the identity.  Exact:
-    object entries hold Python ints.  A length-N product y ends in some t, with y * t**-1 the
-    length-(N-1) product; the inverses run over H's reflections as t does,
-    so each step is one gather-add per reflection.
+    ``members`` are the sorted indices of H and ``refls`` the columns of its
+    reflections, which generate H, so the orbits are H's conjugacy classes.
+    The ids number the classes 0, 1, ... by their least member.
     """
-    steps = [np.searchsorted(members, mult[members, t]) for t in refls]
-    walk = np.zeros((n_max + 1, len(members)), dtype=object)
-    walk[0, np.searchsorted(members, start)] = 1
+    position = np.empty(rconj.shape[1], dtype=np.intp)
+    position[members] = np.arange(len(members))
+    return _orbit_ids(position[rconj[np.ix_(refls, members)]])[0]
+
+
+def _class_walk(
+    mult: np.ndarray, members: np.ndarray, refls: list[int], ids: np.ndarray,
+    start: int, n_max: int,
+) -> np.ndarray:
+    """walk[N, c]: sequences of N reflections from ``refls`` with product y.
+
+    The count is the same for every member y of class c.  ``members`` are
+    the sorted indices of a subgroup H, ``refls`` the ``mult`` columns of its
+    reflections, ``ids`` numbers a partition of the members into classes
+    0, 1, ... and ``start`` is the identity.  A length-N product y ends in
+    some t, with y * t**-1 the length-(N-1) product; the inverses run over
+    H's reflections as t does.  So walk_H(y) depends only on the class of y
+    as soon as the identity is alone in its class and the partition is
+    equitable: every member of a class has the same multiset of classes
+    among its successors y * t.  Both are checked with an explicit raise,
+    so exactness rests on no property of how the classes were found.  Each
+    step is then one gather-add per reflection over the classes.  Exact:
+    object entries hold Python ints.
+    """
+    position = np.empty(mult.shape[0], dtype=np.intp)
+    position[members] = np.arange(len(members))
+    first = np.unique(ids, return_index=True)[1]
+    origin = ids[position[start]]
+    if np.count_nonzero(ids == origin) != 1:
+        raise AssertionError("the identity shares its class in a class walk")
+    successors = ids[position[mult[np.ix_(members, refls)]]]
+    successors.sort(axis=1)
+    if not np.array_equal(successors, successors[first][ids]):
+        raise AssertionError("the classes of a class walk are not equitable")
+    steps = successors[first].T.copy()
+    walk = np.zeros((n_max + 1, len(first)), dtype=object)
+    walk[0, origin] = 1
     for length in range(1, n_max + 1):
         prev = walk[length - 1]
         row = walk[length]
@@ -400,13 +453,15 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
     """(all_counts, full_counts): per length N <= n_max, per element index.
 
     ``all_counts[N][e]`` counts length-N reflection sequences with product
-    e: a walk over the whole group, with no subgroup tracking, so it is
-    independent of the subgroup machinery.  ``full_counts[N][e]`` restricts
-    to sequences whose factors generate the whole group, by Möbius
-    inversion: the sum over subgroups H with mu(H, W) != 0 of mu(H, W)
-    times the walk inside H.  The H = W term is the "all" walk itself; the
-    others are summed one V-orbit at a time (see ``_orbit_sweep``).
-    One sweep serves every element of the group.  Entries are Python ints.
+    e: a walk over the conjugacy classes of the whole group, with no
+    subgroup tracking, so it is independent of the subgroup machinery, and
+    exact by its own identity and equitability checks (``_class_walk``).
+    ``full_counts[N][e]`` restricts to sequences whose factors generate the
+    whole group, by Möbius inversion: the sum over subgroups H with
+    mu(H, W) != 0 of mu(H, W) times the class walk inside H.  The H = W
+    term is the "all" walk itself; the others are summed one V-orbit at a
+    time (see ``_orbit_sweep``).  One sweep serves every element of the
+    group: both arrays are per element.  Entries are Python ints.
     Cached per (group, n_max); WALK_GUARD is checked before any table is
     built, and build_tables checks TABLE_GUARD.
     """
@@ -424,19 +479,25 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
 def _orbit_sweep(
     etable: ElementTable, stable: SubgroupTable, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sweep_counts from the tables, with one walk per V-orbit of subgroups.
+    """sweep_counts from the tables: one class walk for W, one per V-orbit.
 
-    Conjugating by v in V carries walk_H(y) to walk_{vHv^-1}(vyv^-1), so
-    the orbit's total over O at g is a class function of g.  Summing it over
-    g's V-class C and dividing by |C| gives
+    Each walk runs over the conjugacy classes of its subgroup H, found by
+    conjugating with H's reflections (``_class_walk`` checks that they are
+    a valid quotient).  Conjugating by v in V carries walk_H(y) to
+    walk_{vHv^-1}(vyv^-1), so the orbit's total over O at g is a class
+    function of g.  Summing it over g's V-class C and dividing by |C| gives
     sum_{H' in O} walk_{H'}(g) = (|O| / |C|) * sum_{y in H cap C} walk_H(y)
-    for the representative H.  The totals are kept per class and spread
-    to the elements with one gather at the end.
+    for the representative H, and the inner sum is
+    sum_K |K cap C| * walk_H(K) over the classes K of H.  The totals are
+    kept per V-class and spread to the elements with one gather at the end.
     """
-    mult = etable.mult
+    mult, rconj = etable.mult, etable.rconj
     id_idx = etable.identity_index
     num_refl = mult.shape[1]
-    all_counts = _walk(mult, np.arange(mult.shape[0]), range(num_refl), id_idx, n_max)
+    everything = np.arange(mult.shape[0])
+    all_refls = list(range(num_refl))
+    ids = _reflection_classes(rconj, everything, all_refls)
+    all_counts = _class_walk(mult, everything, all_refls, ids, id_idx, n_max)[:, ids]
     class_ids = etable.class_ids
     sizes = etable.class_sizes.astype(object)
     by_class = np.zeros((n_max + 1, len(sizes)), dtype=object)
@@ -448,13 +509,17 @@ def _orbit_sweep(
         mask = stable.masks[rep]
         refls = [ri for ri in range(num_refl) if mask >> ri & 1]
         members = stable.members[rep]
-        walk = _walk(mult, members, refls, id_idx, n_max)
-        member_classes = class_ids[members]
-        order = np.argsort(member_classes, kind="stable")
-        ranked = member_classes[order]
-        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        classes = ranked[starts]
-        total = np.add.reduceat(walk[:, order], starts, axis=1) * len(orbit)
+        ids = _reflection_classes(rconj, members, refls)
+        walk = _class_walk(mult, members, refls, ids, id_idx, n_max)
+        # (V-class, class of H) pairs, ordered by V-class, with |K cap C|.
+        pairs, overlap = np.unique(
+            class_ids[members] * walk.shape[1] + ids, return_counts=True
+        )
+        v_classes, h_classes = np.divmod(pairs, walk.shape[1])
+        starts = np.flatnonzero(np.r_[True, v_classes[1:] != v_classes[:-1]])
+        classes = v_classes[starts]
+        weighted = walk[:, h_classes] * overlap.astype(object)
+        total = np.add.reduceat(weighted, starts, axis=1) * len(orbit)
         class_size = sizes[classes]
         if any((total % class_size).flat):
             raise AssertionError(

@@ -230,13 +230,32 @@ def test_full_counts_match_sequence_enumeration():
             assert counts == [expected[g, length] for length in range(top + 1)]
 
 
+def element_walk(mult, members, refls, start, n_max):
+    """walk[N, i]: sequences of N reflections from ``refls`` with product members[i].
+
+    The per-element walk over a subgroup H (sorted ``members``, the ``mult``
+    columns ``refls`` of its reflections, ``start`` the identity): a
+    length-N product y ends in some t, with y * t**-1 the length-(N-1)
+    product, so each step is one gather-add per reflection of H.
+    """
+    steps = [np.searchsorted(members, mult[members, t]) for t in refls]
+    walk = np.zeros((n_max + 1, len(members)), dtype=object)
+    walk[0, np.searchsorted(members, start)] = 1
+    for length in range(1, n_max + 1):
+        prev = walk[length - 1]
+        row = walk[length]
+        for step in steps:
+            row += prev[step]
+    return walk
+
+
 def reference_sweep(params, n_max):
     """sweep_counts by one walk per subgroup with mu != 0, spread element by element."""
     etable, stable = build_tables(params)
     mult = etable.mult
     id_idx = etable.identity_index
     num_refl = mult.shape[1]
-    all_counts = oracle._walk(
+    all_counts = element_walk(
         mult, np.arange(mult.shape[0]), range(num_refl), id_idx, n_max
     )
     full_counts = all_counts.copy()
@@ -245,20 +264,20 @@ def reference_sweep(params, n_max):
             continue
         mask = stable.masks[s]
         refls = [ri for ri in range(num_refl) if mask >> ri & 1]
-        walk = oracle._walk(mult, stable.members[s], refls, id_idx, n_max)
+        walk = element_walk(mult, stable.members[s], refls, id_idx, n_max)
         full_counts[:, stable.members[s]] += mu * walk
     return all_counts, full_counts
 
 
-@pytest.mark.parametrize(
-    "m, p, n",
-    [
-        (2, 1, 5), (1, 1, 6), (3, 1, 4), (3, 1, 3), (2, 1, 4),  # p = 1
-        (4, 2, 3), (6, 3, 3), (6, 2, 3), (2, 2, 5),  # 1 < p < m, and p = m
-        (3, 3, 4), (4, 4, 3), (2, 2, 4), (3, 3, 2),  # p = m
-        (1, 1, 1), (3, 1, 1), (4, 2, 1), (2, 2, 1),  # rank one and trivial
-    ],
-)
+SWEEP_GROUPS = [
+    (2, 1, 5), (1, 1, 6), (3, 1, 4), (3, 1, 3), (2, 1, 4),  # p = 1
+    (4, 2, 3), (6, 3, 3), (6, 2, 3), (2, 2, 5),  # 1 < p < m, and p = m
+    (3, 3, 4), (4, 4, 3), (2, 2, 4), (3, 3, 2),  # p = m
+    (1, 1, 1), (3, 1, 1), (4, 2, 1), (2, 2, 1),  # rank one and trivial
+]
+
+
+@pytest.mark.parametrize("m, p, n", SWEEP_GROUPS)
 def test_orbit_sweep_matches_per_subgroup_reference(m, p, n):
     params = GroupParams(m, p, n)
     n_max = params.num_reflections + 2
@@ -267,6 +286,108 @@ def test_orbit_sweep_matches_per_subgroup_reference(m, p, n):
     assert all_counts.shape == full_counts.shape == (n_max + 1, params.order)
     assert np.array_equal(all_counts, ref_all)
     assert np.array_equal(full_counts, ref_full)
+
+
+# G(8,1,3) and G(12,3,3) are rich in diagonal reflections; S_7 is the
+# largest symmetric group inside the table guard.
+WIDE_GROUPS = [(8, 1, 3), (12, 3, 3), (1, 1, 7)]
+
+
+@pytest.mark.parametrize("m, p, n", WIDE_GROUPS)
+def test_orbit_sweep_matches_per_subgroup_reference_on_wide_groups(m, p, n):
+    params = GroupParams(m, p, n)
+    all_counts, full_counts = sweep_counts(params, 6)
+    ref_all, ref_full = reference_sweep(params, 6)
+    assert np.array_equal(all_counts, ref_all)
+    assert np.array_equal(full_counts, ref_full)
+
+
+@pytest.mark.parametrize("m, p, n", SWEEP_GROUPS + WIDE_GROUPS)
+def test_class_walk_matches_the_element_walk(m, p, n):
+    # W and every subgroup the orbit sweep walks, spread back to the members.
+    etable, stable = build_tables(GroupParams(m, p, n))
+    mult, id_idx = etable.mult, etable.identity_index
+    num_refl = mult.shape[1]
+    walked = [(np.arange(mult.shape[0]), list(range(num_refl)))]
+    for orbit in stable.orbits:
+        rep = orbit[0]
+        if stable.mobius[rep] and rep != stable.full_index:
+            mask = stable.masks[rep]
+            refls = [ri for ri in range(num_refl) if mask >> ri & 1]
+            walked.append((stable.members[rep], refls))
+    for members, refls in walked:
+        ids = oracle._reflection_classes(etable.rconj, members, refls)
+        walk = oracle._class_walk(mult, members, refls, ids, id_idx, 6)
+        assert np.array_equal(walk[:, ids], element_walk(mult, members, refls, id_idx, 6))
+
+
+# (W-classes, V-classes): for p > 1 a V-class of W can split into several
+# W-classes.
+@pytest.mark.parametrize(
+    "m, p, n, w_classes, v_classes",
+    [
+        (2, 2, 3, 5, 5), (2, 2, 4, 13, 11), (4, 2, 2, 10, 8), (3, 3, 3, 10, 8),
+        (4, 4, 2, 5, 4), (6, 3, 2, 9, 9), (4, 2, 3, 20, 20), (6, 6, 2, 6, 5),
+    ],
+)
+def test_reflection_classes_are_the_conjugacy_classes(m, p, n, w_classes, v_classes):
+    # The reference conjugates one element of each class by every element.
+    params = GroupParams(m, p, n)
+    etable, _ = build_tables(params)
+    ids = oracle._reflection_classes(
+        etable.rconj, np.arange(params.order), list(range(params.num_reflections))
+    )
+    expected = np.full(params.order, -1)
+    for i, g in enumerate(etable.elements):
+        if expected[i] < 0:
+            klass = [etable.index[conjugate(g, x, params)] for x in etable.elements]
+            expected[klass] = expected.max() + 1
+    assert np.array_equal(ids, expected)
+    assert (ids.max() + 1, len(etable.class_sizes)) == (w_classes, v_classes)
+
+
+def _patch_classes(monkeypatch, patched):
+    """Route the sweep's class partitions through ``patched(ids, members)``."""
+    classes = oracle._reflection_classes
+
+    def mutant(rconj, members, refls):
+        ids = patched(classes(rconj, members, refls), members)
+        return np.unique(ids, return_inverse=True)[1].reshape(-1)
+
+    monkeypatch.setattr(oracle, "_reflection_classes", mutant)
+
+
+@pytest.mark.parametrize(
+    "m, p, n", [(1, 1, 5), (2, 1, 4), (3, 1, 4), (6, 3, 3), (2, 2, 5)]
+)
+def test_class_walk_raises_on_v_classes_of_a_proper_subgroup(m, p, n, monkeypatch):
+    # V-classes of a proper subgroup H can merge H-classes whose walks
+    # differ; an explicit raise, so it also guards under python -O.
+    params = GroupParams(m, p, n)
+    etable, stable = build_tables(params)
+    _patch_classes(
+        monkeypatch,
+        lambda ids, members: ids if len(members) == params.order
+        else etable.class_ids[members],
+    )
+    with pytest.raises(AssertionError, match="not equitable"):
+        oracle._orbit_sweep(etable, stable, 4)
+
+
+@pytest.mark.parametrize("m, p, n", [(1, 1, 3), (2, 1, 3), (4, 2, 3), (3, 3, 3)])
+def test_class_walk_raises_on_the_identity_in_a_larger_class(m, p, n, monkeypatch):
+    params = GroupParams(m, p, n)
+    etable, stable = build_tables(params)
+    origin = etable.identity_index
+
+    def merge(ids, members):
+        # The identity joins the class of the first other member.
+        other = ids[np.flatnonzero(members != origin)[0]]
+        return np.where(members == origin, other, ids)
+
+    _patch_classes(monkeypatch, merge)
+    with pytest.raises(AssertionError, match="identity shares its class"):
+        oracle._orbit_sweep(etable, stable, 4)
 
 
 # ---------------------------------------------------------------- V-action
@@ -291,6 +412,12 @@ def test_conjugation_table_matches_group_arithmetic(params):
     for k, v in enumerate(gens):
         images = [etable.elements[j] for j in etable.conj[k]]
         assert images == [conjugate(g, v, params) for g in etable.elements]
+    # rconj: conjugation by each reflection, an int32 table shaped like mult.T.
+    assert (etable.rconj.shape, etable.rconj.dtype) == (etable.mult.T.shape, np.int32)
+    for r, t in enumerate(etable.reflection_list):
+        images = [etable.elements[j] for j in etable.rconj[r]]
+        t = t.to_element(params)
+        assert images == [conjugate(g, t, params) for g in etable.elements]
 
 
 @pytest.mark.parametrize("params", ACTION_GROUPS, ids=str)
