@@ -190,10 +190,13 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
         raise UsageError("--max-len must be nonnegative")
     corrupt = args.self_test_corrupt
     checked = 0
+    prefixes: dict[LaurentPoly, list] = {}  # representatives share few series
     for g in targets:
         series = series_full(params, g)
         expected = count_factorizations(params, g, max_len, mode="full")
-        got = series.egf_prefix(max_len)
+        if series not in prefixes:
+            prefixes[series] = series.egf_prefix(max_len)
+        got = list(prefixes[series])
         if corrupt:
             got[min(full_length(params, g), max_len)] += 1
             corrupt = False

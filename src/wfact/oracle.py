@@ -41,20 +41,27 @@ certify the closed-form pipeline, never to replace it.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from ._kernels import build_conjugation_table, build_mult_table, subgroup_closure
+from ._kernels import (
+    _inverse_index,
+    _perm_tables,
+    _rank,
+    _unrank,
+    _zeta_row,
+    build_mult_table,
+    subgroup_closure,
+)
 from .errors import CapabilityError
 from .groups import (
     Element,
     GroupParams,
     Reflection,
     _canonical_from_cycles,
-    all_elements,
     identity,
     reflections,
     validate_element,
@@ -82,11 +89,12 @@ CAP_SUBGROUPS = 20000
 # #W * #R, the cells of the reflection-column multiplication table and of
 # the reflection conjugation table (int32 each, so 1.6 MB together at the
 # guard); the lattice closures grow with it.  In process (Python 3.11, one
-# core of a Xeon), build_tables with both tables took 0.09 s on G(2,1,5)
-# (96,000 cells, the widest group the tests and the benchmark use), 0.11 s
-# on G(1,1,7) (105,840), 0.09 s on G(8,1,3) (138,240), 0.40 s on
-# G(400,1,1) (159,600) and 0.71 s on G(447,1,1) (199,362); unguarded,
-# oracle-verify ran 48 s on G(4000,1,1) (1.6e7 cells).
+# core of a Xeon, best of 15 with every cache cold), build_tables took
+# 0.024 s on G(2,1,5) (96,000 cells, the widest group the tests and the
+# benchmark use), 0.024 s on G(1,1,7) (105,840), 0.044 s on G(8,1,3)
+# (138,240), 0.24 s on G(400,1,1) (159,600) and 0.39 s on G(447,1,1)
+# (199,362), where the 448 closures of the rank-one lattice are nearly all
+# of it; unguarded, oracle-verify ran 48 s on G(4000,1,1) (1.6e7 cells).
 TABLE_GUARD = 2 * 10**5
 # A sweep to depth n_max returns (n_max + 1) * #W ints of up to ~n_max bits,
 # and each length of each walk adds at most #R rows of at most #W of them,
@@ -112,26 +120,27 @@ def _check_table_guard(params: GroupParams) -> None:
 class ElementTable:
     """Complete indexed model of one group.
 
-    ``mult[i, r]`` is the index of elements[i] * reflection_list[r]: the
-    table keeps one column per reflection, an int32 (#W, #R) array, since
-    every walk multiplies by reflections on the right.  ``refl_indices[r]``
-    is the element index of reflection_list[r].
+    Elements are indexed by rank (see ``_kernels``), in the order of
+    ``groups.all_elements``: ``rank(g)`` and ``element(i)`` convert by
+    arithmetic, with no list of elements.  ``mult[i, r]`` is the index of
+    element(i) * reflection_list[r]: the table keeps one column per
+    reflection, an int32 (#W, #R) array, since every walk multiplies by
+    reflections on the right.  ``refl_indices[r]`` is the index of
+    reflection_list[r].
 
     V = G(m,1,n) normalizes the group.  ``conj[k, i]`` is the index of
-    v_k * elements[i] * v_k**-1 for the generators v_k of V: the n - 1
+    v_k * element(i) * v_k**-1 for the generators v_k of V: the n - 1
     adjacent transpositions, then zeta on the first coordinate when m > 1.
-    ``class_ids[i]`` numbers the V-conjugacy class of elements[i], and
+    ``class_ids[i]`` numbers the V-conjugacy class of element(i), and
     ``class_sizes[c]`` is the size of class c.
 
-    ``rconj[r, i]`` is the index of t_r * elements[i] * t_r**-1 for
+    ``rconj[r, i]`` is the index of t_r * element(i) * t_r**-1 for
     t_r = reflection_list[r], an int32 (#R, #W) array as large as ``mult``.
     Restricted to the reflections of a subgroup H, it splits H into its
     conjugacy classes, the states of H's class walk.
     """
 
     params: GroupParams
-    elements: list[Element]
-    index: dict[Element, int]
     mult: np.ndarray
     identity_index: int
     reflection_list: list[Reflection]
@@ -140,6 +149,14 @@ class ElementTable:
     class_ids: np.ndarray
     class_sizes: np.ndarray
     rconj: np.ndarray
+
+    def rank(self, g: Element) -> int:
+        """Index of the member g; validate_element(g, params) first if unsure."""
+        return _rank(self.params, g)
+
+    def element(self, i: int) -> Element:
+        """The element with index i, 0 <= i < #W."""
+        return _unrank(self.params, i)
 
 
 @dataclass
@@ -171,25 +188,14 @@ _CACHE_GROUPS = 8
 def clear_caches() -> None:
     """Drop every cached table and count sweep.
 
-    The tables keep the 8 most recently used groups and the sweeps the 8
-    most recently used (group, depth) pairs; ``build_tables.cache_info()``
-    and ``sweep_counts.cache_info()`` report their hits and misses.
+    The tables keep the 8 most recently used groups, the sweeps the 8 most
+    recently used (group, depth) pairs and the permutation rank tables the
+    8 most recently used n; ``build_tables.cache_info()`` and
+    ``sweep_counts.cache_info()`` report their hits and misses.
     """
     build_tables.cache_clear()
     sweep_counts.cache_clear()
-
-
-def _normalizer_generators(params: GroupParams) -> list[Element]:
-    """Generators of V = G(m,1,n): adjacent transpositions, then zeta on e_1."""
-    n, m = params.n, params.m
-    gens = []
-    for i in range(n - 1):
-        perm = list(range(1, n + 1))
-        perm[i], perm[i + 1] = i + 2, i + 1
-        gens.append(Element(tuple(perm), (0,) * n))
-    if m > 1:
-        gens.append(Element(tuple(range(1, n + 1)), (1,) + (0,) * (n - 1)))
-    return gens
+    _perm_tables.cache_clear()
 
 
 def _orbit_ids(conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,35 +222,60 @@ def _orbit_ids(conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     """Element and subgroup tables for the group, cached per group.
 
+    Every table comes from rank arithmetic (see ``_kernels``), with no
+    search for an element.  ``mult`` is built column by column from the
+    ranks; with y = x * t**-1, t * x * t**-1 = (y**-1 * t**-1)**-1, so
+    ``rconj`` is four gathers of ``mult`` and the inverse index; the rows of
+    ``conj`` are the ``rconj`` rows of the adjacent transpositions
+    t(i,i+1;0), then the zeta row.  Explicit raises, so also under
+    ``python -O``, check that every column of ``mult`` and every row of
+    ``rconj`` and ``conj`` permutes the indices, and that the identity's
+    row of ``mult`` holds the reflections' own ranks.
+
     Guards: more than TABLE_GUARD cells #W * #R, checked before any work,
     or more than CAP_SUBGROUPS subgroups raise CapabilityError.
     """
     _check_table_guard(params)
-    elements = list(all_elements(params))
-    if len(elements) != params.order:
-        raise AssertionError(
-            f"enumerated {len(elements)} elements of {params}, order is {params.order}"
-        )
-    index = {g: i for i, g in enumerate(elements)}
-    perms0 = np.array([[v - 1 for v in g.perm] for g in elements], dtype=np.int32)
-    colors = np.array([list(g.colors) for g in elements], dtype=np.int32)
-    identity_index = index[identity(params)]
     refl_list = reflections(params)
-    refl_indices = [index[t.to_element(params)] for t in refl_list]
-    mult = build_mult_table(perms0, colors, params.m, refl_indices)
-    actors = [
-        ([v - 1 for v in g.perm], list(g.colors)) for g in _normalizer_generators(params)
+    refl_indices = [_rank(params, t.to_element(params)) for t in refl_list]
+    mult = build_mult_table(params, refl_list)
+    identity_index = _rank(params, identity(params))
+    _check_permutations(mult.T, "a column of the multiplication table")
+    if not np.array_equal(mult[identity_index], refl_indices):
+        raise AssertionError(
+            "the identity's row of the multiplication table is not the reflections"
+        )
+    column = {t: r for r, t in enumerate(refl_list)}
+    steps = params.m // params.p
+    # t**-1 is t for a transposition and d(i; m/p - k) for d(i; k).
+    inverse_cols = [
+        r if t.kind == "transposition" else column[replace(t, twist=steps - t.twist)]
+        for r, t in enumerate(refl_list)
     ]
-    conj = build_conjugation_table(perms0, colors, params.m, actors)
+    inverse = _inverse_index(params)
+    y = mult.T[inverse_cols]  # y[r, x] = x * t_r**-1
+    rconj = inverse[np.take_along_axis(y, inverse[y], axis=1)]
+    _check_permutations(rconj, "a row of the reflection conjugation table")
+    adjacent = [Reflection("transposition", i, i + 1, 0) for i in range(1, params.n)]
+    conj = rconj[[column[t] for t in adjacent]]
+    if params.m > 1:
+        conj = np.vstack([conj, _zeta_row(params)])
+        _check_permutations(conj[-1:], "the zeta row of the conjugation table")
     class_ids, class_sizes = _orbit_ids(conj)
-    rconj = build_conjugation_table(
-        perms0, colors, params.m, list(zip(perms0[refl_indices], colors[refl_indices]))
-    )
     etable = ElementTable(
-        params, elements, index, mult, identity_index, refl_list, refl_indices,
+        params, mult, identity_index, refl_list, refl_indices,
         conj, class_ids, class_sizes, rconj,
     )
     return etable, _build_subgroups(etable)
+
+
+def _check_permutations(rows: np.ndarray, what: str) -> None:
+    """Raise unless each row of ``rows`` is a permutation of 0..N-1, N = #columns."""
+    count, size = rows.shape
+    inside = not rows.size or (rows.min() >= 0 and rows.max() < size)
+    offsets = rows + np.arange(0, count * size, size, dtype=np.int64)[:, None]
+    if not inside or not (np.bincount(offsets.reshape(-1), minlength=rows.size) == 1).all():
+        raise AssertionError(f"{what} is not a permutation of the element indices")
 
 
 def _mask_of(refl_flags: np.ndarray) -> int:
@@ -262,7 +293,7 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     mult, conj = etable.mult, etable.conj
     refl_array = np.array(etable.refl_indices, dtype=np.intp)
     num_refl = len(refl_array)
-    total = len(etable.elements)
+    total = etable.params.order
     # refl_inv[k, ri]: the column of v_k**-1 * reflection ri * v_k.
     column_of = np.full(total, -1, dtype=np.intp)
     column_of[refl_array] = np.arange(num_refl)
@@ -366,32 +397,45 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
         # Reflections of G(m,p,n) always generate it (the trivial group's
         # top is its trivial subgroup), so this is a table or closure bug.
         raise AssertionError("reflection subgroup lattice is missing the top")
-    mobius = _mobius_to_top(members, masks, full_index)
+    sizes = np.array([len(member_array) for member_array in members])
+    mobius = _mobius_to_top(np.array(refl_flags), sizes, full_index)
     act_table = np.array(act, dtype=np.int32).reshape(len(act), len(members))
     return SubgroupTable(
         members, masks, join, mobius, trivial_index, full_index, act_table, orbits
     )
 
 
-def _mobius_to_top(members: list[np.ndarray], masks: list[int], top: int) -> list[int]:
-    """mu(s, top) for every subgroup s, in one pass from the top down.
+def _mobius_to_top(refl_flags: np.ndarray, sizes: np.ndarray, top: int) -> list[int]:
+    """mu(s, top) for every subgroup s, one subgroup order at a time.
 
     mu(top, top) = 1 and mu(s, top) = -sum of mu(k, top) over the subgroups
-    k strictly above s.  Visiting by decreasing order puts every k above s
-    first; only the k with mu != 0 are kept for the subset tests.
+    k strictly above s.  Those all have larger order, so the subgroups of
+    one order take their values together, from the largest order down, out
+    of the subgroups of larger order with mu != 0.  ``refl_flags[s]`` flags
+    the reflections of s, and k lies above s when its flags contain those
+    of s: one numpy test over the flags packed into 64-bit words.
     """
-    mobius = [0] * len(members)
+    count = len(sizes)
+    packed = np.packbits(refl_flags, axis=1, bitorder="little")
+    words = np.zeros((count, max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    mobius = np.zeros(count, dtype=np.int64)
     mobius[top] = 1
-    above = [(masks[top], 1)]
-    for s in sorted(range(len(members)), key=lambda i: -len(members[i])):
-        if s == top:
+    above = [top]  # subgroups of the orders done so far with mu != 0
+    for size in sorted(set(sizes.tolist()), reverse=True):
+        batch = np.flatnonzero(sizes == size)
+        batch = batch[batch != top]
+        if not len(batch):
             continue
-        mask = masks[s]
-        value = -sum(mu for other, mu in above if other & mask == mask)
-        mobius[s] = value
-        if value:
-            above.append((mask, value))
-    return mobius
+        # |mu| summed over ``above`` bounds every new value.
+        if sum(map(abs, mobius[above].tolist())) >= 2**62:
+            raise AssertionError("a Möbius value outgrew int64")
+        mine, theirs = words[batch][:, None, :], words[above][None, :, :]
+        contained = ((mine & theirs) == mine).all(axis=2)
+        mobius[batch] = -(contained.astype(np.int64) @ mobius[above])
+        above.extend(batch[mobius[batch] != 0].tolist())
+    return mobius.tolist()
 
 
 def _reflection_classes(
@@ -538,7 +582,7 @@ def count_factorizations(
         raise ValueError(f"mode must be 'all' or 'full', got {mode!r}")
     validate_element(g, params)
     all_counts, full_counts = sweep_counts(params, n_max)
-    target = build_tables(params)[0].index[g]
+    target = build_tables(params)[0].rank(g)
     source = all_counts if mode == "all" else full_counts
     return source[:, target].tolist()
 

@@ -10,13 +10,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from wfact import oracle
+from wfact import _kernels, oracle
 from wfact.errors import CapabilityError
 from wfact.factorizations import series_full
 from wfact.fixtures import load_phi_fixtures
 from wfact.groups import (
     Element,
     GroupParams,
+    Reflection,
     all_elements,
     conjugate,
     cycle_data,
@@ -42,19 +43,19 @@ from wfact.oracle import (
 
 def test_build_tables_g222():
     etable, stable = build_tables(GroupParams(2, 2, 2))
-    assert len(etable.elements) == 4
+    assert etable.mult.shape[0] == 4
     assert len(stable.members) == 4  # trivial, two rank-1, full
 
 
 def test_build_tables_s3():
     etable, stable = build_tables(GroupParams(1, 1, 3))
-    assert len(etable.elements) == 6
+    assert etable.mult.shape[0] == 6
     assert len(stable.members) == 5  # the set-partition lattice of a 3-set
 
 
 def test_build_tables_s2():
     etable, stable = build_tables(GroupParams(1, 1, 2))
-    assert len(etable.elements) == 2
+    assert etable.mult.shape[0] == 2
     assert len(stable.members) == 2
 
 
@@ -70,9 +71,10 @@ def test_mult_table_reflection_columns():
         etable, _ = build_tables(params)
         refls = [t.to_element(params) for t in etable.reflection_list]
         assert etable.mult.shape == (params.order, params.num_reflections)
-        for i, x in enumerate(etable.elements):
+        for i in range(params.order):
+            x = etable.element(i)
             for r, t in enumerate(refls):
-                assert etable.elements[etable.mult[i, r]] == multiply(x, t, params)
+                assert etable.element(etable.mult[i, r]) == multiply(x, t, params)
     mult = build_tables(GroupParams(3, 1, 4))[0].mult
     assert (mult.shape, mult.dtype) == ((1944, 26), np.int32)
 
@@ -98,7 +100,7 @@ def test_table_guard_admits_the_widest_groups():
     # G(2,1,5) is the widest group of the tests and the benchmark.
     for params in (GroupParams(2, 1, 5), GroupParams(1, 1, 7)):
         assert params.order * params.num_reflections <= oracle.TABLE_GUARD
-        assert len(build_tables(params)[0].elements) == params.order
+        assert build_tables(params)[0].mult.shape[0] == params.order
     # G(447,1,1), the last rank-one group inside the guard, lists its classes.
     edge = GroupParams(447, 1, 1)
     assert edge.order * edge.num_reflections <= oracle.TABLE_GUARD
@@ -337,10 +339,11 @@ def test_reflection_classes_are_the_conjugacy_classes(m, p, n, w_classes, v_clas
     ids = oracle._reflection_classes(
         etable.rconj, np.arange(params.order), list(range(params.num_reflections))
     )
+    elements = [etable.element(i) for i in range(params.order)]
     expected = np.full(params.order, -1)
-    for i, g in enumerate(etable.elements):
+    for i, g in enumerate(elements):
         if expected[i] < 0:
-            klass = [etable.index[conjugate(g, x, params)] for x in etable.elements]
+            klass = [etable.rank(conjugate(g, x, params)) for x in elements]
             expected[klass] = expected.max() + 1
     assert np.array_equal(ids, expected)
     assert (ids.max() + 1, len(etable.class_sizes)) == (w_classes, v_classes)
@@ -402,28 +405,129 @@ ACTION_GROUPS = [
 ]
 
 
+def normalizer_generators(params):
+    """Generators of V = G(m,1,n): adjacent transpositions, then zeta on e_1."""
+    n, m = params.n, params.m
+    gens = []
+    for i in range(n - 1):
+        perm = list(range(1, n + 1))
+        perm[i], perm[i + 1] = i + 2, i + 1
+        gens.append(Element(tuple(perm), (0,) * n))
+    if m > 1:
+        gens.append(Element(tuple(range(1, n + 1)), (1,) + (0,) * (n - 1)))
+    return gens
+
+
+# Rank indexing is checked against the enumeration on every V-action group,
+# on the widest groups of each kind, and on S_7, the widest permutation rank
+# inside the table guard.
+RANK_GROUPS = ACTION_GROUPS + [
+    GroupParams(*mpn) for mpn in [(2, 1, 5), (8, 1, 3), (12, 3, 3), (1, 1, 7)]
+]
+
+
+@pytest.mark.parametrize("params", RANK_GROUPS, ids=str)
+def test_rank_indexes_the_elements_in_enumeration_order(params):
+    etable, _ = build_tables(params)
+    elements = [etable.element(i) for i in range(params.order)]
+    assert elements == list(all_elements(params))
+    assert [etable.rank(g) for g in elements] == list(range(params.order))
+    assert etable.element(etable.identity_index) == identity(params)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Element((1, 2, 3), (1, 0, 0)),  # color sum 1, not 0 mod 2
+        Element((1, 2, 3), (1, 2, 0)),  # color sum 3
+        Element((1, 1, 3), (0, 0, 0)),  # not a permutation
+        Element((1, 2, 3), (4, 0, 0)),  # a color out of range
+    ],
+)
+def test_count_factorizations_refuses_a_non_member(g):
+    # The rank arithmetic alone would map each of these to some index.
+    params = GroupParams(4, 2, 3)
+    with pytest.raises(ValueError):
+        count_factorizations(params, g, 4)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the oracle caches before and after a test that patches a kernel."""
+    oracle.clear_caches()
+    yield
+    oracle.clear_caches()
+
+
+def _collide_colors(real):
+    def mutant(params):
+        digits = real(params)
+        digits[1] = digits[0]  # color ranks 0 and 1 name one coloring
+        return digits
+
+    return mutant
+
+
+def _collide_perms(real):
+    def mutant(perms):
+        ranks = real(perms)
+        return np.where(ranks == 1, 0, ranks)  # perm ranks 0 and 1 collide
+
+    return mutant
+
+
+@pytest.mark.parametrize("attr, patch", [
+    ("_color_digits", _collide_colors), ("_lehmer_ranks", _collide_perms),
+])
+@pytest.mark.parametrize("m, p, n", [(3, 1, 2), (4, 2, 3), (2, 2, 3)])
+def test_build_tables_raises_on_a_colliding_rank_map(m, p, n, attr, patch, monkeypatch,
+                                                     cold_caches):
+    # An explicit raise, so it also guards under python -O.
+    monkeypatch.setattr(_kernels, attr, patch(getattr(_kernels, attr)))
+    with pytest.raises(AssertionError, match="not a permutation"):
+        build_tables(GroupParams(m, p, n))
+
+
+@pytest.mark.parametrize("m, p, n", [(3, 1, 2), (4, 1, 1), (6, 2, 2), (3, 3, 3)])
+def test_build_tables_raises_on_a_wrong_twist_sign(m, p, n, monkeypatch, cold_caches):
+    # Negated twists give a table whose columns still permute the elements.
+    real = oracle.build_mult_table
+
+    def mutant(params, refls):
+        steps = params.m // params.p
+        return real(params, [
+            Reflection(t.kind, t.i, t.j,
+                       -t.twist % (params.m if t.kind == "transposition" else steps))
+            for t in refls
+        ])
+
+    monkeypatch.setattr(oracle, "build_mult_table", mutant)
+    with pytest.raises(AssertionError, match="identity's row"):
+        build_tables(GroupParams(m, p, n))
+
+
 @pytest.mark.parametrize("params", ACTION_GROUPS, ids=str)
 def test_conjugation_table_matches_group_arithmetic(params):
     etable, _ = build_tables(params)
-    gens = oracle._normalizer_generators(params)
+    elements = [etable.element(i) for i in range(params.order)]
+    gens = normalizer_generators(params)
     # V = G(m,1,n) has n - 1 adjacent transpositions, plus zeta when m > 1.
-    assert len(gens) == params.n - 1 + (params.m > 1)
     assert etable.conj.shape == (len(gens), params.order)
     for k, v in enumerate(gens):
-        images = [etable.elements[j] for j in etable.conj[k]]
-        assert images == [conjugate(g, v, params) for g in etable.elements]
+        images = [etable.element(j) for j in etable.conj[k]]
+        assert images == [conjugate(g, v, params) for g in elements]
     # rconj: conjugation by each reflection, an int32 table shaped like mult.T.
     assert (etable.rconj.shape, etable.rconj.dtype) == (etable.mult.T.shape, np.int32)
     for r, t in enumerate(etable.reflection_list):
-        images = [etable.elements[j] for j in etable.rconj[r]]
+        images = [etable.element(j) for j in etable.rconj[r]]
         t = t.to_element(params)
-        assert images == [conjugate(g, t, params) for g in etable.elements]
+        assert images == [conjugate(g, t, params) for g in elements]
 
 
 @pytest.mark.parametrize("params", ACTION_GROUPS, ids=str)
 def test_class_ids_group_elements_by_class_key(params):
     etable, _ = build_tables(params)
-    keys = [cycle_data(g, params).class_key for g in etable.elements]
+    keys = [cycle_data(etable.element(i), params).class_key for i in range(params.order)]
     key_of_class = {}
     for c, key in zip(etable.class_ids.tolist(), keys):
         assert key_of_class.setdefault(c, key) == key
@@ -492,6 +596,29 @@ def test_mobius_of_trivial_subgroup_in_symmetric_groups():
         assert stable.mobius[stable.full_index] == 1
 
 
+def pairwise_mobius(members, masks, top):
+    """mu(s, top) by the pairwise subset sums over the subgroups above s."""
+    mobius = [0] * len(members)
+    mobius[top] = 1
+    above = [(masks[top], 1)]
+    for s in sorted(range(len(members)), key=lambda i: -len(members[i])):
+        if s != top:
+            mobius[s] = -sum(mu for other, mu in above if other & masks[s] == masks[s])
+            if mobius[s]:
+                above.append((masks[s], mobius[s]))
+    return mobius
+
+
+@pytest.mark.parametrize(
+    "params",
+    RANK_GROUPS + [GroupParams(*mpn) for mpn in [(2, 1, 4), (3, 1, 4), (1, 1, 5)]],
+    ids=str,
+)
+def test_mobius_matches_the_pairwise_reference(params):
+    _, stable = build_tables(params)
+    assert stable.mobius == pairwise_mobius(stable.members, stable.masks, stable.full_index)
+
+
 @pytest.mark.parametrize(
     "m, p, n, subgroups",
     [(2, 1, 4, 218), (4, 1, 3, 153), (6, 3, 3, 164), (3, 3, 4, 141), (3, 1, 4, 328)],
@@ -507,7 +634,7 @@ def test_lattice_members_are_subgroups_with_their_reflections():
     refl = np.array(etable.refl_indices)
     for members, mask in zip(stable.members, stable.masks):
         assert etable.identity_index in members
-        elems = {etable.elements[i] for i in members}
+        elems = {etable.element(i) for i in members}
         assert all(multiply(x, y, params) in elems for x in elems for y in elems)
         inside = np.isin(refl, members)
         assert mask == sum(1 << ri for ri in np.flatnonzero(inside).tolist())
@@ -538,6 +665,13 @@ def test_caches_keep_eight_groups():
     oracle.clear_caches()
     assert build_tables.cache_info().currsize == 0
     assert sweep_counts.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_the_rank_cache():
+    build_tables(GroupParams(2, 1, 3))
+    assert _kernels._perm_tables.cache_info().currsize >= 1
+    oracle.clear_caches()
+    assert _kernels._perm_tables.cache_info().currsize == 0
 
 
 def test_oracle_series_matches_closed_form():
@@ -605,7 +739,7 @@ def test_dp_order_independence():
         return out
 
     for g in class_representatives(params):
-        target = etable.index[g]
+        target = etable.rank(g)
         forward = manual_all_counts(refl, target, 6)
         backward = manual_all_counts(refl[::-1], target, 6)
         shuffled = list(refl)
