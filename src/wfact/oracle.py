@@ -29,9 +29,12 @@ V normalizes W and permutes its reflections, so conjugation by V permutes
 the reflection subgroups and keeps mu(H, W).  The V-orbit is the unit of
 work.  The lattice is searched over one representative per orbit: each new
 subgroup is interned with its whole orbit, and a conjugate's joins are
-carried over from its representative's instead of closed again.  The
-Möbius sum walks one representative H per orbit O and reads the orbit's
-total at g off the V-class C of g:
+carried over from its representative's instead of closed again.  Inside a
+representative's own row, each join found is spread along the generators
+of V that fix the representative, so at most one join per orbit of the
+group they generate on the reflections needs a closure.  The Möbius sum
+walks one representative H per orbit O and reads the orbit's total at g
+off the V-class C of g:
 sum_{H' in O} walk_{H'}(g) = (|O| / |C|) * sum_{y in H cap C} walk_H(y).
 
 Everything here is deliberately brute-force and capped; it exists to
@@ -90,9 +93,9 @@ CAP_SUBGROUPS = 20000
 # the reflection conjugation table (int32 each, so 1.6 MB together at the
 # guard); the lattice closures grow with it.  In process (Python 3.11, one
 # core of a Xeon, best of 15 with every cache cold), build_tables took
-# 0.024 s on G(2,1,5) (96,000 cells, the widest group the tests and the
-# benchmark use), 0.024 s on G(1,1,7) (105,840), 0.044 s on G(8,1,3)
-# (138,240), 0.24 s on G(400,1,1) (159,600) and 0.39 s on G(447,1,1)
+# 0.016 s on G(2,1,5) (96,000 cells, the widest group the tests and the
+# benchmark use), 0.018 s on G(1,1,7) (105,840), 0.018 s on G(8,1,3)
+# (138,240), 0.20 s on G(400,1,1) (159,600) and 0.33 s on G(447,1,1)
 # (199,362), where the 448 closures of the rank-one lattice are nearly all
 # of it; unguarded, oracle-verify ran 48 s on G(4000,1,1) (1.6e7 cells).
 TABLE_GUARD = 2 * 10**5
@@ -285,7 +288,12 @@ def _mask_of(refl_flags: np.ndarray) -> int:
 def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     """The lattice, searched breadth first over one subgroup per V-orbit.
 
-    A representative's joins come from closures; each new subgroup is
+    A representative's joins come from closures, or from the shortcut
+    s v r = (parent v r) v last when the search has joined that already.
+    Each entry found is spread along the generators v_k that fix s: then
+    s v v_k r v_k**-1 = v_k * (s v r) * v_k**-1, whose target is already
+    interned, so the spread finds no subgroup and the search meets every
+    subgroup in the same order as without it.  Each new subgroup is
     interned with its whole V-orbit at once, and the join row of a
     conjugate s = v_k * t is transported from t's:
     s v r = v_k * (t v v_k**-1 r v_k).
@@ -363,12 +371,16 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     trivial_index = intern_orbit(
         trivial_members, trivial_flags, _mask_of(trivial_flags), (), (-1, -1)
     )
+    perm_rows = refl_perm.tolist()
     queue: deque[int] = deque([trivial_index])
     while queue:
         s = queue.popleft()
         parent, last = via[s]
         row = join[s]
+        fixing = [(perm_rows[k], act[k]) for k in range(len(act)) if act[k][s] == s]
         for ri in range(num_refl):
+            if row[ri] >= 0:
+                continue
             if masks[s] >> ri & 1:
                 row[ri] = s
                 continue
@@ -376,18 +388,27 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
             # when the search has already joined that.
             if parent >= 0 and join[join[parent][ri]][last] >= 0:
                 row[ri] = join[join[parent][ri]][last]
-                continue
-            gens = gens_of[s] + (ri,)
-            closure = subgroup_closure(mult, members[s], gens)
-            rflags = reflection_flags(closure)
-            mask = _mask_of(rflags)
-            target = interned.get(mask)
-            if target is None:
-                target = intern_orbit(closure, rflags, mask, gens, (s, ri))
-                queue.append(target)
-            elif len(members[target]) != len(closure):
-                raise AssertionError("two subgroups share the same reflections")
-            row[ri] = target
+            else:
+                gens = gens_of[s] + (ri,)
+                closure = subgroup_closure(mult, members[s], gens)
+                rflags = reflection_flags(closure)
+                mask = _mask_of(rflags)
+                target = interned.get(mask)
+                if target is None:
+                    target = intern_orbit(closure, rflags, mask, gens, (s, ri))
+                    queue.append(target)
+                elif len(members[target]) != len(closure):
+                    raise AssertionError("two subgroups share the same reflections")
+                row[ri] = target
+            # A v_k that fixes s gives s v v_k r v_k**-1 = v_k (s v r) v_k**-1:
+            # spread the entry over the reflections its stabilizer reaches.
+            spread = [ri]
+            for rj in spread:
+                for perm_k, act_k in fixing:
+                    image = perm_k[rj]
+                    if row[image] < 0:
+                        row[image] = act_k[row[rj]]
+                        spread.append(image)
         for t in orbit_of_rep[s][1:]:
             k, u = source[t]
             act_k, join_u = act[k], join[u]
@@ -612,13 +633,16 @@ def class_representatives(params: GroupParams) -> list[Element]:
     takes a multiset of c colors, and a key belongs to G(m,p,n) when its
     colors sum to 0 mod p.  Each representative is the canonical element
     with those cycles.  TABLE_GUARD is checked first, as in build_tables.
+    At n = 1 the one color must itself be 0 mod p, so only those m/p colors
+    are listed: TABLE_GUARD bounds m/p there, but nothing bounds m.
     """
     _check_table_guard(params)
+    palette = range(0, params.m, params.p) if params.n == 1 else range(params.m)
     keys = []
     for partition in integer_partitions(params.n):
         blocks = [
             [[(length, c) for c in colors]
-             for colors in combinations_with_replacement(range(params.m), count)]
+             for colors in combinations_with_replacement(palette, count)]
             for length, count in Counter(partition).items()
         ]
         for choice in product(*blocks):

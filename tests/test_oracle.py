@@ -197,6 +197,13 @@ def test_class_representatives_match_an_element_scan(params):
     assert [cycle_data(g, params).class_key for g in reps] == scanned
 
 
+def test_class_representatives_of_a_huge_trivial_group_list_one_color():
+    # G(m,m,1) is trivial for every m, and the walk over colors must not
+    # follow m: only the colors 0 mod p are listed at n = 1.
+    params = GroupParams(10**9, 10**9, 1)
+    assert class_representatives(params) == [identity(params)]
+
+
 # ---------------------------------------------------------------- lattice
 
 
@@ -559,9 +566,14 @@ def test_subgroup_orbits_under_conjugation(params):
     assert [stable.trivial_index] in stable.orbits
 
 
-@pytest.mark.parametrize("m, p, n", [(2, 1, 4), (6, 3, 3), (3, 3, 4), (1, 1, 5)])
+# Zeta fixes most representatives of G(4,1,3) and G(8,1,3), so their rows
+# are also spread along a diagonal generator, not only transpositions.
+@pytest.mark.parametrize(
+    "m, p, n", [(2, 1, 4), (6, 3, 3), (3, 3, 4), (1, 1, 5), (4, 1, 3), (8, 1, 3)]
+)
 def test_join_is_the_least_subgroup_above(m, p, n):
-    # Conjugates' rows are transported, not closed: check every entry.
+    # Conjugates' rows are transported and representatives' rows spread
+    # along their stabilizers, not closed: check every entry.
     _, stable = build_tables(GroupParams(m, p, n))
     masks = stable.masks
     for s, row in enumerate(stable.join):
@@ -571,6 +583,29 @@ def test_join_is_the_least_subgroup_above(m, p, n):
             for other in masks:
                 if other & need == need:
                     assert other & masks[target] == masks[target]
+
+
+def test_lattice_search_closure_counts(monkeypatch, cold_caches):
+    # The closures the lattice search pays for on the five oracle-verify
+    # groups (206 together) and on G(2,1,5); the rest of each
+    # representative's row comes from the shortcut or the stabilizer spread.
+    calls = []
+    real = oracle.subgroup_closure
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "subgroup_closure", counting)
+    closures = {}
+    for mpn in [(2, 1, 4), (4, 1, 3), (6, 3, 3), (3, 3, 4), (3, 1, 4), (2, 1, 5)]:
+        calls.clear()
+        build_tables(GroupParams(*mpn))
+        closures[mpn] = len(calls)
+    assert closures == {
+        (2, 1, 4): 36, (4, 1, 3): 55, (6, 3, 3): 39, (3, 3, 4): 16, (3, 1, 4): 60,
+        (2, 1, 5): 74,
+    }
 
 
 @pytest.mark.parametrize("m, p, n", [(1, 1, 4), (2, 1, 3), (4, 2, 3), (3, 3, 3)])
