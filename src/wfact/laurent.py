@@ -504,22 +504,20 @@ def _power_eval(
     return V @ cs, V[:, :-1] @ d_cs, np.abs(V) @ np.abs(cs)
 
 
-def _certify_newton(
-    ics: Sequence[int], z: complex, steps: int = 8
-) -> tuple[complex, bool]:
+def _certify_newton(ics: Sequence[int], z: complex) -> tuple[complex, bool]:
     """Newton corrections of the double z by ``_newton_step`` until converged.
 
     Returns (z, converged).  The step is p/p' to about 2**-63 relative, so
     the only residual error is float rounding when the iterate is rounded
     back to a double after each step.  Converged means the last step was at
-    rounding level, 1e-14 * (1 + |z|), within ``steps`` steps (at once when
-    p'(z) is exactly zero).  ``find_roots`` only passes square-free p, and
-    Newton converges quadratically near a simple root, so an Aberth iterate
-    close to its root converges in a few steps; a root still moving after
-    ``steps`` steps is not resolved by the float iteration, and the caller
-    must not return it.
+    rounding level, 1e-14 * (1 + |z|), within ``_NEWTON_STEPS`` steps (at
+    once when p'(z) is exactly zero).  ``find_roots`` only passes
+    square-free p, and Newton converges quadratically near a simple root, so
+    an Aberth iterate close to its root converges in a few steps; a root
+    still moving after ``_NEWTON_STEPS`` steps is not resolved by the float
+    iteration, and the caller must not return it.
     """
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         step = _newton_step(ics, z)
         z -= step
         if abs(step) <= 1e-14 * (1.0 + abs(z)):
@@ -766,6 +764,8 @@ def _squarefree_parts(ics: Sequence[int]) -> list[tuple[list[int], int]]:
 _TOL = 1e-10
 # The budget of Aberth sweeps per square-free part, polishing included.
 _MAX_ITER = 500
+# The budget of exact Newton steps per root in the certification.
+_NEWTON_STEPS = 8
 
 
 def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]:
@@ -828,14 +828,17 @@ def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]
         # nearest to conj(z_k).  The first of a mutual pair is certified and
         # the second takes the conjugate; a real root is its own partner, and
         # it and an iterate whose partner does not pair back are certified
-        # on their own.
+        # on their own.  A real root's Newton steps start from the real part
+        # of its iterate: from a real point they stay real, so the root's
+        # imaginary part comes out exactly 0.0.
         partner = np.abs(z[None, :] - z.conj()[:, None]).argmin(axis=1)
         mirrored = set()
         for k in range(deg):
             if k in mirrored:
                 continue
-            r, ok = _certify_newton(ics, complex(z[k]))
             j = int(partner[k])
+            start = complex(z[k].real, 0.0) if j == k else complex(z[k])
+            r, ok = _certify_newton(ics, start)
             mirror = j > k and partner[j] == k
             if mirror:
                 mirrored.add(j)

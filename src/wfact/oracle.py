@@ -166,9 +166,10 @@ class ElementTable:
 class SubgroupTable:
     """All subgroups generated by reflection subsets, with join-by-reflection.
 
-    ``masks[s]`` has bit ri set when reflection ``refl_indices[ri]`` lies in
-    subgroup s; a reflection subgroup is determined by its reflections, so
-    the masks are distinct and containment is a bitmask subset test.
+    ``flags[s, ri]`` is True when reflection ``refl_indices[ri]`` lies in
+    subgroup s, a bool (#subgroups, #R) array; a reflection subgroup is
+    determined by its reflections, so the rows are distinct and containment
+    is a test on rows.
     ``mobius[s]`` is the Möbius function mu(s, top) of the lattice.
     Conjugation by V permutes the subgroups: ``act[k, s]`` is the index of
     v_k * s * v_k**-1, and ``orbits`` lists the V-orbits, each with its
@@ -176,7 +177,7 @@ class SubgroupTable:
     """
 
     members: list[np.ndarray]
-    masks: list[int]
+    flags: np.ndarray
     join: list[list[int]]
     mobius: list[int]
     trivial_index: int
@@ -281,13 +282,11 @@ def _check_permutations(rows: np.ndarray, what: str) -> None:
         raise AssertionError(f"{what} is not a permutation of the element indices")
 
 
-def _mask_of(refl_flags: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(refl_flags, bitorder="little").tobytes(), "little")
-
-
 def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     """The lattice, searched breadth first over one subgroup per V-orbit.
 
+    A subgroup is keyed by the bytes of its row of reflection flags, the
+    one form of its reflection set that the search keeps.
     A representative's joins come from closures, or from the shortcut
     s v r = (parent v r) v last when the search has joined that already.
     Each entry found is spread along the generators v_k that fix s: then
@@ -311,27 +310,24 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     refl_inv = np.argsort(refl_perm, axis=1)
 
     members: list[np.ndarray] = []
-    masks: list[int] = []
     refl_flags: list[np.ndarray] = []
-    interned: dict[int, int] = {}
+    interned: dict[bytes, int] = {}  # the bytes of a flag row -> its subgroup
     gens_of: dict[int, tuple[int, ...]] = {}  # reflection columns generating a rep
     via: dict[int, tuple[int, int]] = {}  # (parent, reflection) whose join found a rep
     source: dict[int, tuple[int, int]] = {}  # conjugate s -> (k, t) with s = v_k t
     join: list[list[int]] = []
     act: list[list[int]] = [[] for _ in range(len(conj))]
-    orbits: list[list[int]] = []
-    orbit_of_rep: dict[int, list[int]] = {}
+    orbits: dict[int, list[int]] = {}  # representative -> its orbit, rep first
 
-    def add(member_array: np.ndarray, flags: np.ndarray, mask: int) -> int:
+    def add(member_array: np.ndarray, flags: np.ndarray) -> int:
         if len(members) >= CAP_SUBGROUPS:
             raise CapabilityError(
                 f"{etable.params} produced more than {CAP_SUBGROUPS} reflection "
                 "subgroups; oracle subgroup cap exceeded"
             )
         idx = len(members)
-        interned[mask] = idx
+        interned[flags.tobytes()] = idx
         members.append(member_array)
-        masks.append(mask)
         refl_flags.append(flags)
         join.append([-1] * num_refl)
         for row in act:
@@ -344,32 +340,27 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
         return flags[refl_array]
 
     def intern_orbit(
-        member_array: np.ndarray, rflags: np.ndarray, mask: int,
+        member_array: np.ndarray, rflags: np.ndarray,
         gens: tuple[int, ...], found_by: tuple[int, int],
     ) -> int:
         """Intern a subgroup of a new V-orbit as its representative, then the orbit."""
-        rep = add(member_array, rflags, mask)
+        rep = add(member_array, rflags)
         gens_of[rep], via[rep] = gens, found_by
-        orbit = [rep]
+        orbit = orbits[rep] = [rep]
         for t in orbit:
             images = refl_flags[t][refl_inv]  # row k: the reflections of v_k t
-            packed = np.packbits(images, axis=1, bitorder="little")
             for k, image_flags in enumerate(images):
-                image_mask = int.from_bytes(packed[k].tobytes(), "little")
-                s = interned.get(image_mask)
+                s = interned.get(image_flags.tobytes())
                 if s is None:
-                    s = add(np.sort(conj[k][members[t]]), image_flags, image_mask)
+                    s = add(np.sort(conj[k][members[t]]), image_flags)
                     source[s] = (k, t)
                     orbit.append(s)
                 act[k][t] = s
-        orbits.append(orbit)
-        orbit_of_rep[rep] = orbit
         return rep
 
     trivial_members = np.array([etable.identity_index], dtype=np.int32)
-    trivial_flags = reflection_flags(trivial_members)
     trivial_index = intern_orbit(
-        trivial_members, trivial_flags, _mask_of(trivial_flags), (), (-1, -1)
+        trivial_members, reflection_flags(trivial_members), (), (-1, -1)
     )
     perm_rows = refl_perm.tolist()
     queue: deque[int] = deque([trivial_index])
@@ -377,11 +368,12 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
         s = queue.popleft()
         parent, last = via[s]
         row = join[s]
+        inside = refl_flags[s].tolist()
         fixing = [(perm_rows[k], act[k]) for k in range(len(act)) if act[k][s] == s]
         for ri in range(num_refl):
             if row[ri] >= 0:
                 continue
-            if masks[s] >> ri & 1:
+            if inside[ri]:
                 row[ri] = s
                 continue
             # s = parent v last, so s v ri = (parent v ri) v last: no closure
@@ -392,10 +384,9 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
                 gens = gens_of[s] + (ri,)
                 closure = subgroup_closure(mult, members[s], gens)
                 rflags = reflection_flags(closure)
-                mask = _mask_of(rflags)
-                target = interned.get(mask)
+                target = interned.get(rflags.tobytes())
                 if target is None:
-                    target = intern_orbit(closure, rflags, mask, gens, (s, ri))
+                    target = intern_orbit(closure, rflags, gens, (s, ri))
                     queue.append(target)
                 elif len(members[target]) != len(closure):
                     raise AssertionError("two subgroups share the same reflections")
@@ -409,38 +400,39 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
                     if row[image] < 0:
                         row[image] = act_k[row[rj]]
                         spread.append(image)
-        for t in orbit_of_rep[s][1:]:
+        for t in orbits[s][1:]:
             k, u = source[t]
             act_k, join_u = act[k], join[u]
             join[t] = [act_k[join_u[c]] for c in refl_inv[k].tolist()]
-    full_index = interned.get((1 << num_refl) - 1, -1)
+    full_index = interned.get(np.ones(num_refl, dtype=bool).tobytes(), -1)
     if full_index < 0 or len(members[full_index]) != total:
         # Reflections of G(m,p,n) always generate it (the trivial group's
         # top is its trivial subgroup), so this is a table or closure bug.
         raise AssertionError("reflection subgroup lattice is missing the top")
+    flags = np.array(refl_flags)
     sizes = np.array([len(member_array) for member_array in members])
-    mobius = _mobius_to_top(np.array(refl_flags), sizes, full_index)
+    mobius = _mobius_to_top(flags, sizes, full_index)
     act_table = np.array(act, dtype=np.int32).reshape(len(act), len(members))
     return SubgroupTable(
-        members, masks, join, mobius, trivial_index, full_index, act_table, orbits
+        members, flags, join, mobius, trivial_index, full_index, act_table,
+        list(orbits.values()),
     )
 
 
-def _mobius_to_top(refl_flags: np.ndarray, sizes: np.ndarray, top: int) -> list[int]:
+def _mobius_to_top(flags: np.ndarray, sizes: np.ndarray, top: int) -> list[int]:
     """mu(s, top) for every subgroup s, one subgroup order at a time.
 
     mu(top, top) = 1 and mu(s, top) = -sum of mu(k, top) over the subgroups
     k strictly above s.  Those all have larger order, so the subgroups of
     one order take their values together, from the largest order down, out
-    of the subgroups of larger order with mu != 0.  ``refl_flags[s]`` flags
-    the reflections of s, and k lies above s when its flags contain those
-    of s: one numpy test over the flags packed into 64-bit words.
+    of the subgroups of larger order with mu != 0.  ``flags[s]`` flags the
+    reflections of s, and k lies above s when no reflection of s is outside
+    k: one float32 product counts those reflections for every pair, exactly,
+    since the counts are at most #R <= TABLE_GUARD < 2**24.
     """
     count = len(sizes)
-    packed = np.packbits(refl_flags, axis=1, bitorder="little")
-    words = np.zeros((count, max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    words = words.view(np.uint64)
+    inside = flags.astype(np.float32)
+    outside = 1 - inside
     mobius = np.zeros(count, dtype=np.int64)
     mobius[top] = 1
     above = [top]  # subgroups of the orders done so far with mu != 0
@@ -452,8 +444,7 @@ def _mobius_to_top(refl_flags: np.ndarray, sizes: np.ndarray, top: int) -> list[
         # |mu| summed over ``above`` bounds every new value.
         if sum(map(abs, mobius[above].tolist())) >= 2**62:
             raise AssertionError("a Möbius value outgrew int64")
-        mine, theirs = words[batch][:, None, :], words[above][None, :, :]
-        contained = ((mine & theirs) == mine).all(axis=2)
+        contained = inside[batch] @ outside[above].T == 0
         mobius[batch] = -(contained.astype(np.int64) @ mobius[above])
         above.extend(batch[mobius[batch] != 0].tolist())
     return mobius.tolist()
@@ -571,8 +562,7 @@ def _orbit_sweep(
         mu = stable.mobius[rep]
         if not mu or rep == stable.full_index:
             continue
-        mask = stable.masks[rep]
-        refls = [ri for ri in range(num_refl) if mask >> ri & 1]
+        refls = np.flatnonzero(stable.flags[rep])
         members = stable.members[rep]
         ids = _reflection_classes(rconj, members, refls)
         walk = _class_walk(mult, members, refls, ids, id_idx, n_max)

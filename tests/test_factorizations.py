@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wfact import factorizations
 from wfact.cyclic import cyclic_element_order, cyclic_full_series
 from wfact.factorizations import (
+    WINDOW_GUARD,
     full_length,
     lead_coeff,
     lead_from_phi,
@@ -25,16 +26,18 @@ from wfact.fixtures import load_phi_fixtures
 from wfact.groups import (
     Element,
     GroupParams,
+    _canonical_from_cycles,
     all_elements,
     conjugate,
     cycle_data,
     identity,
     project,
+    validate_element,
     weight,
 )
 from wfact.laurent import LaurentPoly, extract_phi, lowest_order
 from wfact.numtheory import divisors, jordan_j2, moebius
-from wfact.oracle import class_representatives, count_factorizations
+from wfact.oracle import class_representatives, count_factorizations, oracle_series
 from wfact.partitions import integer_partitions
 from wfact.symmetric import full_series_sn, full_series_sn_type
 
@@ -433,6 +436,82 @@ def test_connected_edge_series_counts_spanning_trees():
     for n in range(2, 7):
         prefix = connected_edge_series(n).egf_prefix(n - 1)
         assert prefix == [0] * (n - 1) + [n ** (n - 2) * factorial(n - 1)]
+
+
+# ---------------------------------------------------------------- Coxeter elements
+#
+# At a Coxeter element c of a well-generated group of rank r with Coxeter
+# number h, every reflection factorization is full, and the series is
+# X**-#A * (X**h - 1)**r / #W (Chapuy & Stump, J. London Math. Soc. 90
+# (2014)); #R + #A = r * h.
+
+
+def coxeter_cases(max_m, max_n):
+    """(params, c, r, h) for every well-generated G(m,p,n) with m, n in range.
+
+    G(m,1,n) (m >= 2): c one n-cycle of color 1, h = mn.  G(m,m,n) (n >= 2):
+    an (n-1)-cycle of color 1 and a fixed point of color -1, h = (n-1)m.
+    S_n = G(1,1,n): one n-cycle, r = n - 1 and h = n.  Only the groups
+    inside WINDOW_GUARD are listed.
+    """
+    cases = []
+    for n in range(1, max_n + 1):
+        cases.append((GroupParams(1, 1, n), [(n, 0)], n - 1, n))
+        for m in range(2, max_m + 1):
+            cases.append((GroupParams(m, 1, n), [(n, 1)], n, m * n))
+            if n >= 2:
+                cycles = [(n - 1, 1), (1, m - 1)]
+                cases.append((GroupParams(m, m, n), cycles, n, (n - 1) * m))
+    return [
+        (params, _canonical_from_cycles(cycles, params), r, h)
+        for params, cycles, r, h in cases
+        if params.num_reflections + params.num_hyperplanes <= WINDOW_GUARD
+    ]
+
+
+def coxeter_series(params, r, h):
+    """X**-#A * (X**h - 1)**r / #W."""
+    coeffs = [0] * (r * h + 1)
+    for k in range(r + 1):
+        coeffs[k * h] = comb(r, k) * (-1) ** (r - k)
+    return LaurentPoly(-params.num_hyperplanes, coeffs, params.order)
+
+
+COXETER_CASES = coxeter_cases(12, 14)
+
+
+def test_series_full_at_coxeter_elements():
+    assert len(COXETER_CASES) == 311
+    for params, c, r, h in COXETER_CASES:
+        validate_element(c, params)
+        assert params.num_reflections + params.num_hyperplanes == r * h, params
+        assert series_full(params, c) == coxeter_series(params, r, h), params
+
+
+def test_lowest_order_at_coxeter_elements():
+    # The minimum length is the rank and the count r! h**r / #W
+    # (Deligne-Reading).
+    cases = [case for case in COXETER_CASES if case[0].n >= 2]
+    assert len(cases) == 299
+    for params, c, r, h in cases:
+        assert full_length(params, c) == r, params
+        assert lead_coeff(params, c) == Fraction(factorial(r) * h**r, params.order), params
+
+
+@pytest.mark.parametrize(
+    "mpn",
+    [
+        (1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3),
+        (2, 2, 3), (3, 3, 3), (4, 4, 2), (2, 2, 4), (2, 1, 4), (5, 1, 1),
+    ],
+    ids=str,
+)
+def test_oracle_series_at_coxeter_elements(mpn):
+    # Every factorization of c is full, so both modes give the formula.
+    [(params, c, r, h)] = [case for case in COXETER_CASES if case[0] == GroupParams(*mpn)]
+    expected = coxeter_series(params, r, h)
+    assert oracle_series(params, c, mode="all") == expected
+    assert oracle_series(params, c, mode="full") == expected
 
 
 # ---------------------------------------------------------------- key cache

@@ -667,13 +667,21 @@ def test_find_roots_certifies_each_conjugate_pair_once(
 @pytest.mark.parametrize("name", CORES)
 def test_find_roots_closed_under_exact_conjugation(name):
     # The second root of each pair is the conjugate of the first, bit for bit.
-    # A real root is certified from a complex iterate and keeps an imaginary
-    # part at rounding level (S7's -2.3163... has 1.4e-38), so it has no
-    # partner; every other root must have its exact conjugate.
+    # A real root has no partner; every other root must have its exact
+    # conjugate.
     counts = Counter(find_roots(_core(name)))
     for r, k in counts.items():
         if abs(r.imag) > 1e-12 * abs(r):
             assert counts[r.conjugate()] == k, r
+
+
+@pytest.mark.parametrize("name", CORES + ["S3"])
+def test_find_roots_real_roots_are_exactly_real(name):
+    # A real root's Newton steps start from the real part of its iterate and
+    # stay real, so no root prints a rounding-size imaginary part.
+    for r in find_roots(_core(name)):
+        if abs(r.imag) < 1e-30:
+            assert r.imag == 0.0, r
 
 
 def test_find_roots_pair_fails_together(monkeypatch):

@@ -239,6 +239,13 @@ def test_full_counts_match_sequence_enumeration():
             assert counts == [expected[g, length] for length in range(top + 1)]
 
 
+def reflection_masks(stable):
+    """Each subgroup's reflections as an int with bit ri set for column ri."""
+    return [
+        sum(1 << ri for ri in np.flatnonzero(row).tolist()) for row in stable.flags
+    ]
+
+
 def element_walk(mult, members, refls, start, n_max):
     """walk[N, i]: sequences of N reflections from ``refls`` with product members[i].
 
@@ -268,10 +275,11 @@ def reference_sweep(params, n_max):
         mult, np.arange(mult.shape[0]), range(num_refl), id_idx, n_max
     )
     full_counts = all_counts.copy()
+    masks = reflection_masks(stable)
     for s, mu in enumerate(stable.mobius):
         if not mu or s == stable.full_index:
             continue
-        mask = stable.masks[s]
+        mask = masks[s]
         refls = [ri for ri in range(num_refl) if mask >> ri & 1]
         walk = element_walk(mult, stable.members[s], refls, id_idx, n_max)
         full_counts[:, stable.members[s]] += mu * walk
@@ -318,10 +326,11 @@ def test_class_walk_matches_the_element_walk(m, p, n):
     mult, id_idx = etable.mult, etable.identity_index
     num_refl = mult.shape[1]
     walked = [(np.arange(mult.shape[0]), list(range(num_refl)))]
+    masks = reflection_masks(stable)
     for orbit in stable.orbits:
         rep = orbit[0]
         if stable.mobius[rep] and rep != stable.full_index:
-            mask = stable.masks[rep]
+            mask = masks[rep]
             refls = [ri for ri in range(num_refl) if mask >> ri & 1]
             walked.append((stable.members[rep], refls))
     for members, refls in walked:
@@ -575,7 +584,7 @@ def test_join_is_the_least_subgroup_above(m, p, n):
     # Conjugates' rows are transported and representatives' rows spread
     # along their stabilizers, not closed: check every entry.
     _, stable = build_tables(GroupParams(m, p, n))
-    masks = stable.masks
+    masks = reflection_masks(stable)
     for s, row in enumerate(stable.join):
         for ri, target in enumerate(row):
             need = masks[s] | 1 << ri
@@ -651,7 +660,9 @@ def pairwise_mobius(members, masks, top):
 )
 def test_mobius_matches_the_pairwise_reference(params):
     _, stable = build_tables(params)
-    assert stable.mobius == pairwise_mobius(stable.members, stable.masks, stable.full_index)
+    assert stable.mobius == pairwise_mobius(
+        stable.members, reflection_masks(stable), stable.full_index
+    )
 
 
 @pytest.mark.parametrize(
@@ -663,16 +674,22 @@ def test_reflection_subgroup_counts(m, p, n, subgroups):
     assert len(stable.members) == subgroups
 
 
-def test_lattice_members_are_subgroups_with_their_reflections():
-    params = GroupParams(2, 1, 3)
+@pytest.mark.parametrize("m, p, n", [(2, 1, 3), (8, 1, 3), (12, 3, 3), (447, 1, 1)])
+def test_lattice_members_are_subgroups_with_their_reflections(m, p, n):
+    # G(447,1,1) has the widest flag row, 446 columns.
+    params = GroupParams(m, p, n)
     etable, stable = build_tables(params)
     refl = np.array(etable.refl_indices)
-    for members, mask in zip(stable.members, stable.masks):
+    assert stable.flags.shape == (len(stable.members), len(refl))
+    assert stable.flags.dtype == bool
+    for members, flags in zip(stable.members, stable.flags):
         assert etable.identity_index in members
-        elems = {etable.element(i) for i in members}
-        assert all(multiply(x, y, params) in elems for x in elems for y in elems)
-        inside = np.isin(refl, members)
-        assert mask == sum(1 << ri for ri in np.flatnonzero(inside).tolist())
+        assert np.array_equal(flags, np.isin(refl, members))
+    assert len(np.unique(stable.flags, axis=0)) == len(stable.members)
+    if (m, p, n) == (2, 1, 3):
+        for members in stable.members:
+            elems = {etable.element(i) for i in members}
+            assert all(multiply(x, y, params) in elems for x in elems for y in elems)
 
 
 def test_caches_keep_eight_groups():
