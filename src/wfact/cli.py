@@ -315,7 +315,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
         if top < 2:
             raise UsageError("--sn-sweep expects an integer >= 2")
         # Past FULL_GUARD the double-precision iteration cannot resolve the
-        # cores (S_15 and S_16 already fail), so refuse before building any.
+        # cores (S_16, the next one swept, does not certify), so refuse
+        # before building any.
         if top > FULL_GUARD:
             raise CapabilityError(f"--sn-sweep is guarded at {FULL_GUARD}; got {top}")
         labelled = True

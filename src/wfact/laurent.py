@@ -511,17 +511,25 @@ def _certify_newton(ics: Sequence[int], z: complex) -> tuple[complex, bool]:
     the only residual error is float rounding when the iterate is rounded
     back to a double after each step.  Converged means the last step was at
     rounding level, 1e-14 * (1 + |z|), within ``_NEWTON_STEPS`` steps (at
-    once when p'(z) is exactly zero).  ``find_roots`` only passes
-    square-free p, and Newton converges quadratically near a simple root, so
-    an Aberth iterate close to its root converges in a few steps; a root
-    still moving after ``_NEWTON_STEPS`` steps is not resolved by the float
-    iteration, and the caller must not return it.
+    once at an exact root).  ``find_roots`` only passes square-free p, and
+    Newton converges quadratically near a simple root, so each step from an
+    Aberth iterate close to its root is far below half the one before.  The
+    attempt stops at the first step that does not at least halve, or that
+    does not exist (p'(z) = 0 off a root): such a start is not yet in the
+    root's quadratic basin, and a root still moving after ``_NEWTON_STEPS``
+    steps is not resolved by the float iteration; the caller must not
+    return either.
     """
+    limit = math.inf
     for _ in range(_NEWTON_STEPS):
         step = _newton_step(ics, z)
+        size = abs(step)
+        if not size <= limit:  # also a NaN step
+            break
         z -= step
-        if abs(step) <= 1e-14 * (1.0 + abs(z)):
+        if size <= 1e-14 * (1.0 + abs(z)):
             return z, True
+        limit = size / 2
     return z, False
 
 
@@ -544,7 +552,8 @@ def _newton_step(ics: Sequence[int], z: complex) -> complex:
     a large n can overflow; otherwise F doubles from 128.  Once F >= e * n
     no floor truncates and the pass is exact, so the loop ends, and an
     exact root gives the step 0.  The quotient is one correctly rounded int
-    division; 0 is returned when p'(z) is exactly zero (a multiple root).
+    division.  When p'(z) is exactly zero the step is 0 if p(z) is too (a
+    multiple root) and NaN otherwise, since no Newton step exists there.
     """
     deg = len(ics) - 1
     ar, dr = z.real.as_integer_ratio()
@@ -569,7 +578,7 @@ def _newton_step(ics: Sequence[int], z: complex) -> complex:
     # The 2**F scalings cancel in the quotient.
     den = qr * qr + qi * qi
     if den == 0:
-        return 0j
+        return 0j if pr == pi == 0 else complex(math.nan, 0.0)
     # int / int rounds correctly and skips the gcd a Fraction would take.
     return complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
 
@@ -762,10 +771,12 @@ def _squarefree_parts(ics: Sequence[int]) -> list[tuple[list[int], int]]:
 
 # The sweeps have converged when every relative backward error is below this.
 _TOL = 1e-10
-# The budget of Aberth sweeps per square-free part, polishing included.
+# The budget of Aberth sweeps per square-free part.
 _MAX_ITER = 500
 # The budget of exact Newton steps per root in the certification.
 _NEWTON_STEPS = 8
+# The iteration gives up after this many sweeps with no newly certified root.
+_GIVE_UP = 4
 
 
 def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]:
@@ -774,6 +785,18 @@ def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]
     ``ics`` are p's integer coefficients, ascending, with both ends nonzero
     and degree >= 1.  ``failure`` is None when every iterate is a certified
     root, else the reason it is not.
+
+    Certification, not a sweep count, ends the iteration.  Aberth sweeps run
+    until the relative backward error of every pending iterate is below
+    ``_TOL``, and then ``_certify_pending`` certifies what it can.  A
+    certified root stays fixed and still repels the others; only the pending
+    iterates take further sweeps, each followed by another certification
+    while they stay below ``_TOL``.  An ill-conditioned root that does not
+    certify when the test first passes usually does a few sweeps later,
+    against exact neighbours.  The loop ends when every root is certified,
+    ``_GIVE_UP`` sweeps after the last newly certified root (or after the
+    first certification, if it certified none), or after ``_MAX_ITER``
+    sweeps.
     """
     deg = len(ics) - 1
     try:
@@ -790,78 +813,133 @@ def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]
     coeffs = (asc, asc[1:] * np.arange(1, deg + 1, dtype=np.float64))
 
     z = _newton_polygon_start(ics)
-    # After the residual drops below tolerance, run extra sweeps: the
-    # residual certifies backward error, but an ill-conditioned simple root
-    # can still sit noticeably off when the test first passes.  The extra
-    # sweeps use the same repelled step as the main loop (plain Newton could
-    # collapse two iterates onto one root) and count against the budget.
-    polish_left = 15
-    for _ in range(_MAX_ITER):
-        newton, res = _newton_and_residual(z, *coeffs)
+    done = np.zeros(deg, dtype=bool)
+    palindromic = list(ics) == list(reversed(ics))
+    last = None  # the sweep of the first certification or of the last new root
+    for sweep in range(_MAX_ITER):
+        todo = np.flatnonzero(~done)
+        newton, res = _newton_and_residual(z[todo], *coeffs)
         if float(res.max()) < _TOL:
-            if polish_left == 0:
-                break
-            polish_left -= 1
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        step = newton / denom
-        step = np.where(np.isfinite(step), step, 0.0)
-        z = z - step
-    else:  # the budget ran out: judge the last step's iterates
+            if _certify_pending(ics, z, done, todo, palindromic) > 0 or last is None:
+                last = sweep
+            if done.all():
+                return z, None
+            keep = ~done[todo]
+            todo, newton = todo[keep], newton[keep]
+        if last is not None and sweep - last >= _GIVE_UP:
+            break
+        # The Aberth step of each pending iterate, repelled by every other;
+        # an iterate on top of another gets no finite step and stays put.
+        diff = z[todo, None] - z[None, :]
+        diff[np.arange(len(todo)), todo] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            repulsion = (1.0 / diff).sum(axis=1)
+            denom = 1.0 - newton * repulsion
+            denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+            step = newton / denom
+        z[todo] -= np.where(np.isfinite(step), step, 0.0)
+    if last is None:
         _, res = _newton_and_residual(z, *coeffs)
-    uncertified = 0
-    if float(res.max()) < _TOL:
-        # Certification: double-precision evaluation noise caps the
-        # attainable accuracy of a root with condition number kappa at about
-        # eps * kappa, which for the largest inputs is worse than the root
-        # spacing downstream consumers rely on.  Each root gets Newton
-        # corrections whose p/p' is accurate to about 2**-63 relative
-        # (``_newton_step``) until the step is at rounding level, which
-        # lands on the true root to within float rounding; a root already
-        # there costs one evaluation, and a conjugate pair one certification.
-        # p has real coefficients, so p(conj z) = conj p(z) and the exact
-        # Newton step at conj(r) is the conjugate of the step at r: conj(r)
-        # is certified exactly when r is.  Iterate k's partner is the j
-        # nearest to conj(z_k).  The first of a mutual pair is certified and
-        # the second takes the conjugate; a real root is its own partner, and
-        # it and an iterate whose partner does not pair back are certified
-        # on their own.  A real root's Newton steps start from the real part
-        # of its iterate: from a real point they stay real, so the root's
-        # imaginary part comes out exactly 0.0.
-        partner = np.abs(z[None, :] - z.conj()[:, None]).argmin(axis=1)
-        mirrored = set()
-        for k in range(deg):
-            if k in mirrored:
-                continue
-            j = int(partner[k])
-            start = complex(z[k].real, 0.0) if j == k else complex(z[k])
-            r, ok = _certify_newton(ics, start)
-            mirror = j > k and partner[j] == k
-            if mirror:
-                mirrored.add(j)
-            if not ok:
-                # Both keep their Aberth iterates, since Newton from k may
-                # have wandered off.
-                uncertified += 2 if mirror else 1
-                continue
-            z[k] = r
-            if mirror:
-                z[j] = r.conjugate()
-        _, res = _newton_and_residual(z, *coeffs)
-    if float(res.max()) >= _TOL:
         return z, (
             f"root finding did not reach residual {_TOL} within {_MAX_ITER} "
             f"iterations (worst residual {float(res.max()):.3e})"
         )
-    if uncertified:
-        return z, (
-            f"{uncertified} of {deg} roots did not converge under exact Newton "
-            "steps; the double-precision iteration cannot resolve this polynomial"
-        )
-    return z, None
+    return z, (
+        f"{deg - int(done.sum())} of {deg} roots did not certify under exact "
+        "Newton steps; the double-precision iteration cannot resolve this polynomial"
+    )
+
+
+def _certify_pending(
+    ics: Sequence[int],
+    z: np.ndarray,
+    done: np.ndarray,
+    todo: np.ndarray,
+    palindromic: bool,
+) -> int:
+    """Certify the pending iterates z[todo] in place; return how many were certified.
+
+    Certification: double-precision evaluation noise caps the attainable
+    accuracy of a root with condition number kappa at about eps * kappa,
+    which for the largest inputs is worse than the root spacing downstream
+    consumers rely on.  Each root gets Newton corrections whose p/p' is
+    accurate to about 2**-63 relative (``_newton_step``) until the step is
+    at rounding level, which lands on the true root to within float
+    rounding; ``z`` and ``done`` take each certified root, and an iterate
+    that does not certify keeps its Aberth value, since Newton may have
+    wandered off.
+
+    p has real coefficients, so p(conj z) = conj p(z) and the exact Newton
+    step at conj(r) is the conjugate of the step at r: conj(r) is certified
+    exactly when r is.  Iterate k's partner is the iterate nearest to
+    conj(z_k).  The first of a mutual pending pair is certified and the
+    second takes the conjugate; a real root is its own partner, and it and
+    an iterate whose partner does not pair back are certified on their own.
+    A real root's Newton steps start from the real part of its start: from
+    a real point they stay real, so the root's imaginary part comes out
+    exactly 0.0.
+
+    The iterates with |z| <= 1 are certified first.  A palindromic p has
+    1/r as a root with r, and an iterate whose inversion partner (each is
+    the other's nearest iterate to its inverse) is already certified, at r,
+    starts its Newton steps at 1/r, which usually confirms in one step.  On
+    the unit circle the inversion partner is the conjugate partner, still
+    pending, and the iterate starts from itself.
+
+    A square-free p has no repeated root, so two certified roots within
+    rounding of each other (a start that drifted to a neighbouring root)
+    both go back to pending; the count returned is net of them.
+    """
+    old = np.flatnonzero(done)
+    w = z[todo]
+    row = np.full(len(z), -1)
+    row[todo] = np.arange(len(todo))
+    partner = np.abs(z[None, :] - w.conj()[:, None]).argmin(axis=1)
+    if palindromic:
+        inverse = np.abs(z[None, :] - (1.0 / z)[:, None]).argmin(axis=1)
+    handled = np.zeros(len(todo), dtype=bool)
+    fresh = []
+    for a in np.argsort(np.abs(w) > 1.0, kind="stable"):
+        if handled[a]:
+            continue
+        k, j = todo[a], partner[a]
+        b = row[j]
+        mirror = j != k and b >= 0 and partner[b] == k
+        handled[a] = True
+        if mirror:
+            handled[b] = True
+        start = complex(w[a])
+        if palindromic:
+            s = inverse[k]
+            if s != k and inverse[s] == k and done[s]:
+                start = 1.0 / complex(z[s])
+        if j == k:
+            start = complex(start.real, 0.0)
+        r, ok = _certify_newton(ics, start)
+        if not ok:
+            continue
+        z[k], done[k] = r, True
+        fresh.append(k)
+        if mirror:
+            z[j], done[j] = r.conjugate(), True
+            fresh.append(j)
+    if not fresh:
+        return 0
+    # Two certified roots within rounding of each other are one root, so
+    # both go back to pending: a fresh one at its Aberth value, an earlier
+    # one at its certified value.
+    fresh = np.array(fresh)
+    ids = np.concatenate([old, fresh])
+    f = z[fresh]
+    near = np.abs(f[:, None] - z[ids][None, :]) <= 1e-14 * (1.0 + np.abs(f))[:, None]
+    near[np.arange(len(fresh)), len(old) + np.arange(len(fresh))] = False
+    hit = near.any(axis=0)
+    hit[len(old) :] |= near.any(axis=1)
+    back = ids[hit]
+    done[back] = False
+    back = back[row[back] >= 0]
+    z[back] = w[row[back]]
+    return len(fresh) - int(hit.sum())
 
 
 def find_roots(poly: LaurentPoly) -> list[complex]:
@@ -876,22 +954,28 @@ def find_roots(poly: LaurentPoly) -> list[complex]:
     hull edge at the size of the roots it accounts for.  Each sweep
     evaluates p/p' and the relative backward error
     |p(r)| / sum_i |a_i||r|**i of all iterates from one power matrix per side
-    of |r| = 1 (``_newton_and_residual``).  Converged when every backward
-    error is below ``_TOL``; then polishing sweeps, and every root is
-    certified by Newton steps with p and p' evaluated on the integer
-    coefficients in fixed point to a proven error bound (exact in the
-    limit), repeated until the step is at rounding level, which leaves the
-    root accurate to float rounding.  Each conjugate pair of iterates is
+    of |r| = 1 (``_newton_and_residual``).  Once every backward error is
+    below ``_TOL``, every root is certified by Newton steps with p and p'
+    evaluated on the integer coefficients in fixed point to a proven error
+    bound (exact in the limit), repeated until the step is at rounding
+    level, which leaves the root accurate to float rounding.  Certification
+    ends the iteration: certified roots stay fixed, and only the iterates
+    that did not certify take more sweeps and are certified again, until
+    ``_GIVE_UP`` sweeps pass with no newly certified root
+    (``_certified_simple_roots``).  Each conjugate pair of iterates is
     certified once: p has real coefficients, so the exact Newton step at
     conj(r) is the conjugate of the step at r, and the other member of the
-    pair takes the exact conjugate of the certified r.  RootFindingError,
-    carrying the best iterates sorted like the result, is raised when the
-    sweeps do not converge within ``_MAX_ITER`` or when some root is still
-    moving after the certification's step cap; the latter happens on cores
-    (such as the S_n identity cores for n >= 15) whose roots double
-    precision cannot separate.  CapabilityError is raised when a
-    coefficient of a square-free part does not fit in a double.  Results are
-    sorted by (real, imag).
+    pair takes the exact conjugate of the certified r.  On a palindromic
+    part the roots inside the unit circle are certified first, and each
+    outer root starts its Newton steps at 1/r from its certified inverse r.
+    A certified root that repeats another is sent back to the sweeps, so no
+    root of a part is returned twice.  RootFindingError, carrying the best
+    iterates sorted like the result, is raised when the sweeps do not
+    converge within ``_MAX_ITER`` or when some root does not certify before
+    the iteration gives up; the latter happens on cores (such as the S_16
+    identity core) whose roots double precision cannot separate.
+    CapabilityError is raised when a coefficient of a square-free part does
+    not fit in a double.  Results are sorted by (real, imag).
     """
     if poly.min_deg < 0:
         raise ValueError("find_roots expects an ordinary polynomial (min_deg >= 0)")

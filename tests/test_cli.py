@@ -524,7 +524,7 @@ def test_roots_sn_sweep(capsys, tmp_path):
 
 
 def test_roots_sn_sweep_guard(capsys, tmp_path):
-    # S_15 and S_16 do not certify, so a sweep past FULL_GUARD is refused
+    # S_16 does not certify, so a sweep past FULL_GUARD is refused
     # before any core is built; the largest one allowed still succeeds.
     out_file = tmp_path / "sn.csv"
     code, _, err = run(capsys, "roots", "--sn-sweep", "16", "--out", str(out_file))

@@ -635,6 +635,7 @@ def test_find_roots_certifies_or_raises(name):
         assert len(best) == phi.max_deg
         assert best == sorted(best, key=lambda r: (r.real, r.imag))
         return
+    assert len(set(roots)) == len(roots)
     worst = max(relative_newton_step(list(phi.numers), r) for r in roots)
     assert worst <= 1e-15, worst
 
@@ -694,6 +695,124 @@ def test_find_roots_pair_fails_together(monkeypatch):
     best = info.value.best
     assert len(best) == 2
     assert abs(best[0] + 1j) < 1e-10 and abs(best[1] - 1j) < 1e-10, best
+
+
+def test_find_roots_e8_work_counts(monkeypatch):
+    # Certification ends the sweeps, and each outer root of the palindromic
+    # core starts from its certified inverse and confirms in one Newton step:
+    # E8 takes 39 sweeps and 184 exact Newton steps.
+    counts = Counter()
+    for name in ("_newton_and_residual", "_newton_step"):
+        real = getattr(laurent, name)
+
+        def counting(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(laurent, name, counting)
+    assert len(find_roots(_core("E8"))) == 224
+    assert counts["_newton_and_residual"] <= 40, counts
+    assert counts["_newton_step"] <= 190, counts
+
+
+@pytest.mark.parametrize("name", ["S15", "S16"])
+def test_find_roots_gives_up_after_the_last_new_certification(name, monkeypatch):
+    # A root that double precision cannot resolve gets at most _GIVE_UP more
+    # sweeps after the last newly certified root, not the whole budget.
+    sweeps, certified_at = [], []
+    evaluate, certify = laurent._newton_and_residual, laurent._certify_pending
+
+    def counting_evaluate(*args):
+        sweeps.append(len(sweeps))
+        return evaluate(*args)
+
+    def counting_certify(*args):
+        new = certify(*args)
+        if new > 0:
+            certified_at.append(len(sweeps))
+        return new
+
+    monkeypatch.setattr(laurent, "_newton_and_residual", counting_evaluate)
+    monkeypatch.setattr(laurent, "_certify_pending", counting_certify)
+    try:
+        find_roots(_core(name))
+    except RootFindingError:
+        pass
+    assert certified_at
+    assert len(sweeps) - certified_at[-1] <= laurent._GIVE_UP
+
+
+def _distinct_certified_roots_or_raises(numers):
+    """find_roots' roots of a square-free polynomial, or None if it raises.
+
+    Returned roots must be distinct and each certified.
+    """
+    try:
+        roots = find_roots(LaurentPoly(0, numers))
+    except RootFindingError:
+        return None
+    assert len(set(roots)) == len(roots) == len(numers) - 1, roots
+    assert max(relative_newton_step(numers, r) for r in roots) <= 1e-15
+    return roots
+
+
+CUBIC = [-6, 11, -6, 1]  # (X-1)(X-2)(X-3)
+
+
+def test_find_roots_identical_starts_never_return_a_root_twice(monkeypatch):
+    # Two iterates start on the root 1 and both certify there.  Both go back
+    # to pending; today they cannot separate and the iteration gives up, but
+    # recovering 1, 2 and 3 would do as well.  Returning 1 twice would not.
+    monkeypatch.setattr(
+        laurent, "_newton_polygon_start", lambda ics: np.array([1, 1, 3], dtype=complex)
+    )
+    _distinct_certified_roots_or_raises(CUBIC)
+
+
+@pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
+def test_find_roots_certification_on_a_neighbour_never_returns_it_twice(
+    always, monkeypatch
+):
+    # The iterate at 2 certifies at the neighbouring root 1 instead.  Both
+    # certifications of 1 go back to pending; once resumed, the next round
+    # recovers all three roots, and a certification that always drifts
+    # makes the iteration give up.
+    drifted = []
+    certify = laurent._certify_newton
+
+    def drifting(ics, z):
+        if abs(z - 2) < 0.5 and (always or not drifted):
+            drifted.append(z)
+            z = 1.0
+        return certify(ics, z)
+
+    monkeypatch.setattr(laurent, "_certify_newton", drifting)
+    roots = _distinct_certified_roots_or_raises(CUBIC)
+    assert drifted
+    assert (roots is None) == always, roots
+
+
+# (h, r) for the Coxeter elements of S3, S5, B2 = G(2,1,2), G(3,1,3),
+# G(2,1,5), G2 = G(6,6,2), G(4,4,4), G(12,1,2), G(7,1,4), S14, G(12,12,6).
+COXETER = [
+    (3, 2), (5, 4), (4, 2), (9, 3), (10, 5), (6, 2), (12, 4), (24, 2), (28, 4),
+    (14, 13), (60, 6),
+]
+
+
+@pytest.mark.parametrize("h, r", COXETER)
+def test_find_roots_coxeter_cores(h, r):
+    # The core at a Coxeter element is (1 + X + ... + X**(h-1))**r: each h-th
+    # root of unity other than 1, r times.  Every root is on the unit circle,
+    # where the inverse of a root is its conjugate.
+    roots = find_roots(LaurentPoly(0, _times(*[[1] * h] * r)))
+    assert len(roots) == (h - 1) * r
+    hits = Counter()
+    for z in roots:
+        k = round(cmath.phase(z) * h / (2 * math.pi)) % h
+        assert k and abs(z - cmath.exp(2j * math.pi * k / h)) <= 1e-14, (z, k)
+        hits[k] += 1
+    assert hits == {k: r for k in range(1, h)}
 
 
 def test_find_roots_refuses_coefficients_beyond_double_range():
@@ -910,12 +1029,25 @@ def test_certify_newton_keeps_exact_and_double_roots():
     assert _newton_step([1, -2, 1], 1.0) == 0
 
 
-def test_certify_newton_reports_no_convergence():
+def test_certify_newton_reports_no_convergence(monkeypatch):
     # Newton on X^2 + 1 from a real start stays on the real axis, so it can
-    # never reach a root; the best iterate comes back flagged.
+    # never reach a root; the best iterate comes back flagged.  The steps
+    # from 2 are 5/4 and then 25/24, more than half of 5/4, so the attempt
+    # stops after two steps.
+    steps = []
+    step = laurent._newton_step
+    monkeypatch.setattr(laurent, "_newton_step", lambda ics, z: steps.append(z) or step(ics, z))
     z, converged = _certify_newton([1, 0, 1], 2.0)
     assert not converged
     assert z.imag == 0
+    assert len(steps) == 2
+
+
+def test_certify_newton_refuses_a_critical_point():
+    # p'(0) = 0 while p(0) = 1: no Newton step exists at 0, so the attempt
+    # fails instead of certifying a point that is not a root.
+    assert math.isnan(_newton_step([1, 0, 1], 0.0).real)
+    assert _certify_newton([1, 0, 1], 0.0) == (0.0, False)
 
 
 def test_newton_step_matches_exact_step():
