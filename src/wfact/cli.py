@@ -49,7 +49,10 @@ ELEMENT_GRAMMAR = (
     "element grammar: either 'perm=(2,1); colors=(1,0)' (1-based image tuple "
     "plus one color per position) or 'cycles=[(2,1),(1,0)]' (one (length, color) "
     "pair per cycle, lengths summing to n); --cycles takes the bare pair list "
-    "'(2,1),(1,0)'"
+    "'(2,1),(1,0)'. Each value is a (...) or [...] sequence of integers, or "
+    "for cycles of (...) or [...] pairs of integers; an integer is an optional "
+    "sign and decimal digits; whitespace may surround any token and a sequence "
+    "may end in one comma, so (1) and (1,) both hold one entry"
 )
 
 

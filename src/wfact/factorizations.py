@@ -29,7 +29,7 @@ from math import comb, factorial
 from .cyclic import cyclic_element_order, cyclic_full_series
 from .errors import CapabilityError
 from .groups import CycleData, Element, GroupParams, cycle_data, project, validate_element, weight
-from .hurwitz import hurwitz_h0, hurwitz_h1
+from .hurwitz import h0_ratio, h1_ratio
 from .laurent import LaurentPoly, extract_phi
 from .numtheory import divisors, euler_phi, jordan_j2, moebius
 from .symmetric import full_series_sn_type
@@ -191,27 +191,36 @@ def closed_lowest_order(
         d != 1:  ell0 = n+k,   X = m^2 J_2(d)/d^2 H_1(λ),
     m = p gives (ell0, m^(k-1) X); a = 1 gives ell = ell0+1 and
     n ell m^(k-1) X; otherwise ell = ell0+2 and
-    n^2 C(ell,2) m^k phi(a)/(p a) X.  Exact and checked integral.  Reads no
+    n^2 C(ell,2) m^k phi(a)/(p a) X.  Exact: one integer numerator and
+    denominator, checked integral by one divmod.  Reads no
     cache, so it stays a second route to the series' lowest order.
     """
     n, m, p, k = params.n, params.m, params.p, len(partition)
+    # lead = top / bottom in integers, divided once at the end.
     if d == 1 or n == 1:
-        ell, x = n + k - 2, hurwitz_h0(partition)
+        ell = n + k - 2
+        top, bottom = h0_ratio(partition)
     else:
-        ell, x = n + k, Fraction(m * m * jordan_j2(d), d * d) * hurwitz_h1(partition)
+        ell = n + k
+        top, bottom = h1_ratio(partition)
+        top *= m * m * jordan_j2(d)
+        bottom *= d * d
     if m == p:
-        lead = m ** (k - 1) * x
+        top *= m ** (k - 1)
     elif a == 1:
         ell += 1
-        lead = n * ell * m ** (k - 1) * x
+        top *= n * ell * m ** (k - 1)
     else:
         ell += 2
-        lead = n * n * comb(ell, 2) * m**k * Fraction(euler_phi(a), p * a) * x
-    if lead.denominator != 1:
+        top *= n * n * comb(ell, 2) * m**k * euler_phi(a)
+        bottom *= p * a
+    lead, rest = divmod(top, bottom)
+    if rest:
         raise AssertionError(
-            f"leading count non-integral for {params}, key {(partition, d, a)}: {lead}"
+            f"leading count non-integral for {params}, key {(partition, d, a)}: "
+            f"{Fraction(top, bottom)}"
         )
-    return ell, lead
+    return ell, Fraction(lead)
 
 
 def full_length(params: GroupParams, g: Element) -> int:

@@ -11,7 +11,7 @@ encoding directly.
 
 from __future__ import annotations
 
-import ast
+import re
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial, gcd
@@ -355,46 +355,71 @@ def _canonical_from_cycles(pairs: list[tuple[int, int]], params: GroupParams) ->
     return Element(tuple(perm), tuple(colors))
 
 
+# The value grammar of `parse_element`.  Whitespace (whatever str.isspace
+# accepts) may open a value and follow any token, and only there, so each
+# text has one match and a failing one is rejected in linear time.  The
+# patterns are compiled on first use, by the re module's cache, so importing
+# wfact does not pay for them.
+_INTEGER = r"[+-]?[0-9]+"
+_INT = _INTEGER + r"\s*"  # an integer and the whitespace after it
+
+
+def _bracketed(body: str) -> str:
+    return rf"(?:\(\s*{body}\)|\[\s*{body}\])\s*"
+
+
+def _sequence(entry: str) -> str:
+    """Entries in (...) or [...], each followed by a comma or the closing bracket."""
+    return r"\s*" + _bracketed(rf"(?:{entry}(?:,\s*|(?=[)\]])))*")
+
+
+_INT_SEQUENCE = _sequence(_INT)
+_PAIR_SEQUENCE = _sequence(_bracketed(rf"{_INT},\s*{_INT}(?:,\s*)?"))
+
+
+def _read_integers(chunk: str, sequence: str, what: str) -> list[int]:
+    """Every integer of the field `key=value`, in order, if value is one `sequence`."""
+    value = chunk.partition("=")[2]
+    if re.fullmatch(sequence, value) is None:
+        raise ValueError(f"cannot parse element fragment {chunk!r}: expected {what}")
+    return [int(token) for token in re.findall(_INTEGER, value)]
+
+
 def parse_element(text: str, params: GroupParams) -> Element:
     """Parse `perm=[..];colors=[..]` or `cycles=[(len,color),...]`.
+
+    Fields are `key=value`, separated by `;`.  A value is a `(...)` or
+    `[...]` sequence; perm and colors take integers, cycles takes
+    (length, color) pairs, each itself in `(...)` or `[...]`.  An integer is
+    an optional sign plus decimal digits.  Whitespace may surround every
+    token, and a sequence may end in one trailing comma, so `(1)` and `(1,)`
+    both hold one entry.  Anything else raises ValueError.
 
     The cycle form builds the canonical representative (consecutive supports,
     color on each cycle's last position).  The result is validated for
     membership in G(m,p,n).
     """
-    spec_text = text.strip()
-    fields: dict[str, object] = {}
-    for chunk in spec_text.split(";"):
+    fields: dict[str, str] = {}
+    for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         if "=" not in chunk:
             raise ValueError(f"cannot parse element fragment {chunk!r}")
-        key, _, value = chunk.partition("=")
-        try:
-            fields[key.strip()] = ast.literal_eval(value.strip())
-        except (ValueError, SyntaxError) as exc:
-            raise ValueError(f"cannot parse element fragment {chunk!r}: {exc}") from exc
+        fields[chunk.partition("=")[0].strip()] = chunk
     if "cycles" in fields:
         if set(fields) != {"cycles"}:
             raise ValueError("cycle form takes no other fields")
-        raw = fields["cycles"]
-        if not isinstance(raw, (list, tuple)):
-            raise ValueError("cycles must be a list of (length, color) pairs")
-        pairs = []
-        for entry in raw:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ValueError(f"bad cycle entry {entry!r}")
-            pairs.append((int(entry[0]), int(entry[1])))
-        g = _canonical_from_cycles(pairs, params)
+        flat = _read_integers(
+            fields["cycles"], _PAIR_SEQUENCE, "a sequence of (length, color) pairs"
+        )
+        g = _canonical_from_cycles(list(zip(flat[::2], flat[1::2])), params)
     elif {"perm", "colors"} <= set(fields):
         if set(fields) != {"perm", "colors"}:
             raise ValueError("explicit form takes exactly perm and colors")
-        perm = fields["perm"]
-        colors = fields["colors"]
-        if not isinstance(perm, (list, tuple)) or not isinstance(colors, (list, tuple)):
-            raise ValueError("perm and colors must be lists")
-        g = Element(tuple(int(v) for v in perm), tuple(int(c) % params.m for c in colors))
+        perm = _read_integers(fields["perm"], _INT_SEQUENCE, "a sequence of integers")
+        colors = _read_integers(fields["colors"], _INT_SEQUENCE, "a sequence of integers")
+        g = Element(tuple(perm), tuple(c % params.m for c in colors))
     else:
         raise ValueError(
             "element must be given as perm=[..];colors=[..] or cycles=[(len,color),..]"

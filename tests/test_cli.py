@@ -105,6 +105,34 @@ def test_series_bad_element_exits_2(capsys):
     assert "grammar" in err
 
 
+@pytest.mark.parametrize(
+    "m, p, n, flag, text",
+    [
+        ("2", "1", "2", "--element", "perm=[None,1]; colors=[0,0]"),
+        ("2", "1", "2", "--element", "perm=[1,2]; colors=[0,[1]]"),
+        ("2", "1", "2", "--cycles", "(2,None)"),
+        # Non-integer entries: literal_eval read 2.7 as 2 and True as 1.
+        ("2", "1", "2", "--element", "perm=[2.7,1]; colors=[0,0]"),
+        ("2", "1", "2", "--element", "perm=[True,2]; colors=[0,0]"),
+        ("2", "1", "2", "--element", "perm=['1',2]; colors=[0,0]"),
+    ],
+)
+def test_series_entry_outside_the_grammar_exits_2(capsys, m, p, n, flag, text):
+    code, out, err = run(capsys, "series", "--m", m, "--p", p, "--n", n, flag, text)
+    assert code == 2
+    assert out == ""
+    assert "cannot parse element fragment" in err and "element grammar" in err
+    assert "Traceback" not in err
+
+
+def test_series_reads_a_parenthesised_single_entry_as_a_sequence(capsys):
+    code, out, _ = run(
+        capsys, "series", "--m", "1", "--p", "1", "--n", "1", "--element", "perm=(1); colors=(0)"
+    )
+    assert code == 0
+    assert json.loads(out)["element"] == {"m": 1, "p": 1, "n": 1, "perm": [1], "colors": [0]}
+
+
 def test_series_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "series", "--m", "4", "--p", "3", "--n", "2")
     assert code == 2
@@ -847,6 +875,9 @@ def _series_argv(draw):
 
 @_CONTRACT
 @given(_series_argv())
+@example(["series", "--m", "2", "--p", "1", "--n", "2", "--element", "perm=[None,1]; colors=[0,0]"])
+@example(["series", "--m", "2", "--p", "1", "--n", "2", "--element", "perm=[1,2]; colors=[0,[1]]"])
+@example(["series", "--m", "2", "--p", "1", "--n", "2", "--cycles", "(2,None)"])
 def test_series_exit_code_contract(argv):
     _check_contract(argv)
 

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -35,8 +36,9 @@ from wfact.groups import (
     validate_element,
     weight,
 )
+from wfact.hurwitz import hurwitz_h0, hurwitz_h1
 from wfact.laurent import LaurentPoly, extract_phi, lowest_order
-from wfact.numtheory import divisors, jordan_j2, moebius
+from wfact.numtheory import divisors, euler_phi, jordan_j2, moebius
 from wfact.oracle import class_representatives, count_factorizations, oracle_series
 from wfact.partitions import integer_partitions
 from wfact.symmetric import full_series_sn, full_series_sn_type
@@ -209,6 +211,57 @@ def test_lowest_order_matches_case_analysis_in_rank_one():
                 ), (params, g)
                 seen += 1
     assert seen == 127
+
+
+def _old_closed_lowest_order(params, partition, d, a):
+    """closed_lowest_order in the Fraction arithmetic it used before its one integer quotient."""
+    n, m, p, k = params.n, params.m, params.p, len(partition)
+    if d == 1 or n == 1:
+        ell, x = n + k - 2, hurwitz_h0(partition)
+    else:
+        ell, x = n + k, F(m * m * jordan_j2(d), d * d) * hurwitz_h1(partition)
+    if m == p:
+        lead = m ** (k - 1) * x
+    elif a == 1:
+        ell += 1
+        lead = n * ell * m ** (k - 1) * x
+    else:
+        ell += 2
+        lead = n * n * comb(ell, 2) * m**k * F(euler_phi(a), p * a) * x
+    return ell, lead
+
+
+def test_closed_lowest_order_equals_the_fraction_formula_on_every_key():
+    # Every class key (λ, d, a) of every G(m,p,n) with m <= 8 and n <= 6: d and
+    # a depend only on the multiset of the k cycle colors, as in cycle_data.
+    keys = 0
+    for m in range(1, 9):
+        for p in divisors(m):
+            for n in range(1, 7):
+                params = GroupParams(m, p, n)
+                for k in range(1, n + 1):
+                    pairs = {
+                        (gcd(p, *colors), gcd(sum(colors), m) // p)
+                        for colors in combinations_with_replacement(range(m), k)
+                        if sum(colors) % p == 0
+                    }
+                    for partition in integer_partitions(n):
+                        if len(partition) != k:
+                            continue
+                        for d, a in pairs:
+                            got = factorizations.closed_lowest_order(params, partition, d, a)
+                            want = _old_closed_lowest_order(params, partition, d, a)
+                            assert got == want, (params, partition, d, a)
+                            assert got[1].denominator == 1
+                            keys += 1
+    assert keys == 1677
+
+
+def test_closed_lowest_order_raises_on_a_non_integral_count(monkeypatch):
+    # an explicit raise, so the check holds under python -O too
+    monkeypatch.setattr(factorizations, "h0_ratio", lambda partition: (1, 3))
+    with pytest.raises(AssertionError, match="leading count non-integral .*: 1/3"):
+        factorizations.closed_lowest_order(GroupParams(2, 2, 2), (2,), 1, 1)
 
 
 def test_factored_form_identity():

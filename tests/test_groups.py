@@ -1,7 +1,9 @@
 """Wreath-product group model: elements, products, reflections, cycle data."""
 
+import ast
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from wfact.groups import (
     Element,
     GroupParams,
+    _canonical_from_cycles,
     all_elements,
     conjugate,
     cycle_data,
@@ -324,6 +327,60 @@ def test_parse_element_errors():
         parse_element("nonsense", params)
 
 
+def test_parse_element_reads_a_parenthesised_single_entry_as_a_sequence():
+    params = GroupParams(1, 1, 1)
+    assert parse_element("perm=(1); colors=(0)", params) == Element((1,), (0,))
+    assert parse_element("perm=( 1 ,); colors=[+0]", params) == Element((1,), (0,))
+    assert parse_element("cycles=((1,0))", params) == Element((1,), (0,))
+    assert parse_element("cycles=([ 1 , 0 , ] , )", params) == Element((1,), (0,))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "perm=[None,1]; colors=[0,0]",
+        "perm=[1,2]; colors=[0,[1]]",
+        "cycles=[(2,None)]",
+        "perm=[2.7,1]; colors=[0,0]",
+        "perm=[True,2]; colors=[0,0]",
+        "perm=['2',1]; colors=[0,0]",
+        "perm=[2,1]; colors=[0,0x0]",
+        "perm=[2,1]; colors=[0,1_0]",
+        "perm=[2,1]; colors=[0,- 1]",
+        "perm=[2 1]; colors=[0,0]",
+        "perm=[2,1,,]; colors=[0,0]",
+        "perm=[,]; colors=[0,0]",
+        "perm=(2,1]; colors=[0,0]",
+        "perm=2,1; colors=0,0",
+        "perm=[2,1][0]; colors=[0,0]",
+        "perm=((2,1)); colors=[0,0]",
+        "perm=[2,\u0661]; colors=[0,0]",
+        "cycles=[(2,0,0)]",
+        "cycles=[(2)]",
+        "cycles=[2,0]",
+        "cycles=[(1,0)(1,0)]",
+        "perm=[2,1]; colors=[0,0]; cycles=[(2,0)]",
+        "perm=[2,1]; colors=[0,0]; extra=[1]",
+        "perm=[2,1]",
+        "nonsense",
+    ],
+)
+def test_parse_element_rejects_everything_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        parse_element(text, GroupParams(2, 1, 2))
+
+
+def test_parse_element_rejects_long_whitespace_runs_in_linear_time():
+    # Whitespace may only open a value or follow a token, so a failing match
+    # cannot try every split of a run between two places: 10^5 spaces on each
+    # side of an entry is rejected at once, not in seconds.
+    text = "perm=(" + " " * 100_000 + "1" + " " * 100_000 + "x; colors=(0)"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot parse element fragment"):
+        parse_element(text, GroupParams(1, 1, 1))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_element_json_round_trip():
     params = GroupParams(4, 2, 3)
     rng = random.Random(17)
@@ -375,6 +432,77 @@ def test_cycle_form_round_trip_property(case):
     # ... which its own cycle form reproduces exactly, also through JSON.
     assert parse_element(_cycle_text(cycle_data(h, params)), params) == h
     assert element_from_json(element_to_json(h, params)) == (params, h)
+
+
+def _literal_eval_parse(text, params):
+    """The old parse_element on ast.literal_eval: the reference on valid texts."""
+    fields = {}
+    for chunk in text.split(";"):
+        if chunk.strip():
+            key, _, value = chunk.partition("=")
+            fields[key.strip()] = ast.literal_eval(value.strip())
+    if "cycles" in fields:
+        pairs = [(int(length), int(color)) for length, color in fields["cycles"]]
+        return _canonical_from_cycles(pairs, params)
+    return Element(
+        tuple(int(v) for v in fields["perm"]),
+        tuple(int(c) % params.m for c in fields["colors"]),
+    )
+
+
+_SPACE = st.text(alphabet=" \t\n", max_size=2)
+
+
+@st.composite
+def _sequence_text(draw, entries):
+    """entries (texts) in () or [], with random whitespace and trailing comma.
+
+    A one-entry () sequence always gets its trailing comma: literal_eval
+    reads (1) as the integer 1, which parse_element does not.
+    """
+    opening, closing = draw(st.sampled_from(["()", "[]"]))
+    trailing = draw(st.booleans()) or (opening == "(" and len(entries) == 1)
+    parts = [draw(_SPACE) + entry + draw(_SPACE) for entry in entries]
+    body = ",".join(parts) + ("," + draw(_SPACE) if trailing and entries else "")
+    return opening + body + closing
+
+
+def _int_text(draw, value):
+    return ("+" if value >= 0 and draw(st.booleans()) else "") + str(value)
+
+
+@settings(deadline=None, max_examples=200)
+@given(group_elements(), st.data())
+def test_parse_element_equals_the_literal_eval_reference(case, data):
+    params, g = case
+    draw = data.draw
+
+    def color(c):  # any representative of c mod m, negative ones included
+        return _int_text(draw, c + params.m * draw(st.integers(-2, 1)))
+
+    if draw(st.booleans()):
+        cd = cycle_data(g, params)
+        pairs = [
+            draw(_sequence_text([_int_text(draw, length), color(c)]))
+            for length, c in zip(cd.lengths, cd.cycle_colors)
+        ]
+        fields = ["cycles=" + draw(_sequence_text(pairs))]
+    else:
+        fields = [
+            "perm=" + draw(_sequence_text([_int_text(draw, v) for v in g.perm])),
+            "colors=" + draw(_sequence_text([color(c) for c in g.colors])),
+        ]
+        if draw(st.booleans()):
+            fields.reverse()
+    text = ";".join(
+        draw(_SPACE) + field.replace("=", draw(_SPACE) + "=" + draw(_SPACE), 1)
+        + draw(_SPACE)
+        for field in fields
+    ) + draw(st.sampled_from(["", ";", "; "]))
+    got = parse_element(text, params)
+    assert got == _literal_eval_parse(text, params)
+    if not text.lstrip().startswith("cycles"):
+        assert got == g
 
 
 def test_weight():

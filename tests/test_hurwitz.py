@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from wfact.hurwitz import _as_integer, hurwitz_h0, hurwitz_h1
+from math import factorial
+
+from wfact.hurwitz import _as_integer, h0_ratio, h1_ratio, hurwitz_h0, hurwitz_h1
 from wfact.laurent import LaurentPoly
 from wfact.partitions import integer_partitions
 
@@ -49,8 +51,41 @@ def test_rejects_empty_partition():
 
 def test_non_integral_value_raises():
     # an explicit raise, so the check holds under python -O too
-    with pytest.raises(AssertionError, match="non-integral"):
-        _as_integer(F(1, 2), "H_0((2,))")
+    with pytest.raises(AssertionError, match=r"H_0\(\(2,\)\) came out non-integral: 1/2"):
+        _as_integer((3, 6), "H_0((2,))")
+    assert _as_integer((12, 4), "H_0((2,))") == 3
+
+
+def _old_weight_product(shape):
+    acc = F(1)
+    for part in shape:
+        acc *= F(part**part, factorial(part - 1))
+    return acc
+
+
+def _old_h0(shape):
+    """The Fraction formula the integer pairs replaced."""
+    n, k = sum(shape), len(shape)
+    return F(factorial(n + k - 2)) * F(n) ** (k - 3) * _old_weight_product(shape)
+
+
+def _old_h1(shape):
+    n, k = sum(shape), len(shape)
+    e = [1] + [0] * k
+    for part in shape:
+        for i in range(k, 0, -1):
+            e[i] += e[i - 1] * part
+    bracket = F(n) ** k - F(n) ** (k - 1)
+    for i in range(2, k + 1):
+        bracket -= factorial(i - 2) * e[i] * F(n) ** (k - i)
+    return F(factorial(n + k), 24) * _old_weight_product(shape) * bracket
+
+
+def test_integer_pairs_equal_the_fraction_formulas_up_to_size_12():
+    for n in range(1, 13):
+        for lam in integer_partitions(n):
+            assert F(*h0_ratio(lam)) == _old_h0(lam) == hurwitz_h0(lam)
+            assert F(*h1_ratio(lam)) == _old_h1(lam) == hurwitz_h1(lam)
 
 
 def test_integrality_up_to_size_12():
