@@ -40,20 +40,14 @@ from .groups import (
     weight,
 )
 from .hurwitz import hurwitz_h0, hurwitz_h1
-from .laurent import (
-    LaurentPoly,
-    RootFindingError,
-    extract_phi,
-    find_roots,
-    laurent_from_egf,
-    lowest_order,
-)
+from .laurent import LaurentPoly, extract_phi, laurent_from_egf, lowest_order
 from .oracle import (
     acts_transitively_on_Em,
     class_representatives,
     count_factorizations,
     oracle_series,
 )
+from .roots import RootFindingError, find_roots
 from .symmetric import (
     dyz_identity_series,
     frobenius_series_sn,

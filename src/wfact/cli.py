@@ -41,8 +41,9 @@ from .factorizations import (
 )
 from .fixtures import TABLE1, load_phi_fixtures
 from .groups import Element, GroupParams, identity, element_to_json, parse_element
-from .laurent import LaurentPoly, RootFindingError, extract_phi, find_roots
+from .laurent import LaurentPoly, extract_phi
 from .oracle import class_representatives, count_factorizations
+from .roots import RootFindingError, find_roots
 from .symmetric import FULL_GUARD, dyz_identity_series, full_series_sn
 
 ELEMENT_GRAMMAR = (
@@ -294,6 +295,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     ]
     if len(chosen) != 1:
         raise UsageError("give exactly one of --fixture, --phi-from, --sn-sweep")
+    if args.phi_from is None:
+        for flag, val in (("--cycles", args.cycles), ("--element", args.element)):
+            if val is not None:
+                raise UsageError(f"{flag} applies only with --phi-from")
     cores: list[tuple[str, LaurentPoly]] = []
     labelled = False
     if args.fixture is not None:

@@ -37,7 +37,6 @@ __all__ = [
     "all_elements",
     "parse_element",
     "element_to_json",
-    "element_from_json",
 ]
 
 
@@ -436,10 +435,3 @@ def element_to_json(g: Element, params: GroupParams) -> dict:
         "perm": list(g.perm),
         "colors": list(g.colors),
     }
-
-
-def element_from_json(data: dict) -> tuple[GroupParams, Element]:
-    params = GroupParams(int(data["m"]), int(data["p"]), int(data["n"]))
-    g = Element(tuple(int(v) for v in data["perm"]), tuple(int(c) for c in data["colors"]))
-    validate_element(g, params)
-    return params, g

@@ -36,8 +36,14 @@ from wfact.groups import (
     cycle_data,
     element_to_json,
 )
-from wfact.laurent import LaurentPoly, RootFindingError
+from wfact.laurent import LaurentPoly
 from wfact.oracle import class_representatives
+from wfact.roots import RootFindingError
+
+
+def laurent_of(doc):
+    """The polynomial a ``LaurentPoly.to_json`` dict describes."""
+    return LaurentPoly(doc["min_deg"], [Fraction(s) for s in doc["coeffs"]])
 
 
 def run(capsys, *argv):
@@ -68,7 +74,7 @@ def test_series_s3_identity_matches_table_row(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert LaurentPoly.from_json(doc["laurent"]) == TABLE1["A2"]
+    assert doc["laurent"] == TABLE1["A2"].to_json()
 
 
 def test_series_rank_one_phi(capsys):
@@ -77,11 +83,7 @@ def test_series_rank_one_phi(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    phi = LaurentPoly.from_json(doc["phi"])
-    assert phi.min_deg == 0
-    assert [c for c in phi.coeffs] == [
-        Fraction(-2), Fraction(2), Fraction(3), Fraction(2), Fraction(1)
-    ]
+    assert doc["phi"] == LaurentPoly(0, [-2, 2, 3, 2, 1]).to_json()
 
 
 def test_series_json_round_trips(capsys):
@@ -91,7 +93,7 @@ def test_series_json_round_trips(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    series = LaurentPoly.from_json(doc["laurent"])
+    series = laurent_of(doc["laurent"])
     assert series.to_json() == doc["laurent"]
     counts = series.egf_prefix(doc["ell_full"] + 4)
     assert [c.numerator for c in counts] == doc["egf_prefix"]
@@ -681,6 +683,16 @@ def test_roots_selector_conflict(capsys, tmp_path):
     )
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("selector", [("--sn-sweep", "4"), ("--fixture", "G2")])
+@pytest.mark.parametrize("flag, value", [("--element", "garbage"), ("--cycles", "(1,0)")])
+def test_roots_element_flags_without_phi_from_exit_2(capsys, tmp_path, selector, flag, value):
+    out_file = tmp_path / "x.csv"
+    code, _, err = run(capsys, "roots", *selector, flag, value, "--out", str(out_file))
+    assert code == 2
+    assert f"{flag} applies only with --phi-from" in err
+    assert not out_file.exists()
 
 
 def test_roots_failure_exits_1(capsys, monkeypatch, tmp_path):

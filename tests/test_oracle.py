@@ -10,7 +10,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from wfact import _kernels, oracle
+from wfact import oracle
 from wfact.errors import CapabilityError
 from wfact.factorizations import series_full
 from wfact.fixtures import load_phi_fixtures
@@ -499,7 +499,7 @@ def _collide_perms(real):
 def test_build_tables_raises_on_a_colliding_rank_map(m, p, n, attr, patch, monkeypatch,
                                                      cold_caches):
     # An explicit raise, so it also guards under python -O.
-    monkeypatch.setattr(_kernels, attr, patch(getattr(_kernels, attr)))
+    monkeypatch.setattr(oracle, attr, patch(getattr(oracle, attr)))
     with pytest.raises(AssertionError, match="not a permutation"):
         build_tables(GroupParams(m, p, n))
 
@@ -721,9 +721,9 @@ def test_caches_keep_eight_groups():
 
 def test_clear_caches_empties_the_rank_cache():
     build_tables(GroupParams(2, 1, 3))
-    assert _kernels._perm_tables.cache_info().currsize >= 1
+    assert oracle._perm_tables.cache_info().currsize >= 1
     oracle.clear_caches()
-    assert _kernels._perm_tables.cache_info().currsize == 0
+    assert oracle._perm_tables.cache_info().currsize == 0
 
 
 def test_oracle_series_matches_closed_form():
