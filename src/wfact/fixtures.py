@@ -14,8 +14,8 @@ Fixture file format, one record per line::
 
     name=G2; lowest=0; coeffs=1,4,10,16,10,16,10,4,1
 
-with coefficients ascending from ``X**lowest``.  Blank lines and lines
-starting with ``#`` are ignored.
+with coefficients ascending from ``X**lowest``, where lowest >= 0.  Blank
+lines and lines starting with ``#`` are ignored.
 """
 
 from __future__ import annotations
@@ -98,6 +98,9 @@ def load_phi_fixtures(path: str | Path | None = None) -> dict[str, LaurentPoly]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not coeffs:
             raise ValueError(f"line {lineno}: empty coefficient list")
+        if lowest < 0:
+            # A core polynomial has no negative powers of X.
+            raise ValueError(f"line {lineno}: lowest must be nonnegative, got {lowest}")
         out[name] = LaurentPoly(lowest, coeffs)
     if not out:
         raise ValueError(f"no fixture records found in {fpath}")

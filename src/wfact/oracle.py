@@ -1,10 +1,10 @@
 """Ground truth by exhaustion for small G(m,p,n).
 
 Builds complete index-level tables of one group: its elements, the
-reflection columns of their multiplication table, conjugation by its
-reflections and by the generators of V = G(m,1,n), and the lattice of
-subgroups generated by reflection subsets, each keyed by the reflections it
-contains and closed coset by coset.
+reflection columns of their multiplication table, conjugation by the
+generators of V = G(m,1,n), and the lattice of subgroups generated by
+reflection subsets, each keyed by the reflections it contains and closed
+coset by coset.
 
 The elements are indexed by rank, in the order of ``groups.all_elements``:
 
@@ -45,14 +45,15 @@ walks, one sweep serving every element:
   mu(H, W) * walk_H(g), where walk_H counts the sequences of reflections
   of H with product g.  Only the H with mu(H, W) != 0 are walked.
 
-The reflections of H are closed under conjugation by H, so walk_H is
-constant on the conjugacy classes of H, and each walk steps over classes,
-not elements.  Conjugating by H's reflections splits H into its classes;
-the walk then checks, with an explicit raise, that the identity is alone
-in its class and that the partition is equitable (every member of a class
-has the same multiset of classes among its successors y * t), which alone
-makes the quotient walk exact.  So the "all" counts do not rest on the
-conjugation table either.
+Each walk steps over classes of H, not elements.  The classes come from
+exact refinement: starting from the V-class labels of H's members, each
+pass renumbers the members by their label and the sorted labels of their
+successors y * t over H's reflections, until the number of classes stops
+growing (``_equitable_classes``).  The walk then checks, with an explicit
+raise, that the identity is alone in its class and that the partition is
+equitable (every member of a class has the same multiset of classes among
+its successors), which alone makes the quotient walk exact.  The starting
+labels change only the number of passes, never the counts.
 
 V normalizes W and permutes its reflections, so conjugation by V permutes
 the reflection subgroups and keeps mu(H, W).  The V-orbit is the unit of
@@ -62,8 +63,8 @@ carried over from its representative's instead of closed again.  Inside a
 representative's own row, each join found is spread along the generators
 of V that fix the representative, so at most one join per orbit of the
 group they generate on the reflections needs a closure.  The Möbius sum
-walks one representative H per orbit O and reads the orbit's total at g
-off the V-class C of g:
+walks one representative H per orbit O, W itself included as an orbit of
+one, and reads the orbit's total at g off the V-class C of g:
 sum_{H' in O} walk_{H'}(g) = (|O| / |C|) * sum_{y in H cap C} walk_H(y).
 
 Everything here is deliberately brute-force and capped; it exists to
@@ -73,7 +74,8 @@ certify the closed-form pipeline, never to replace it.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
@@ -112,15 +114,15 @@ __all__ = [
 ]
 
 CAP_SUBGROUPS = 20000
-# #W * #R, the cells of the reflection-column multiplication table and of
-# the reflection conjugation table (int32 each, so 1.6 MB together at the
-# guard); the lattice closures grow with it.  In process (Python 3.11, one
-# core of a Xeon, best of 15 with every cache cold), build_tables took
-# 0.016 s on G(2,1,5) (96,000 cells, the widest group the tests and the
-# benchmark use), 0.018 s on G(1,1,7) (105,840), 0.018 s on G(8,1,3)
-# (138,240), 0.20 s on G(400,1,1) (159,600) and 0.33 s on G(447,1,1)
-# (199,362), where the 448 closures of the rank-one lattice are nearly all
-# of it; unguarded, oracle-verify ran 48 s on G(4000,1,1) (1.6e7 cells).
+# #W * #R, the cells of the reflection-column multiplication table (int32,
+# so 0.8 MB at the guard); the lattice closures grow with it.  In process
+# (Python 3.11, one core of a Xeon, best of 15 with every cache cold),
+# build_tables took 0.011 s on G(2,1,5) (96,000 cells, the widest group the
+# tests and the benchmark use), 0.014 s on G(1,1,7) (105,840), 0.014 s on
+# G(8,1,3) (138,240), 0.18 s on G(400,1,1) (159,600) and 0.30 s on
+# G(447,1,1) (199,362), where the 448 closures of the rank-one lattice are
+# nearly all of it; unguarded, oracle-verify ran 48 s on G(4000,1,1)
+# (1.6e7 cells).
 TABLE_GUARD = 2 * 10**5
 # A sweep to depth n_max returns (n_max + 1) * #W ints of up to ~n_max bits,
 # and each length of each walk adds at most #R rows of at most #W of them,
@@ -133,12 +135,21 @@ TABLE_GUARD = 2 * 10**5
 WALK_GUARD = 10**9
 
 
-def _check_table_guard(params: GroupParams) -> None:
-    cells = params.order * params.num_reflections
-    if cells > TABLE_GUARD:
+def _check_guard(params: GroupParams, factor: int, guard: int, what: str) -> None:
+    """Raise CapabilityError when ``what`` = factor * #W * #R passes ``guard``.
+
+    #W = m**n * n! / p has about n log2 n bits (n = 10**6 took 4.8 s), but
+    n! divides it and #R >= 1 from n = 2 on, so from n = 13 on, where
+    13! > 6e9 passes either guard, factor * 13! refuses without #W.  Sizes
+    print as Decimals: a float overflows past 1.8e308.
+    """
+    size, relation = factor * factorial(13), ">="
+    if params.n < 13 or size <= guard:
+        size, relation = factor * params.order * params.num_reflections, "="
+    if size > guard:
         raise CapabilityError(
-            f"{params} has a table of #W * #R = {cells:.3g} cells, "
-            f"past the guard {TABLE_GUARD:.0e}"
+            f"{what} {relation} {Decimal(size):.3g}, "
+            f"past the guard {Decimal(guard):.0e}"
         )
 
 
@@ -337,12 +348,8 @@ class ElementTable:
     v_k * element(i) * v_k**-1 for the generators v_k of V: the n - 1
     adjacent transpositions, then zeta on the first coordinate when m > 1.
     ``class_ids[i]`` numbers the V-conjugacy class of element(i), and
-    ``class_sizes[c]`` is the size of class c.
-
-    ``rconj[r, i]`` is the index of t_r * element(i) * t_r**-1 for
-    t_r = reflection_list[r], an int32 (#R, #W) array as large as ``mult``.
-    Restricted to the reflections of a subgroup H, it splits H into its
-    conjugacy classes, the states of H's class walk.
+    ``class_sizes[c]`` is the size of class c.  Each class walk starts its
+    refinement from these labels.
     """
 
     params: GroupParams
@@ -353,7 +360,6 @@ class ElementTable:
     conj: np.ndarray
     class_ids: np.ndarray
     class_sizes: np.ndarray
-    rconj: np.ndarray
 
     def rank(self, g: Element) -> int:
         """Index of the member g; validate_element(g, params) first if unsure."""
@@ -430,18 +436,18 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
 
     Every table comes from rank arithmetic (see the module docstring), with no
     search for an element.  ``mult`` is built column by column from the
-    ranks; with y = x * t**-1, t * x * t**-1 = (y**-1 * t**-1)**-1, so
-    ``rconj`` is four gathers of ``mult`` and the inverse index; the rows of
-    ``conj`` are the ``rconj`` rows of the adjacent transpositions
-    t(i,i+1;0), then the zeta row.  Explicit raises, so also under
-    ``python -O``, check that every column of ``mult`` and every row of
-    ``rconj`` and ``conj`` permutes the indices, and that the identity's
-    row of ``mult`` holds the reflections' own ranks.
+    ranks.  An adjacent transposition t = t(i,i+1;0) is its own inverse, so
+    with y = x * t, t * x * t**-1 = (y**-1 * t)**-1: its row of ``conj`` is
+    three gathers of its ``mult`` column and the inverse index.  The zeta
+    row follows.  Explicit raises, so also under ``python -O``, check that
+    every column of ``mult`` and every row of ``conj`` permutes the indices,
+    and that the identity's row of ``mult`` holds the reflections' own
+    ranks.
 
     Guards: more than TABLE_GUARD cells #W * #R, checked before any work,
     or more than CAP_SUBGROUPS subgroups raise CapabilityError.
     """
-    _check_table_guard(params)
+    _check_guard(params, 1, TABLE_GUARD, f"{params} has a table of #W * #R cells")
     refl_list = reflections(params)
     refl_indices = [_rank(params, t.to_element(params)) for t in refl_list]
     mult = build_mult_table(params, refl_list)
@@ -451,26 +457,19 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
         raise AssertionError(
             "the identity's row of the multiplication table is not the reflections"
         )
-    column = {t: r for r, t in enumerate(refl_list)}
-    steps = params.m // params.p
-    # t**-1 is t for a transposition and d(i; m/p - k) for d(i; k).
-    inverse_cols = [
-        r if t.kind == "transposition" else column[replace(t, twist=steps - t.twist)]
-        for r, t in enumerate(refl_list)
+    adjacent = [
+        refl_list.index(Reflection("transposition", i, i + 1, 0)) for i in range(1, params.n)
     ]
     inverse = _inverse_index(params)
-    y = mult.T[inverse_cols]  # y[r, x] = x * t_r**-1
-    rconj = inverse[np.take_along_axis(y, inverse[y], axis=1)]
-    _check_permutations(rconj, "a row of the reflection conjugation table")
-    adjacent = [Reflection("transposition", i, i + 1, 0) for i in range(1, params.n)]
-    conj = rconj[[column[t] for t in adjacent]]
+    y = mult.T[adjacent]  # y[k, x] = x * t_k
+    conj = inverse[np.take_along_axis(y, inverse[y], axis=1)]
     if params.m > 1:
         conj = np.vstack([conj, _zeta_row(params)])
-        _check_permutations(conj[-1:], "the zeta row of the conjugation table")
+    _check_permutations(conj, "a row of the conjugation table")
     class_ids, class_sizes = _orbit_ids(conj)
     etable = ElementTable(
         params, mult, identity_index, refl_list, refl_indices,
-        conj, class_ids, class_sizes, rconj,
+        conj, class_ids, class_sizes,
     )
     return etable, _build_subgroups(etable)
 
@@ -652,30 +651,40 @@ def _mobius_to_top(flags: np.ndarray, sizes: np.ndarray, top: int) -> list[int]:
     return mobius.tolist()
 
 
-def _reflection_classes(
-    rconj: np.ndarray, members: np.ndarray, refls: list[int]
-) -> np.ndarray:
-    """Class ids of the members of H under conjugation by its reflections.
+def _equitable_classes(successors: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Class ids of the coarsest equitable partition that refines ``labels``.
 
-    ``members`` are the sorted indices of H and ``refls`` the columns of its
-    reflections, which generate H, so the orbits are H's conjugacy classes.
-    The ids number the classes 0, 1, ... by their least member.
+    ``successors[i]`` holds the positions of member i times each reflection
+    of a subgroup H, and ``labels`` numbers a first partition of H's
+    members.  Each pass renumbers every member by its key: its class, then
+    the sorted classes of its successors, ranked in lexicographic order by
+    one ``np.lexsort``.  The class leads the key, so a pass only splits
+    classes; once the count stops growing, the members of each class meet
+    every class equally often among their successors.
     """
-    position = np.empty(rconj.shape[1], dtype=np.intp)
-    position[members] = np.arange(len(members))
-    return _orbit_ids(position[rconj[np.ix_(refls, members)]])[0]
+    ids = labels
+    count = np.count_nonzero(np.bincount(labels))  # np.unique imports numpy.ma: 13 ms
+    while True:
+        keys = np.column_stack([ids, np.sort(ids[successors], axis=1)])
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+        ids = np.empty(len(keys), dtype=np.intp)
+        ids[order] = np.cumsum(new) - 1
+        if new.sum() == count:
+            return ids
+        count = new.sum()
 
 
 def _class_walk(
-    mult: np.ndarray, members: np.ndarray, refls: list[int], ids: np.ndarray,
-    start: int, n_max: int,
+    successors: np.ndarray, ids: np.ndarray, origin: int, n_max: int
 ) -> np.ndarray:
-    """walk[N, c]: sequences of N reflections from ``refls`` with product y.
+    """walk[N, c]: sequences of N reflections of H with product y in class c.
 
-    The count is the same for every member y of class c.  ``members`` are
-    the sorted indices of a subgroup H, ``refls`` the ``mult`` columns of its
-    reflections, ``ids`` numbers a partition of the members into classes
-    0, 1, ... and ``start`` is the identity.  A length-N product y ends in
+    The count is the same for every member y of class c.  ``successors[i]``
+    holds the positions of member i times each reflection of a subgroup H,
+    ``ids`` numbers a partition of the members into classes 0, 1, ... and
+    ``origin`` is the identity's position.  A length-N product y ends in
     some t, with y * t**-1 the length-(N-1) product; the inverses run over
     H's reflections as t does.  So walk_H(y) depends only on the class of y
     as soon as the identity is alone in its class and the partition is
@@ -685,19 +694,17 @@ def _class_walk(
     step is then one gather-add per reflection over the classes.  Exact:
     object entries hold Python ints.
     """
-    position = np.empty(mult.shape[0], dtype=np.intp)
-    position[members] = np.arange(len(members))
     first = np.unique(ids, return_index=True)[1]
-    origin = ids[position[start]]
-    if np.count_nonzero(ids == origin) != 1:
+    start = ids[origin]
+    if np.count_nonzero(ids == start) != 1:
         raise AssertionError("the identity shares its class in a class walk")
-    successors = ids[position[mult[np.ix_(members, refls)]]]
-    successors.sort(axis=1)
-    if not np.array_equal(successors, successors[first][ids]):
+    classes = ids[successors]
+    classes.sort(axis=1)
+    if not np.array_equal(classes, classes[first][ids]):
         raise AssertionError("the classes of a class walk are not equitable")
-    steps = successors[first].T.copy()
+    steps = classes[first].T.copy()
     walk = np.zeros((n_max + 1, len(first)), dtype=object)
-    walk[0, origin] = 1
+    walk[0, start] = 1
     for length in range(1, n_max + 1):
         prev = walk[length - 1]
         row = walk[length]
@@ -711,63 +718,59 @@ def sweep_counts(params: GroupParams, n_max: int) -> tuple[np.ndarray, np.ndarra
     """(all_counts, full_counts): per length N <= n_max, per element index.
 
     ``all_counts[N][e]`` counts length-N reflection sequences with product
-    e: a walk over the conjugacy classes of the whole group, with no
-    subgroup tracking, so it is independent of the subgroup machinery, and
-    exact by its own identity and equitability checks (``_class_walk``).
+    e: the walk over W's classes, with no subgroup tracking, and exact by
+    its own identity and equitability checks (``_class_walk``).
     ``full_counts[N][e]`` restricts to sequences whose factors generate the
     whole group, by Möbius inversion: the sum over subgroups H with
-    mu(H, W) != 0 of mu(H, W) times the class walk inside H.  The H = W
-    term is the "all" walk itself; the others are summed one V-orbit at a
-    time (see ``_orbit_sweep``).  One sweep serves every element of the
-    group: both arrays are per element.  Entries are Python ints.
-    Cached per (group, n_max); WALK_GUARD is checked before any table is
-    built, and build_tables checks TABLE_GUARD.
+    mu(H, W) != 0 of mu(H, W) times the class walk inside H, summed one
+    V-orbit at a time, W's own orbit of one included (see ``_orbit_sweep``).
+    One sweep serves every element of the group: both arrays are per
+    element.  Entries are Python ints.  Cached per (group, n_max);
+    WALK_GUARD is checked before any table is built, and build_tables
+    checks TABLE_GUARD.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    size = (n_max + 1) ** 2 * params.num_reflections * params.order
-    if size > WALK_GUARD:
-        raise CapabilityError(
-            f"a walk of {params} to length {n_max} has size "
-            f"(n_max + 1)^2 * #R * #W = {size:.3g}, past the guard {WALK_GUARD:.0e}"
-        )
+    _check_guard(
+        params, (n_max + 1) ** 2, WALK_GUARD,
+        f"a walk of {params} to length {n_max} has size (n_max + 1)^2 * #R * #W",
+    )
     return _orbit_sweep(*build_tables(params), n_max)
 
 
 def _orbit_sweep(
     etable: ElementTable, stable: SubgroupTable, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sweep_counts from the tables: one class walk for W, one per V-orbit.
+    """sweep_counts from the tables: one class walk per V-orbit with mu != 0.
 
-    Each walk runs over the conjugacy classes of its subgroup H, found by
-    conjugating with H's reflections (``_class_walk`` checks that they are
-    a valid quotient).  Conjugating by v in V carries walk_H(y) to
+    W is one more orbit, with mu = 1 and a single member.  Each walk runs
+    over the classes of its subgroup H refined from H's V-class labels
+    (``_equitable_classes``; ``_class_walk`` checks that they are a valid
+    quotient).  Conjugating by v in V carries walk_H(y) to
     walk_{vHv^-1}(vyv^-1), so the orbit's total over O at g is a class
     function of g.  Summing it over g's V-class C and dividing by |C| gives
     sum_{H' in O} walk_{H'}(g) = (|O| / |C|) * sum_{y in H cap C} walk_H(y)
     for the representative H, and the inner sum is
     sum_K |K cap C| * walk_H(K) over the classes K of H.  The totals are
     kept per V-class and spread to the elements with one gather at the end.
+    W's totals are the "all" counts.  A raise checks that W's refinement
+    split no V-class, so that each of them is one class of W's own walk
+    and the "all" counts rest on its checks, not on ``conj``.
     """
-    mult, rconj = etable.mult, etable.rconj
-    id_idx = etable.identity_index
-    num_refl = mult.shape[1]
-    everything = np.arange(mult.shape[0])
-    all_refls = list(range(num_refl))
-    ids = _reflection_classes(rconj, everything, all_refls)
-    all_counts = _class_walk(mult, everything, all_refls, ids, id_idx, n_max)[:, ids]
-    class_ids = etable.class_ids
+    mult, class_ids = etable.mult, etable.class_ids
     sizes = etable.class_sizes.astype(object)
+    position = np.empty(mult.shape[0], dtype=np.intp)
     by_class = np.zeros((n_max + 1, len(sizes)), dtype=object)
     for orbit in stable.orbits:
         rep = orbit[0]
         mu = stable.mobius[rep]
-        if not mu or rep == stable.full_index:
+        if not mu:
             continue
-        refls = np.flatnonzero(stable.flags[rep])
         members = stable.members[rep]
-        ids = _reflection_classes(rconj, members, refls)
-        walk = _class_walk(mult, members, refls, ids, id_idx, n_max)
+        position[members] = np.arange(len(members))
+        successors = position[mult[np.ix_(members, np.flatnonzero(stable.flags[rep]))]]
+        ids = _equitable_classes(successors, class_ids[members])
+        walk = _class_walk(successors, ids, position[etable.identity_index], n_max)
         # (V-class, class of H) pairs, ordered by V-class, with |K cap C|.
         pairs, overlap = np.unique(
             class_ids[members] * walk.shape[1] + ids, return_counts=True
@@ -783,8 +786,13 @@ def _orbit_sweep(
                 f"an orbit of {len(orbit)} subgroups of {etable.params} gives "
                 "class sums that its class sizes do not divide"
             )
-        by_class[:, classes] += mu * (total // class_size)
-    return all_counts, all_counts + by_class[:, class_ids]
+        per_class = total // class_size
+        if rep == stable.full_index:
+            if walk.shape[1] != len(sizes):
+                raise AssertionError("the refinement split a V-class of the whole group")
+            all_by_class = per_class
+        by_class[:, classes] += mu * per_class
+    return all_by_class[:, class_ids], by_class[:, class_ids]
 
 
 def count_factorizations(
@@ -828,7 +836,7 @@ def class_representatives(params: GroupParams) -> list[Element]:
     At n = 1 the one color must itself be 0 mod p, so only those m/p colors
     are listed: TABLE_GUARD bounds m/p there, but nothing bounds m.
     """
-    _check_table_guard(params)
+    _check_guard(params, 1, TABLE_GUARD, f"{params} has a table of #W * #R cells")
     palette = range(0, params.m, params.p) if params.n == 1 else range(params.m)
     keys = []
     for partition in integer_partitions(params.n):

@@ -498,12 +498,17 @@ def test_oracle_verify_capability_cap(capsys):
         ("--m", "5000", "--p", "1", "--n", "1"),
         ("--m", "1000", "--p", "1", "--n", "1"),
         ("--m", "2", "--p", "1", "--n", "3", "--max-len", "20000"),
+        ("--m", "1", "--p", "1", "--n", "171"),
+        ("--m", "2", "--p", "1", "--n", "2", "--max-len", "1" + "0" * 200),
+        ("--m", "1", "--p", "1", "--n", "1000000"),
     ],
-    ids=["G(5000,1,1)", "G(1000,1,1)", "max-len-20000"],
+    ids=["G(5000,1,1)", "G(1000,1,1)", "max-len-20000", "S171", "max-len-1e200", "S1e6"],
 )
 def test_oracle_verify_past_a_size_guard_exits_3_at_once(capsys, argv):
     # G(5000,1,1) and G(1000,1,1) meet the table guard when their classes
-    # are listed; G(2,1,3) passes it and meets the walk guard.
+    # are listed; G(2,1,3) passes it and meets the walk guard.  171! and a
+    # walk to length 1e200 pass a float's range, and 10**6! is refused on
+    # n alone, before the order of the group is computed.
     start = time.perf_counter()
     code, out, err = run(capsys, "oracle-verify", *argv)
     assert (code, out) == (3, "")
@@ -619,6 +624,19 @@ def test_roots_coefficient_beyond_double_range_exits_cleanly(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not (tmp_path / "big.csv").exists()
+
+
+def test_roots_user_fixture_with_a_negative_lowest_is_a_bad_fixture_file(capsys, tmp_path):
+    # A core polynomial has no negative powers: refused at load, exit 2.
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text("name=OK; lowest=0; coeffs=1,1\nname=X; lowest=-1; coeffs=1,2,1\n")
+    code, out, err = run(
+        capsys, "roots", "--fixtures", str(fixtures), "--fixture", "X",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert "bad fixture file: line 2" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_roots_svg(capsys, tmp_path):
@@ -905,6 +923,8 @@ def _oracle_verify_argv(draw):
 
 @_CONTRACT
 @given(_oracle_verify_argv())
+@example(["oracle-verify", "--m", "1", "--p", "1", "--n", "171"])
+@example(["oracle-verify", "--m", "2", "--p", "1", "--n", "2", "--max-len", "1" + "0" * 200])
 def test_oracle_verify_exit_code_contract(argv):
     _check_contract(argv)
 

@@ -319,61 +319,109 @@ def test_orbit_sweep_matches_per_subgroup_reference_on_wide_groups(m, p, n):
     assert np.array_equal(full_counts, ref_full)
 
 
-@pytest.mark.parametrize("m, p, n", SWEEP_GROUPS + WIDE_GROUPS)
-def test_class_walk_matches_the_element_walk(m, p, n):
-    # W and every subgroup the orbit sweep walks, spread back to the members.
-    etable, stable = build_tables(GroupParams(m, p, n))
-    mult, id_idx = etable.mult, etable.identity_index
-    num_refl = mult.shape[1]
-    walked = [(np.arange(mult.shape[0]), list(range(num_refl)))]
+def successor_positions(mult, members, refls):
+    """successors[i, t]: the position of members[i] * t in the sorted members."""
+    return np.searchsorted(members, mult[np.ix_(members, refls)])
+
+
+def walked_subgroups(etable, stable):
+    """(members, reflection columns) of every subgroup the orbit sweep walks, W included."""
     masks = reflection_masks(stable)
+    num_refl = etable.mult.shape[1]
     for orbit in stable.orbits:
         rep = orbit[0]
-        if stable.mobius[rep] and rep != stable.full_index:
-            mask = masks[rep]
-            refls = [ri for ri in range(num_refl) if mask >> ri & 1]
-            walked.append((stable.members[rep], refls))
-    for members, refls in walked:
-        ids = oracle._reflection_classes(etable.rconj, members, refls)
-        walk = oracle._class_walk(mult, members, refls, ids, id_idx, 6)
-        assert np.array_equal(walk[:, ids], element_walk(mult, members, refls, id_idx, 6))
+        if stable.mobius[rep]:
+            refls = [ri for ri in range(num_refl) if masks[rep] >> ri & 1]
+            yield stable.members[rep], refls
 
 
-# (W-classes, V-classes): for p > 1 a V-class of W can split into several
-# W-classes.
+@pytest.mark.parametrize("m, p, n", SWEEP_GROUPS + WIDE_GROUPS)
+def test_class_walk_matches_the_element_walk(m, p, n):
+    # W and every subgroup the orbit sweep walks, spread back to the members,
+    # from the V-class labels and from the two classes {identity} | rest.
+    etable, stable = build_tables(GroupParams(m, p, n))
+    mult, id_idx = etable.mult, etable.identity_index
+    for members, refls in walked_subgroups(etable, stable):
+        successors = successor_positions(mult, members, refls)
+        origin = np.searchsorted(members, id_idx)
+        expected = element_walk(mult, members, refls, id_idx, 6)
+        for labels in (etable.class_ids[members], (members != id_idx).astype(np.intp)):
+            ids = oracle._equitable_classes(successors, labels)
+            walk = oracle._class_walk(successors, ids, origin, 6)
+            assert np.array_equal(walk[:, ids], expected)
+
+
+def reference_refinement(successors, labels):
+    """_equitable_classes in plain Python: rank the (label, successor labels) keys."""
+    succ = successors.tolist()
+    ids = labels.tolist()
+    count = len(set(ids))
+    while True:
+        keys = [(ids[i], tuple(sorted(ids[j] for j in row))) for i, row in enumerate(succ)]
+        rank = {key: c for c, key in enumerate(sorted(set(keys)))}
+        ids = [rank[key] for key in keys]
+        if len(rank) == count:
+            return ids
+        count = len(rank)
+
+
+@pytest.mark.parametrize("m, p, n", SWEEP_GROUPS)
+def test_refinement_matches_a_plain_python_reference(m, p, n):
+    etable, stable = build_tables(GroupParams(m, p, n))
+    for members, refls in walked_subgroups(etable, stable):
+        successors = successor_positions(etable.mult, members, refls)
+        labels = etable.class_ids[members]
+        ids = oracle._equitable_classes(successors, labels)
+        assert ids.tolist() == reference_refinement(successors, labels)
+
+
+# The number of V-classes of W.  For p > 1 a V-class can hold several
+# W-classes, but the V-classes are already equitable: V normalizes W and
+# permutes its reflections, so the refinement splits none of them.
 @pytest.mark.parametrize(
-    "m, p, n, w_classes, v_classes",
+    "m, p, n, v_classes",
     [
-        (2, 2, 3, 5, 5), (2, 2, 4, 13, 11), (4, 2, 2, 10, 8), (3, 3, 3, 10, 8),
-        (4, 4, 2, 5, 4), (6, 3, 2, 9, 9), (4, 2, 3, 20, 20), (6, 6, 2, 6, 5),
+        (2, 2, 3, 5), (2, 2, 4, 11), (4, 2, 2, 8), (3, 3, 3, 8),
+        (4, 4, 2, 4), (6, 3, 2, 9), (4, 2, 3, 20), (6, 6, 2, 5),
     ],
 )
-def test_reflection_classes_are_the_conjugacy_classes(m, p, n, w_classes, v_classes):
-    # The reference conjugates one element of each class by every element.
+def test_refined_classes_of_the_whole_group_are_its_v_classes(m, p, n, v_classes):
+    # The reference closes each class under conjugation by the generators
+    # of V, computed by the group arithmetic.
     params = GroupParams(m, p, n)
     etable, _ = build_tables(params)
-    ids = oracle._reflection_classes(
-        etable.rconj, np.arange(params.order), list(range(params.num_reflections))
+    refls = list(range(params.num_reflections))
+    everything = np.arange(params.order)
+    ids = oracle._equitable_classes(
+        successor_positions(etable.mult, everything, refls), etable.class_ids
     )
     elements = [etable.element(i) for i in range(params.order)]
+    gens = normalizer_generators(params)
     expected = np.full(params.order, -1)
     for i, g in enumerate(elements):
         if expected[i] < 0:
-            klass = [etable.rank(conjugate(g, x, params)) for x in elements]
-            expected[klass] = expected.max() + 1
+            klass, frontier = {g}, [g]
+            for x in frontier:
+                for v in gens:
+                    y = conjugate(x, v, params)
+                    if y not in klass:
+                        klass.add(y)
+                        frontier.append(y)
+            expected[[etable.rank(y) for y in klass]] = expected.max() + 1
+    assert np.array_equal(ids, etable.class_ids)
     assert np.array_equal(ids, expected)
-    assert (ids.max() + 1, len(etable.class_sizes)) == (w_classes, v_classes)
+    assert len(etable.class_sizes) == v_classes
 
 
 def _patch_classes(monkeypatch, patched):
-    """Route the sweep's class partitions through ``patched(ids, members)``."""
-    classes = oracle._reflection_classes
+    """Route the sweep's class partitions through ``patched(ids, labels)``."""
+    classes = oracle._equitable_classes
 
-    def mutant(rconj, members, refls):
-        ids = patched(classes(rconj, members, refls), members)
+    def mutant(successors, labels):
+        ids = patched(classes(successors, labels), labels)
         return np.unique(ids, return_inverse=True)[1].reshape(-1)
 
-    monkeypatch.setattr(oracle, "_reflection_classes", mutant)
+    monkeypatch.setattr(oracle, "_equitable_classes", mutant)
 
 
 @pytest.mark.parametrize(
@@ -384,11 +432,7 @@ def test_class_walk_raises_on_v_classes_of_a_proper_subgroup(m, p, n, monkeypatc
     # differ; an explicit raise, so it also guards under python -O.
     params = GroupParams(m, p, n)
     etable, stable = build_tables(params)
-    _patch_classes(
-        monkeypatch,
-        lambda ids, members: ids if len(members) == params.order
-        else etable.class_ids[members],
-    )
+    _patch_classes(monkeypatch, lambda ids, labels: labels)
     with pytest.raises(AssertionError, match="not equitable"):
         oracle._orbit_sweep(etable, stable, 4)
 
@@ -397,16 +441,66 @@ def test_class_walk_raises_on_v_classes_of_a_proper_subgroup(m, p, n, monkeypatc
 def test_class_walk_raises_on_the_identity_in_a_larger_class(m, p, n, monkeypatch):
     params = GroupParams(m, p, n)
     etable, stable = build_tables(params)
-    origin = etable.identity_index
+    # The identity is alone in its V-class, so its label finds it.
+    origin_label = etable.class_ids[etable.identity_index]
 
-    def merge(ids, members):
-        # The identity joins the class of the first other member.
-        other = ids[np.flatnonzero(members != origin)[0]]
-        return np.where(members == origin, other, ids)
+    def merge(ids, labels):
+        # The identity joins the class of the first other member, if any.
+        others = np.flatnonzero(labels != origin_label)
+        if not len(others):
+            return ids
+        return np.where(labels == origin_label, ids[others[0]], ids)
 
     _patch_classes(monkeypatch, merge)
     with pytest.raises(AssertionError, match="identity shares its class"):
         oracle._orbit_sweep(etable, stable, 4)
+
+
+@pytest.mark.parametrize("m, p, n", [(2, 2, 3), (4, 2, 3), (1, 1, 4)])
+def test_orbit_sweep_raises_when_the_refinement_splits_a_v_class_of_w(
+    m, p, n, monkeypatch
+):
+    # The "all" counts are W's per-V-class totals, exact only while each
+    # V-class of W is one class of its walk.
+    params = GroupParams(m, p, n)
+    etable, stable = build_tables(params)
+    _patch_classes(
+        monkeypatch,
+        lambda ids, labels: np.arange(len(ids)) if len(ids) == params.order else ids,
+    )
+    with pytest.raises(AssertionError, match="split a V-class"):
+        oracle._orbit_sweep(etable, stable, 4)
+
+
+# ---------------------------------------------------------------- lattice sums
+
+
+@pytest.mark.parametrize("m, p, n", SWEEP_GROUPS + WIDE_GROUPS)
+def test_lattice_sum_anchors(m, p, n):
+    # Both sides count reflection tuples by length: all of them, and those
+    # that generate W.  The right sides read the lattice alone, no walk.
+    params = GroupParams(m, p, n)
+    etable, stable = build_tables(params)
+    all_counts, full_counts = sweep_counts(params, 6)
+    num_refl = params.num_reflections
+    lattice = [
+        (mu, int(flags.sum())) for mu, flags in zip(stable.mobius, stable.flags) if mu
+    ]
+    for length in range(7):
+        assert sum(all_counts[length]) == num_refl**length
+        assert sum(full_counts[length]) == sum(mu * r**length for mu, r in lattice)
+    # The closed form summed over W, class by class, against the lattice.
+    total = LaurentPoly.zero()
+    covered = 0
+    for g in class_representatives(params):
+        size = int(etable.class_sizes[etable.class_ids[etable.rank(g)]])
+        total = total + series_full(params, g).scale(size)
+        covered += size
+    expected = LaurentPoly.zero()
+    for mu, r in lattice:
+        expected = expected + LaurentPoly.monomial(r, mu)
+    assert covered == params.order
+    assert total == expected
 
 
 # ---------------------------------------------------------------- V-action
@@ -532,12 +626,7 @@ def test_conjugation_table_matches_group_arithmetic(params):
     for k, v in enumerate(gens):
         images = [etable.element(j) for j in etable.conj[k]]
         assert images == [conjugate(g, v, params) for g in elements]
-    # rconj: conjugation by each reflection, an int32 table shaped like mult.T.
-    assert (etable.rconj.shape, etable.rconj.dtype) == (etable.mult.T.shape, np.int32)
-    for r, t in enumerate(etable.reflection_list):
-        images = [etable.element(j) for j in etable.rconj[r]]
-        t = t.to_element(params)
-        assert images == [conjugate(g, t, params) for g in elements]
+    assert etable.conj.dtype == np.int32
 
 
 @pytest.mark.parametrize("params", ACTION_GROUPS, ids=str)
