@@ -10,13 +10,16 @@ It works on a polynomial's integer numerators alone (``min_deg`` and
   starts (``_certified_simple_roots``);
 * certification: Newton steps with p and p' evaluated in fixed point to a
   proven error bound on the integer coefficients (``_certify_pending``,
-  ``_newton_step``); certification, not a sweep count, ends the iteration.
+  ``_newton_step``), each pass started at the precision it needs; on a
+  palindromic part each outer root takes its Newton step from its certified
+  inverse's last pass (``_inverse_root``).  Certification, not a sweep
+  count, ends the iteration.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,12 +121,36 @@ def _power_eval(
     return V @ cs, V[:, :-1] @ d_cs, np.abs(V) @ np.abs(cs)
 
 
-def _certify_newton(ics: Sequence[int], z: complex) -> tuple[complex, bool]:
+class _Evaluation(NamedTuple):
+    """One fixed-point pass: p(z) * 2**F = pr + pi*i and p'(z) * 2**F = qr + qi*i.
+
+    z = (A + B*i) / 2**e is the double the pass evaluated at; both values are
+    proven to 2**-64 relative (``_newton_step``).
+    """
+
+    pr: int
+    pi: int
+    qr: int
+    qi: int
+    A: int
+    B: int
+    e: int
+    F: int
+
+    def conjugate(self) -> _Evaluation:
+        """The pass at conj(z): p has real coefficients, so p(conj z) = conj p(z)."""
+        return self._replace(pi=-self.pi, qi=-self.qi, B=-self.B)
+
+
+def _certify_newton(
+    ics: Sequence[int], z: complex
+) -> tuple[complex, bool, _Evaluation | None]:
     """Newton corrections of the double z by ``_newton_step`` until converged.
 
-    Returns (z, converged).  The step is p/p' to about 2**-63 relative, so
-    the only residual error is float rounding when the iterate is rounded
-    back to a double after each step.  Converged means the last step was at
+    Returns (z, converged, last), where ``last`` is the fixed-point pass of
+    the last step (None if none was taken).  The step is p/p' to about
+    2**-63 relative, so the only residual error is float rounding when the
+    iterate is rounded back to a double after each step.  Converged means the last step was at
     rounding level, 1e-14 * (1 + |z|), within ``_NEWTON_STEPS`` steps (at
     once at an exact root).  ``find_roots`` only passes square-free p, and
     Newton converges quadratically near a simple root, so each step from an
@@ -133,22 +160,58 @@ def _certify_newton(ics: Sequence[int], z: complex) -> tuple[complex, bool]:
     root's quadratic basin, and a root still moving after ``_NEWTON_STEPS``
     steps is not resolved by the float iteration; the caller must not
     return either.
+
+    Each pass after the first starts at the F that the pass before shows it
+    needs (``_next_precision``), so the pass at a point within rounding of
+    the root is not first tried, and refused, at F = 128.
     """
+    deg = len(ics) - 1
     limit = math.inf
+    F = 128
+    last = None
     for _ in range(_NEWTON_STEPS):
-        step = _newton_step(ics, z)
+        step, last = _newton_step(ics, z, F)
         size = abs(step)
         if not size <= limit:  # also a NaN step
             break
         z -= step
         if size <= 1e-14 * (1.0 + abs(z)):
-            return z, True
+            return z, True, last
         limit = size / 2
-    return z, False
+        F = _next_precision(deg, z, last)
+    return z, False, last
 
 
-def _newton_step(ics: Sequence[int], z: complex) -> complex:
-    """p(z) / p'(z), with p and p' evaluated in fixed point to a proven bound.
+def _bits_needed(deg: int, z: complex) -> float:
+    """log2 of sqrt(2) * n * M**n * 2**64, plus one bit of slack for the float logs.
+
+    The bit length a pass's p(z) * 2**F must reach for ``_newton_step`` to
+    accept it, with M = max(1, |z|).
+    """
+    return deg * math.log2(max(1.0, abs(z))) + math.log2(deg) + 65.5
+
+
+def _next_precision(deg: int, z: complex, last: _Evaluation) -> int:
+    """The F at which the pass at the next iterate z should pass ``_newton_step``'s test.
+
+    A step at rounding level leaves z within about |z| * 2**-53 of the root,
+    and rarely much closer, so |p(z)| is about |p'| * |z| * 2**-53, with |p'|
+    read off the previous pass (|qr + qi*i| >= 2**(b - 1) for the larger
+    bit length b).  p(z) * 2**F then has the ``_bits_needed`` bits once F >=
+    need - log2|p'| + 53 - log2|z|; 11 more bits cover an iterate up to
+    2**-64 * |z| from the root.  Never below 128.  A start F only saves
+    refused passes: the acceptance test and the doubling are
+    ``_newton_step``'s.
+    """
+    log_dp = max(last.qr.bit_length(), last.qi.bit_length()) - 1 - last.F
+    log_z = math.log2(abs(z)) if z else 0.0
+    return max(128, math.ceil(_bits_needed(deg, z) - log_dp + 64 - log_z))
+
+
+def _newton_step(
+    ics: Sequence[int], z: complex, F: int = 128
+) -> tuple[complex, _Evaluation]:
+    """(p(z) / p'(z), pass): p and p' evaluated in fixed point to a proven bound.
 
     ``ics`` are p's coefficients times a common denominator, ascending, and
     n = deg p.  A double is a dyadic rational, so z = (A + B*i) / 2**e with
@@ -163,11 +226,14 @@ def _newton_step(ics: Sequence[int], z: complex) -> complex:
 
     An evaluation is accepted when both bounds are at most 2**-64 of the
     computed |p| and |p'|, compared in log2 so that neither a large |z| nor
-    a large n can overflow; otherwise F doubles from 128.  Once F >= e * n
+    a large n can overflow; otherwise F doubles from the start ``F``
+    (128 unless the caller knows the point needs more).  Once F >= e * n
     no floor truncates and the pass is exact, so the loop ends, and an
     exact root gives the step 0.  The quotient is one correctly rounded int
     division.  When p'(z) is exactly zero the step is 0 if p(z) is too (a
     multiple root) and NaN otherwise, since no Newton step exists there.
+    The accepted pass comes back with the step, for ``_next_precision`` and
+    ``_inverse_root``.
     """
     deg = len(ics) - 1
     ar, dr = z.real.as_integer_ratio()
@@ -176,10 +242,8 @@ def _newton_step(ics: Sequence[int], z: complex) -> complex:
     A = ar * (D // dr)
     B = ai * (D // di)
     e = D.bit_length() - 1
-    # log2 of sqrt(2) * n * M**n * 2**64, plus one bit of slack for the float logs.
-    need_p = deg * math.log2(max(1.0, abs(z))) + math.log2(deg) + 65.5
+    need_p = _bits_needed(deg, z)
     need_q = need_p + math.log2(deg)
-    F = 128
     while True:
         pr, pi, qr, qi = _fixed_horner(ics, A, B, e, F)
         # The larger part of an int x + y*i with bit length b has |.| >= 2**(b - 1).
@@ -189,12 +253,55 @@ def _newton_step(ics: Sequence[int], z: complex) -> complex:
         ):
             break
         F *= 2
+    last = _Evaluation(pr, pi, qr, qi, A, B, e, F)
     # The 2**F scalings cancel in the quotient.
-    den = qr * qr + qi * qi
-    if den == 0:
-        return 0j if pr == pi == 0 else complex(math.nan, 0.0)
+    if qr == qi == 0:
+        return (0j if pr == pi == 0 else complex(math.nan, 0.0)), last
+    return _quotient(pr, pi, qr, qi), last
+
+
+def _quotient(nr: int, ni: int, dr: int, di: int) -> complex:
+    """(nr + ni*i) / (dr + di*i) for ints, each part correctly rounded; dr + di*i != 0."""
+    den = dr * dr + di * di
     # int / int rounds correctly and skips the gcd a Fraction would take.
-    return complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
+    return complex((nr * dr + ni * di) / den, (ni * dr - nr * di) / den)
+
+
+def _inverse_root(deg: int, last: _Evaluation) -> tuple[complex, bool] | None:
+    """(w, certified): one exact Newton step at w0 = 1/z on a palindromic p, from its pass at z.
+
+    A palindromic p of degree n has p(x) = x**n * p(1/x), so its values at
+    w0 come from the pass ``last`` at z = Z / 2**e, Z = A + B*i, with P =
+    p(z) * 2**F and Q = p'(z) * 2**F: p(w0) = z**-n * p(z) and p'(w0) =
+    z**(1-n) * (n*p(z) - z*p'(z)).  The Newton step at w0 and the next
+    iterate are Gaussian-integer quotients,
+
+        t      = P * 2**(2e) / den,
+        w0 - t = 2**e * ((n - 1) * 2**e * P - Z*Q) / den,
+        den    = Z * (n * 2**e * P - Z*Q),
+
+    each part correctly rounded, as in ``_newton_step``; no Horner pass is
+    made.  With P and Q to 2**-64 relative and rho = n|p(z)| / (|z||p'(z)|),
+    den is within 2**-64 * (1 + 2*rho) / (1 - rho) of its exact value,
+    relative, for rho < 1; near a root rho is tiny, so t is accurate to
+    about 2**-63 relative, like the step of ``_newton_step``.  Certified
+    means |t| <= 1e-14 * (1 + |w|), ``_certify_newton``'s test for its last
+    step.  A real z gives a real w, with imaginary part exactly 0.0.  None
+    when den is 0 (z = 0, or p'(w0) = 0): there is no step.
+    """
+    pr, pi, qr, qi, A, B, e, _ = last
+    # Z*P and Z*Q.
+    zpr, zpi = A * pr - B * pi, A * pi + B * pr
+    zqr, zqi = A * qr - B * qi, A * qi + B * qr
+    dr = ((deg * zpr) << e) - (A * zqr - B * zqi)
+    di = ((deg * zpi) << e) - (A * zqi + B * zqr)
+    if dr == di == 0:
+        return None
+    t = _quotient(pr << 2 * e, pi << 2 * e, dr, di)
+    nr = (((deg - 1) * pr) << e) - zqr
+    ni = (((deg - 1) * pi) << e) - zqi
+    w = _quotient(nr << e, ni << e, dr, di)
+    return w, abs(t) <= 1e-14 * (1.0 + abs(w))
 
 
 def _fixed_horner(
@@ -418,13 +525,14 @@ def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]
 
     z = _newton_polygon_start(ics)
     done = np.zeros(deg, dtype=bool)
+    passes: list[_Evaluation | None] = [None] * deg
     palindromic = list(ics) == list(reversed(ics))
     last = None  # the sweep of the first certification or of the last new root
     for sweep in range(_MAX_ITER):
         todo = np.flatnonzero(~done)
         newton, res = _newton_and_residual(z[todo], *coeffs)
         if float(res.max()) < _TOL:
-            if _certify_pending(ics, z, done, todo, palindromic) > 0 or last is None:
+            if _certify_pending(ics, z, done, todo, palindromic, passes) > 0 or last is None:
                 last = sweep
             if done.all():
                 return z, None
@@ -460,6 +568,7 @@ def _certify_pending(
     done: np.ndarray,
     todo: np.ndarray,
     palindromic: bool,
+    passes: list[_Evaluation | None],
 ) -> int:
     """Certify the pending iterates z[todo] in place; return how many were certified.
 
@@ -471,29 +580,36 @@ def _certify_pending(
     at rounding level, which lands on the true root to within float
     rounding; ``z`` and ``done`` take each certified root, and an iterate
     that does not certify keeps its Aberth value, since Newton may have
-    wandered off.
+    wandered off.  ``passes`` keeps, per certified root, the fixed-point
+    pass of its last Newton step (None for a root certified without one).
 
     p has real coefficients, so p(conj z) = conj p(z) and the exact Newton
     step at conj(r) is the conjugate of the step at r: conj(r) is certified
     exactly when r is.  Iterate k's partner is the iterate nearest to
     conj(z_k).  The first of a mutual pending pair is certified and the
-    second takes the conjugate; a real root is its own partner, and it and
-    an iterate whose partner does not pair back are certified on their own.
+    second takes the conjugate, and the conjugated pass; a real root is its
+    own partner, and it and an iterate whose partner does not pair back are
+    certified on their own.
     A real root's Newton steps start from the real part of its start: from
     a real point they stay real, so the root's imaginary part comes out
     exactly 0.0.
 
     The iterates with |z| <= 1 are certified first.  A palindromic p has
-    1/r as a root with r, and an iterate whose inversion partner (each is
-    the other's nearest iterate to its inverse) is already certified, at r,
-    starts its Newton steps at 1/r, which usually confirms in one step.  On
-    the unit circle the inversion partner is the conjugate partner, still
-    pending, and the iterate starts from itself.
+    1/r as a root with r.  An iterate whose inversion partner (each is the
+    other's nearest iterate to its inverse) is already certified, from a
+    pass at z, takes the exact Newton step at 1/z from that pass
+    (``_inverse_root``): it is certified when that step is at rounding
+    level, with no pass of its own, and otherwise its Newton steps start
+    from the iterate the step gives (from 1/r when the partner has no pass
+    or there is no step).  A real iterate takes the derived root only when
+    it is exactly real.  On the unit circle the inversion partner is the
+    conjugate partner, still pending, and the iterate starts from itself.
 
     A square-free p has no repeated root, so two certified roots within
     rounding of each other (a start that drifted to a neighbouring root)
     both go back to pending; the count returned is net of them.
     """
+    deg = len(ics) - 1
     old = np.flatnonzero(done)
     w = z[todo]
     row = np.full(len(z), -1)
@@ -512,20 +628,25 @@ def _certify_pending(
         handled[a] = True
         if mirror:
             handled[b] = True
-        start = complex(w[a])
+        start, derived = complex(w[a]), False
         if palindromic:
             s = inverse[k]
             if s != k and inverse[s] == k and done[s]:
-                start = 1.0 / complex(z[s])
-        if j == k:
-            start = complex(start.real, 0.0)
-        r, ok = _certify_newton(ics, start)
+                step = None if passes[s] is None else _inverse_root(deg, passes[s])
+                start, derived = step or (1.0 / complex(z[s]), False)
+        if derived and (j != k or start.imag == 0):
+            r, ok, last = start, True, None
+        else:
+            if j == k:
+                start = complex(start.real, 0.0)
+            r, ok, last = _certify_newton(ics, start)
         if not ok:
             continue
-        z[k], done[k] = r, True
+        z[k], done[k], passes[k] = r, True, last
         fresh.append(k)
         if mirror:
             z[j], done[j] = r.conjugate(), True
+            passes[j] = None if last is None else last.conjugate()
             fresh.append(j)
     if not fresh:
         return 0
@@ -541,6 +662,8 @@ def _certify_pending(
     hit[len(old) :] |= near.any(axis=1)
     back = ids[hit]
     done[back] = False
+    for i in back:
+        passes[i] = None
     back = back[row[back] >= 0]
     z[back] = w[row[back]]
     return len(fresh) - int(hit.sum())
@@ -571,7 +694,12 @@ def find_roots(poly: LaurentPoly) -> list[complex]:
     conj(r) is the conjugate of the step at r, and the other member of the
     pair takes the exact conjugate of the certified r.  On a palindromic
     part the roots inside the unit circle are certified first, and each
-    outer root starts its Newton steps at 1/r from its certified inverse r.
+    outer root takes the exact Newton step at 1/z from the last pass of its
+    certified inverse, made at z, with p(x) = x**n * p(1/x): a step at
+    rounding level certifies it with no pass of its own, and otherwise its
+    Newton steps start from the iterate that step gives.  Each pass after
+    the first of a root starts at the precision the pass before shows it
+    needs, so a pass is rarely refused and redone.
     A certified root that repeats another is sent back to the sweeps, so no
     root of a part is returned twice.  RootFindingError, carrying the best
     iterates sorted like the result, is raised when the sweeps do not

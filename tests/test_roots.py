@@ -1,6 +1,7 @@
 """Root finding on the core polynomials: square-free split, Aberth sweeps, exact Newton steps."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from wfact.roots import (
     _certify_newton,
     _fixed_horner,
     _int_gcd,
+    _inverse_root,
     _monic_gcd_mod,
     _newton_and_residual,
     _newton_polygon_start,
@@ -231,28 +233,40 @@ def test_find_roots_certifies_or_raises(name):
 
 
 @pytest.mark.parametrize(
-    "name, numers, certifications",
+    "name, numers, certifications, newton_calls",
     [
-        # 112 roots, none real: 56 conjugate pairs.
-        ("E7", None, 56),
+        # 112 roots, none real: 56 conjugate pairs, 28 inside the unit
+        # circle; each outer pair is derived from its inverse.
+        ("E7", None, 56, 28),
         # 110 roots, 2 of them real: 54 pairs and 2 real roots.
-        ("S12", None, 56),
+        ("S12", None, 56, 30),
         # (X-1)(X-2)(X-3): three real roots, each certified on its own.
-        ("(X-1)(X-2)(X-3)", [-6, 11, -6, 1], 3),
+        ("(X-1)(X-2)(X-3)", [-6, 11, -6, 1], 3, 3),
     ],
 )
 def test_find_roots_certifies_each_conjugate_pair_once(
-    name, numers, certifications, monkeypatch
+    name, numers, certifications, newton_calls, monkeypatch
 ):
+    # A pair is certified either by Newton steps or, on a palindromic core,
+    # from its certified inverse with no pass of its own; never both.
     phi = _core(name) if numers is None else LaurentPoly(0, numers)
-    calls = []
-    certify = roots_module._certify_newton
+    calls, derived = [], []
+    certify, invert = roots_module._certify_newton, roots_module._inverse_root
     monkeypatch.setattr(
         roots_module, "_certify_newton", lambda ics, z: calls.append(z) or certify(ics, z)
     )
+
+    def counting_invert(deg, last):
+        result = invert(deg, last)
+        if result is not None and result[1]:
+            derived.append(result[0])
+        return result
+
+    monkeypatch.setattr(roots_module, "_inverse_root", counting_invert)
     roots = find_roots(phi)
     assert len(roots) == phi.max_deg
-    assert len(calls) == certifications
+    assert len(calls) + len(derived) == certifications
+    assert len(calls) <= newton_calls, len(calls)
 
 
 @pytest.mark.parametrize("name", CORES)
@@ -278,7 +292,9 @@ def test_find_roots_real_roots_are_exactly_real(name):
 def test_find_roots_pair_fails_together(monkeypatch):
     # A representative that does not converge leaves both members of its
     # pair uncertified, at their Aberth iterates.
-    monkeypatch.setattr(roots_module, "_certify_newton", lambda ics, z: (z + 1, False))
+    monkeypatch.setattr(
+        roots_module, "_certify_newton", lambda ics, z: (z + 1, False, None)
+    )
     with pytest.raises(RootFindingError, match="2 of 2 roots") as info:
         find_roots(LaurentPoly(0, [1, 0, 1]))  # X^2 + 1
     # The Aberth iterates sit on -i and i, not where Newton (here z + 1) went.
@@ -288,11 +304,12 @@ def test_find_roots_pair_fails_together(monkeypatch):
 
 
 def test_find_roots_e8_work_counts(monkeypatch):
-    # Certification ends the sweeps, and each outer root of the palindromic
-    # core starts from its certified inverse and confirms in one Newton step:
-    # E8 takes 39 sweeps and 184 exact Newton steps.
+    # Certification ends the sweeps; each outer root of the palindromic core
+    # is certified from its inverse's last pass, with no pass of its own;
+    # and each pass starts at the precision it needs, so none is refused:
+    # E8 takes 39 sweeps, 128 exact Newton steps and 128 fixed-point passes.
     counts = Counter()
-    for name in ("_newton_and_residual", "_newton_step"):
+    for name in ("_newton_and_residual", "_newton_step", "_fixed_horner"):
         real = getattr(roots_module, name)
 
         def counting(*args, real=real, name=name):
@@ -302,7 +319,8 @@ def test_find_roots_e8_work_counts(monkeypatch):
         monkeypatch.setattr(roots_module, name, counting)
     assert len(find_roots(_core("E8"))) == 224
     assert counts["_newton_and_residual"] <= 40, counts
-    assert counts["_newton_step"] <= 190, counts
+    assert counts["_newton_step"] <= 130, counts
+    assert counts["_fixed_horner"] <= 130, counts
 
 
 @pytest.mark.parametrize("name", ["S15", "S16"])
@@ -614,9 +632,9 @@ def test_fixed_horner_within_stated_bounds(ics, z):
 
 
 def test_certify_newton_keeps_exact_and_double_roots():
-    assert _certify_newton([1, 0, 1], 1j) == (1j, True)  # X^2 + 1 at i
-    assert _certify_newton([1, -2, 1], 1.0) == (1.0, True)  # (X - 1)^2 at 1
-    assert _newton_step([1, -2, 1], 1.0) == 0
+    assert _certify_newton([1, 0, 1], 1j)[:2] == (1j, True)  # X^2 + 1 at i
+    assert _certify_newton([1, -2, 1], 1.0)[:2] == (1.0, True)  # (X - 1)^2 at 1
+    assert _newton_step([1, -2, 1], 1.0)[0] == 0
 
 
 def test_certify_newton_reports_no_convergence(monkeypatch):
@@ -627,9 +645,9 @@ def test_certify_newton_reports_no_convergence(monkeypatch):
     steps = []
     step = roots_module._newton_step
     monkeypatch.setattr(
-        roots_module, "_newton_step", lambda ics, z: steps.append(z) or step(ics, z)
+        roots_module, "_newton_step", lambda ics, z, F: steps.append(z) or step(ics, z, F)
     )
-    z, converged = _certify_newton([1, 0, 1], 2.0)
+    z, converged, _ = _certify_newton([1, 0, 1], 2.0)
     assert not converged
     assert z.imag == 0
     assert len(steps) == 2
@@ -638,8 +656,8 @@ def test_certify_newton_reports_no_convergence(monkeypatch):
 def test_certify_newton_refuses_a_critical_point():
     # p'(0) = 0 while p(0) = 1: no Newton step exists at 0, so the attempt
     # fails instead of certifying a point that is not a root.
-    assert math.isnan(_newton_step([1, 0, 1], 0.0).real)
-    assert _certify_newton([1, 0, 1], 0.0) == (0.0, False)
+    assert math.isnan(_newton_step([1, 0, 1], 0.0)[0].real)
+    assert _certify_newton([1, 0, 1], 0.0)[:2] == (0.0, False)
 
 
 def test_newton_step_matches_exact_step():
@@ -664,6 +682,136 @@ def test_newton_step_next_to_a_multiple_root(ics, z):
     # p(z) * 2**128 is below 2**30 here, under the 2**64-relative bound, and
     # F = 128 < e * n, so only a doubled F gives the step.
     assert_step_is_exact(ics, z)
+
+
+@pytest.mark.parametrize("start", [128, 256, 1024])
+def test_newton_step_from_a_start_precision(start):
+    # A start F above 128 only skips refused passes: at the roots of E7 and
+    # next to them the step is still the exact step to 2**-50 relative.
+    phi = _core("E7")
+    ics = list(phi.numers)
+    rng = random.Random(start)
+    roots = rng.sample(find_roots(phi), 20)
+    near = [r * (1 + 1e-12 * rng.random() * cmath.exp(2j * math.pi * rng.random())) for r in roots]
+    for z in roots + near:
+        assert_step_is_exact(ics, z, start)
+
+
+def _exact_inverse_step(ics, z):
+    """(w0, t): w0 = 1/z and t = p(w0)/p'(w0), with z a double, each as exact (re, im) Fractions.
+
+    Straight Horner in complex Fractions at w0, independent of the
+    palindromic identity ``_inverse_root`` uses.
+    """
+    a, b = F(z.real), F(z.imag)
+    m = a * a + b * b
+    x, y = a / m, -b / m
+    pr = pi = qr = qi = F(0)
+    for c in reversed(ics):
+        qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
+        pr, pi = pr * x - pi * y + c, pr * y + pi * x
+    den = qr * qr + qi * qi
+    return (x, y), ((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
+
+
+@functools.cache
+def _fixture_roots(name):
+    return find_roots(_core(name))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["G2", "H3"]),
+    st.integers(0, 23),
+    st.floats(-60, -8),
+    st.floats(0, 2 * math.pi),
+)
+def test_inverse_root_is_the_rounded_newton_iterate_at_the_inverse(name, i, log_eps, angle):
+    # From a pass at z near a root of a palindromic core, the derived iterate
+    # is w0 - t, t = p(w0)/p'(w0) at w0 = 1/z: correctly rounded from an
+    # exact pass, and within half an ulp plus 2**-60 |t| per part from a
+    # pass proven to 2**-64.
+    ics = list(_core(name).numers)
+    n = len(ics) - 1
+    roots = _fixture_roots(name)
+    z = roots[i % n] * (1 + 2.0**log_eps * cmath.exp(1j * angle))
+    (x, y), (tr, ti) = _exact_inverse_step(ics, z)
+    want = (x - tr, y - ti)
+    _, exact_pass = _newton_step(ics, z, n * (_dyadic(z)[2].bit_length() - 1))
+    w, _ = _inverse_root(n, exact_pass)
+    assert w == complex(float(want[0]), float(want[1])), z
+    w, _ = _inverse_root(n, _newton_step(ics, z)[1])
+    slack = (abs(tr) + abs(ti)) / 2**60  # at least |t| / 2**60
+    for got, part in zip((w.real, w.imag), want):
+        assert abs(F(got) - part) <= F(math.ulp(float(part))) / 2 + slack, z
+
+
+def test_inverse_root_of_a_real_point_is_real():
+    # X^2 - 3X + 1 has the real roots (3 -+ sqrt 5)/2, each the other's
+    # inverse: the pass at a real z gives a real iterate, im exactly 0.0.
+    _, last = _newton_step([1, -3, 1], 0.38)
+    w, certified = _inverse_root(2, last)
+    assert w.imag == 0.0 and not certified
+    assert abs(w - (3 + math.sqrt(5)) / 2) < 1e-3
+    _, last = _newton_step([1, -3, 1], (3 - math.sqrt(5)) / 2)
+    w, certified = _inverse_root(2, last)
+    assert certified and w == (3 + math.sqrt(5)) / 2 and w.imag == 0.0
+
+
+def test_certify_pending_keeps_a_real_root_real():
+    # The real iterate near (3 + sqrt 5)/2 is its own conjugate partner, and
+    # its inverse partner was certified by a pass just off the real axis.
+    # The step derived from that pass is at rounding level but not real, so
+    # the iterate takes Newton steps from the real part instead.
+    ics = [1, -3, 1]
+    inner, outer = (3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2
+    z = np.array([inner, 2.6], dtype=complex)
+    done = np.array([True, False])
+    passes = [_newton_step(ics, complex(inner, 1e-300))[1], None]
+    w, certified = _inverse_root(2, passes[0])
+    assert certified and w.imag != 0.0
+    assert roots_module._certify_pending(ics, z, done, np.array([1]), True, passes) == 1
+    assert z[1] == outer and z[1].imag == 0.0
+
+
+def test_inverse_root_refuses_a_pass_at_zero():
+    # At z = 0 there is no inverse and no step.
+    assert _inverse_root(2, _newton_step([1, 3, 1], 0j)[1]) is None
+
+
+def test_find_roots_non_palindromic_part_takes_no_derivation(monkeypatch):
+    # The G(3,1,3) identity core is (X^9 + 6X^6 + 9X^3 + 2)(X^2 + X + 1)^6.
+    # Its degree-9 part is not palindromic: no root is derived from an
+    # inverse, and every root is the double nearest to its closed form,
+    # X^3 = -2 or -2 -+ sqrt 3.
+    from wfact.cli import _group_params
+    from wfact.factorizations import phi_data
+    from wfact.groups import identity
+
+    params = _group_params(3, 1, 3)
+    core = phi_data(params, identity(params))[0]
+    nonic = [2, 0, 0, 9, 0, 0, 6, 0, 0, 1]
+    parts = _squarefree_parts(list(core.numers))
+    assert sorted((len(a) - 1, k) for a, k in parts) == [(2, 6), (9, 1)]
+    assert any(a == nonic for a, _ in parts)
+    calls = []
+    invert = roots_module._inverse_root
+    monkeypatch.setattr(
+        roots_module, "_inverse_root", lambda deg, last: calls.append(deg) or invert(deg, last)
+    )
+    assert len(find_roots(core)) == 21
+    roots = find_roots(LaurentPoly(0, nonic))
+    assert not calls
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s3 = Decimal(3).sqrt()
+        expected = []
+        for y in (Decimal(2), 2 - s3, 2 + s3):
+            c = y ** (Decimal(1) / 3)
+            expected += [complex(-float(c), 0.0)] + [
+                complex(float(c / 2), sign * float(c * s3 / 2)) for sign in (1, -1)
+            ]
+    assert roots == sorted(expected, key=lambda r: (r.real, r.imag))
 
 
 def _exact_sums(ics, z):
@@ -730,8 +878,8 @@ def test_newton_and_residual_matches_exact_values(ics, zs):
             assert err <= (sr * sr + si * si) / 10**16, (z, float(err))
 
 
-def assert_step_is_exact(ics, z):
+def assert_step_is_exact(ics, z, start=128):
     sr, si = exact_newton_step(ics, z)
-    got = _newton_step(ics, z)
+    got = _newton_step(ics, z, start)[0]
     err = (F(got.real) - sr) ** 2 + (F(got.imag) - si) ** 2
     assert err <= (sr * sr + si * si) / 2**100, z
