@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -40,7 +41,9 @@ from .factorizations import (
     series_window,
 )
 from .fixtures import TABLE1, load_phi_fixtures
-from .groups import Element, GroupParams, identity, element_to_json, parse_element
+from .groups import (
+    _INTEGER, Element, GroupParams, identity, element_to_json, parse_element
+)
 from .laurent import LaurentPoly, extract_phi
 from .oracle import class_representatives, count_factorizations
 from .roots import RootFindingError, find_roots
@@ -59,6 +62,21 @@ ELEMENT_GRAMMAR = (
 
 class UsageError(Exception):
     """Bad arguments or unparseable input; mapped to exit code 2."""
+
+
+def _integer(text: str) -> int:
+    """The argparse type of every integer flag: the element grammar's integer.
+
+    An optional sign and ASCII digits, with whitespace around them.  ``int``
+    alone would also take other decimal digits ('٣') and underscores
+    ('1_0'), which the element grammar refuses.  A refusal reads as int's.
+    """
+    if re.fullmatch(rf"\s*{_INTEGER}\s*", text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _fraction_str(q: Fraction) -> str:
@@ -227,6 +245,10 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 
 def _svg_scatter(groups: list[tuple[str, list[complex]]]) -> str:
+    # Imported here: xml.sax.saxutils pulls in urllib.request, http.client and
+    # ssl, about 25 ms that every other command would pay at import.
+    from xml.sax.saxutils import escape
+
     size = 800
     margin = 40
     half = size / 2
@@ -254,7 +276,9 @@ def _svg_scatter(groups: list[tuple[str, list[complex]]]) -> str:
     ]
     for idx, (label, zs) in enumerate(groups):
         color = palette[idx % len(palette)]
-        parts.append(f'<g fill="{color}" fill-opacity="0.8"><title>{label}</title>')
+        parts.append(
+            f'<g fill="{color}" fill-opacity="0.8"><title>{escape(label)}</title>'
+        )
         for z in zs:
             parts.append(
                 f'<circle cx="{sx(z.real):.3f}" cy="{sy(z.imag):.3f}" r="4"/>'
@@ -311,8 +335,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
         cores.append((args.fixture, fixtures[args.fixture]))
     elif args.phi_from is not None:
         try:
-            m, p, n = (int(part) for part in args.phi_from.split(","))
-        except ValueError:
+            m, p, n = (_integer(part) for part in args.phi_from.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
             raise UsageError("--phi-from expects 'm,p,n'") from None
         params = _group_params(m, p, n)
         g = _element_from_args(params, args)
@@ -429,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_group_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--m", type=int, required=True, help="color modulus m")
-        p.add_argument("--p", type=int, required=True, help="weight divisor p (p | m)")
-        p.add_argument("--n", type=int, required=True, help="number of positions n")
+        p.add_argument("--m", type=_integer, required=True, help="color modulus m")
+        p.add_argument("--p", type=_integer, required=True, help="weight divisor p (p | m)")
+        p.add_argument("--n", type=_integer, required=True, help="number of positions n")
 
     def add_element_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -450,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_element_flags(p_series)
     p_series.add_argument(
         "--prefix-len",
-        type=int,
+        type=_integer,
         default=None,
         help="largest factorization length listed in egf_prefix "
         "(default: min length + 4)",
@@ -464,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_element_flags(p_verify)
     p_verify.add_argument(
         "--max-len",
-        type=int,
+        type=_integer,
         default=None,
         help="largest factorization length to compare (default: window end + 2)",
     )
@@ -479,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_element_flags(p_roots)
     p_roots.add_argument(
         "--sn-sweep",
-        type=int,
+        type=_integer,
         help="roots for symmetric groups of every even degree up to this bound",
     )
     p_roots.add_argument("--out", required=True, help="output file (.csv or .svg)")
@@ -495,9 +519,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's own parser by name: the subparsers action's choices."""
+    (commands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return commands
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A command's own parser reads the rest of argv once; through the
+    # top-level parser it would be matched there first and then parsed again.
+    # The top-level parser takes everything else: -h, no argv, an unknown
+    # command.
+    commands = _command_parsers()
+    if argv and argv[0] in commands:
+        namespace = argparse.Namespace(command=argv[0])  # as the top-level parser sets it
+        args = commands[argv[0]].parse_args(argv[1:], namespace)
+    else:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, file outputs, self-tests."""
 
+import argparse
 import cmath
 import contextlib
 import hashlib
@@ -13,6 +14,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -648,6 +650,21 @@ def test_roots_svg(capsys, tmp_path):
     assert text.count("<circle") == 9  # 8 roots + the unit-circle guide
 
 
+def test_roots_svg_escapes_its_labels(capsys, tmp_path):
+    # A user fixture's name is the plot's title text, so it is XML-escaped.
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text("name=A&B<1>; lowest=0; coeffs=1,1,1\n")
+    out_file = tmp_path / "ab.svg"
+    code, _, err = run(
+        capsys, "roots", "--fixtures", str(fixtures), "--fixture", "A&B<1>",
+        "--out", str(out_file),
+    )
+    assert code == 0, err
+    svg = ElementTree.parse(out_file).getroot()
+    titles = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}title")]
+    assert titles == ["A&B<1>"]
+
+
 def test_roots_phi_from(capsys, tmp_path):
     out_file = tmp_path / "direct.csv"
     code, _, _ = run(
@@ -908,6 +925,8 @@ def _series_argv(draw):
 @example(["series", "--m", "2", "--p", "1", "--n", "2", "--element", "perm=[None,1]; colors=[0,0]"])
 @example(["series", "--m", "2", "--p", "1", "--n", "2", "--element", "perm=[1,2]; colors=[0,[1]]"])
 @example(["series", "--m", "2", "--p", "1", "--n", "2", "--cycles", "(2,None)"])
+@example(["series", "--m", "٣", "--p", "1", "--n", "2"])
+@example(["series", "--m", "1_0", "--p", "1", "--n", "2"])
 def test_series_exit_code_contract(argv):
     _check_contract(argv)
 
@@ -925,6 +944,7 @@ def _oracle_verify_argv(draw):
 @given(_oracle_verify_argv())
 @example(["oracle-verify", "--m", "1", "--p", "1", "--n", "171"])
 @example(["oracle-verify", "--m", "2", "--p", "1", "--n", "2", "--max-len", "1" + "0" * 200])
+@example(["oracle-verify", "--m", "2", "--p", "1", "--n", "2", "--max-len", "١_0"])
 def test_oracle_verify_exit_code_contract(argv):
     _check_contract(argv)
 
@@ -962,6 +982,8 @@ def _roots_argv(draw):
 @given(_roots_argv())
 @example(["roots", "--fixture", "G2", "--out", "."])
 @example(["roots", "--fixture", "G2", "--out", "absent/r.csv"])
+@example(["roots", "--phi-from", "٤,2,3", "--out", "r.csv"])
+@example(["roots", "--sn-sweep", "1_0", "--out", "r.csv"])
 def test_roots_exit_code_contract(contract_dir, argv):
     # --out names a file in contract_dir, or the directory itself.
     if "--out" in argv:
@@ -986,3 +1008,125 @@ def test_fixtures_check_exit_code_contract(contract_dir, fixtures):
             (contract_dir / name).write_text(body)
         argv += ["--fixtures", str(contract_dir / name)]
     _check_contract(argv)
+
+
+# ---------------------------------------------------------------- argument parsing
+
+
+def _valid_argvs(tmp_path):
+    """One or more argvs that exit 0, for each of the four subcommands."""
+    return [
+        ["series", "--m", "4", "--p", "2", "--n", "3", "--cycles", "(2,1),(1,1)",
+         "--prefix-len", "6"],
+        ["series", "--m", "3", "--p", "1", "--n", "2", "--element", "perm=(2,1); colors=(1,2)"],
+        ["series", "--m=2", "--p=1", "--n=2"],
+        ["oracle-verify", "--m", "2", "--p", "1", "--n", "2", "--max-len", "5"],
+        ["oracle-verify", "--m", "2", "--p", "2", "--n", "2", "--cycles", "(2,0)"],
+        ["roots", "--fixture", "G2", "--out", str(tmp_path / "g2.csv")],
+        ["roots", "--phi-from", "6,6,2", "--cycles", "(2,0)", "--out", str(tmp_path / "g.svg")],
+        ["roots", "--sn-sweep", "4", "--out", str(tmp_path / "s.csv")],
+        ["fixtures-check"],
+        ["fixtures-check", "--fixtures", str(default_fixture_path())],
+    ]
+
+
+def test_each_call_parses_its_argv_once(capsys, monkeypatch, tmp_path):
+    # The subcommand's own parser reads argv[1:]; the top-level parser, which
+    # would hand the same strings on to it, is not run.
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in _valid_argvs(tmp_path):
+        parsed.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert parsed == [f"wfact {argv[0]}"], argv
+
+
+def test_each_call_gets_the_namespace_of_the_top_level_parser(capsys, monkeypatch, tmp_path):
+    got = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        got.append(parse_args(self, *args, **kwargs))
+        return got[-1]
+
+    for argv in _valid_argvs(tmp_path):
+        expected = vars(cli.build_parser().parse_args(argv))
+        got.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+            code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert [vars(args) for args in got] == [expected], argv
+
+
+def _exit(capsys, argv):
+    """(exit code, stdout, stderr) of a main call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, head",
+    [
+        (["-h"], 0, "out", "usage: wfact [-h] {series,"),
+        (["series", "-h"], 0, "out", "usage: wfact series [-h] --m M"),
+        ([], 2, "err", "usage: wfact [-h] {series,"),
+        (["nonsense"], 2, "err", "usage: wfact [-h] {series,"),
+        (["series", "--m", "2", "--p", "1"], 2, "err", "usage: wfact series [-h]"),
+        # An unknown flag is reported under the usage of its subcommand.
+        (["series", "--m", "2", "--p", "1", "--n", "2", "--bogus", "1"], 2, "err",
+         "usage: wfact series [-h]"),
+    ],
+)
+def test_argparse_exits_keep_their_codes(capsys, argv, code, stream, head):
+    got, out, err = _exit(capsys, argv)
+    assert got == code
+    assert (out if stream == "out" else err).startswith(head)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["٣", "1_0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--m", "{}", "--p", "1", "--n", "2"],
+        ["series", "--m", "30", "--p", "{}", "--n", "2"],
+        ["series", "--m", "2", "--p", "1", "--n", "{}"],
+        ["series", "--m", "2", "--p", "1", "--n", "2", "--prefix-len", "{}"],
+        ["oracle-verify", "--m", "2", "--p", "1", "--n", "2", "--max-len", "{}"],
+        ["roots", "--sn-sweep", "{}", "--out", "{out}"],
+        ["roots", "--phi-from", "{},1,2", "--out", "{out}"],
+        ["roots", "--phi-from", "30,{},2", "--out", "{out}"],
+        ["roots", "--phi-from", "4,2,{}", "--out", "{out}"],
+    ],
+)
+def test_integer_flags_refuse_what_the_element_grammar_refuses(tmp_path, argv, text):
+    # int() alone reads '٣' as 3 and '1_0' as 10, and each argv ran with them.
+    out_file = tmp_path / "x.csv"
+    argv = [arg.format(text, out=out_file) for arg in argv]
+    code, err = _contract_run(argv)
+    assert code == 2, (argv, err)
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "text, value", [("7", 7), ("+7", 7), ("-7", -7), (" 7", 7), ("\t+7\n", 7), ("007", 7)]
+)
+def test_integer_flags_take_the_element_grammar_integer(text, value):
+    assert cli._integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["٣", "1_0", "0x10", "1 2", "+-1", "", "1" * 5000])
+def test_integer_flag_refusal_reads_as_ints(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="^invalid int value: "):
+        cli._integer(text)
