@@ -21,16 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial
 from pathlib import Path
 
 from .errors import CapabilityError
 from .factorizations import (
     KEY_CACHE_SIZE,
+    WINDOW_GUARD,
     closed_lowest_order,
     full_length,
     lead_from_phi,
@@ -42,7 +41,7 @@ from .factorizations import (
 )
 from .fixtures import TABLE1, load_phi_fixtures
 from .groups import (
-    _INTEGER, Element, GroupParams, identity, element_to_json, parse_element
+    Element, GroupParams, identity, element_to_json, parse_element, read_integer, read_integers
 )
 from .laurent import LaurentPoly, extract_phi
 from .oracle import class_representatives, count_factorizations
@@ -65,18 +64,11 @@ class UsageError(Exception):
 
 
 def _integer(text: str) -> int:
-    """The argparse type of every integer flag: the element grammar's integer.
-
-    An optional sign and ASCII digits, with whitespace around them.  ``int``
-    alone would also take other decimal digits ('٣') and underscores
-    ('1_0'), which the element grammar refuses.  A refusal reads as int's.
-    """
-    if re.fullmatch(rf"\s*{_INTEGER}\s*", text) is not None:
-        try:
-            return int(text)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """The argparse type of every integer flag: ``read_integer``, refusing as int's type does."""
+    try:
+        return read_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _fraction_str(q: Fraction) -> str:
@@ -95,15 +87,11 @@ def _group_params(m: int, p: int, n: int) -> GroupParams:
 
 
 def _element_from_args(params: GroupParams, args: argparse.Namespace) -> Element:
-    cycles = getattr(args, "cycles", None)
-    element = getattr(args, "element", None)
-    if cycles is not None and element is not None:
-        raise UsageError("give at most one of --cycles and --element")
     try:
-        if cycles is not None:
-            return parse_element(f"cycles=[{cycles}]", params)
-        if element is not None:
-            return parse_element(element, params)
+        if args.cycles is not None:
+            return parse_element(f"cycles=[{args.cycles}]", params)
+        if args.element is not None:
+            return parse_element(args.element, params)
     except ValueError as exc:
         raise UsageError(f"{exc}\n{ELEMENT_GRAMMAR}") from None
     return identity(params)
@@ -308,21 +296,10 @@ def _write_root_output(
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    chosen = [
-        name
-        for name, val in [
-            ("--fixture", args.fixture),
-            ("--phi-from", args.phi_from),
-            ("--sn-sweep", args.sn_sweep),
-        ]
-        if val is not None
-    ]
-    if len(chosen) != 1:
-        raise UsageError("give exactly one of --fixture, --phi-from, --sn-sweep")
-    if args.phi_from is None:
-        for flag, val in (("--cycles", args.cycles), ("--element", args.element)):
-            if val is not None:
-                raise UsageError(f"{flag} applies only with --phi-from")
+    # argparse has seen exactly one selector and at most one element flag.
+    if args.phi_from is None and (args.cycles, args.element) != (None, None):
+        flag = "--cycles" if args.cycles is not None else "--element"
+        raise UsageError(f"{flag} applies only with --phi-from")
     cores: list[tuple[str, LaurentPoly]] = []
     labelled = False
     if args.fixture is not None:
@@ -335,8 +312,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
         cores.append((args.fixture, fixtures[args.fixture]))
     elif args.phi_from is not None:
         try:
-            m, p, n = (_integer(part) for part in args.phi_from.split(","))
-        except (ValueError, argparse.ArgumentTypeError):
+            m, p, n = read_integers(args.phi_from)
+        except ValueError:
             raise UsageError("--phi-from expects 'm,p,n'") from None
         params = _group_params(m, p, n)
         g = _element_from_args(params, args)
@@ -353,9 +330,14 @@ def cmd_roots(args: argparse.Namespace) -> int:
             raise CapabilityError(f"--sn-sweep is guarded at {FULL_GUARD}; got {top}")
         labelled = True
         for degree in range(2, top + 1, 2):
-            series = dyz_identity_series(degree)
-            phi, _ = extract_phi(series, factorial(degree), degree * (degree - 1) // 2)
+            sn = GroupParams(1, 1, degree)
+            phi, _ = extract_phi(dyz_identity_series(degree), sn.order, sn.num_hyperplanes)
             cores.append((str(degree), phi))
+    # A computed core has degree at most #R + #A <= WINDOW_GUARD; a fixture
+    # file's may have any, and the root finder's memory grows with it.
+    for label, phi in cores:
+        if phi.max_deg > WINDOW_GUARD:
+            raise CapabilityError(f"core {label} has degree {phi.max_deg}, past {WINDOW_GUARD}")
     # A constant core polynomial has no roots.
     groups = [
         (label, find_roots(phi) if phi.max_deg >= 1 else []) for label, phi in cores
@@ -441,8 +423,9 @@ def cmd_fixtures_check(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
-@cache  # built once per process; parsing does not mutate it
-def build_parser() -> argparse.ArgumentParser:
+@cache  # built once per process; parsing does not mutate them
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="wfact",
         description=(
@@ -458,11 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_integer, required=True, help="number of positions n")
 
     def add_element_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
+        element = p.add_mutually_exclusive_group()
+        element.add_argument(
             "--cycles",
             help="element as bare (length, color) pairs, e.g. '(2,1),(1,0)'",
         )
-        p.add_argument(
+        element.add_argument(
             "--element",
             help="element in full grammar, e.g. 'perm=(2,1); colors=(1,0)'",
         )
@@ -498,14 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_oracle_verify)
 
     p_roots = sub.add_parser("roots", help="roots of a core polynomial")
-    p_roots.add_argument("--fixture", help="bundled fixture name, e.g. G2 or H3")
-    p_roots.add_argument("--phi-from", help="group parameters 'm,p,n'")
-    add_element_flags(p_roots)
-    p_roots.add_argument(
+    selector = p_roots.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--fixture", help="bundled fixture name, e.g. G2 or H3")
+    selector.add_argument("--phi-from", help="group parameters 'm,p,n'")
+    selector.add_argument(
         "--sn-sweep",
         type=_integer,
         help="roots for symmetric groups of every even degree up to this bound",
     )
+    add_element_flags(p_roots)
     p_roots.add_argument("--out", required=True, help="output file (.csv or .svg)")
     p_roots.add_argument("--fixtures", help="override path of the fixture file")
     p_roots.set_defaults(func=cmd_roots)
@@ -516,18 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--fixtures", help="override path of the fixture file")
     p_check.set_defaults(func=cmd_fixtures_check)
 
-    return parser
-
-
-@cache
-def _command_parsers() -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand's own parser by name: the subparsers action's choices."""
-    (commands,) = (
-        action.choices
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    return commands
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -537,12 +511,12 @@ def main(argv: list[str] | None = None) -> int:
     # top-level parser it would be matched there first and then parsed again.
     # The top-level parser takes everything else: -h, no argv, an unknown
     # command.
-    commands = _command_parsers()
+    parser, commands = build_parsers()
     if argv and argv[0] in commands:
         namespace = argparse.Namespace(command=argv[0])  # as the top-level parser sets it
         args = commands[argv[0]].parse_args(argv[1:], namespace)
     else:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

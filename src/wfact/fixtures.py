@@ -14,8 +14,10 @@ Fixture file format, one record per line::
 
     name=G2; lowest=0; coeffs=1,4,10,16,10,16,10,4,1
 
-with coefficients ascending from ``X**lowest``, where lowest >= 0.  Blank
-lines and lines starting with ``#`` are ignored.
+with coefficients ascending from ``X**lowest``, where lowest >= 0, read by
+``groups.read_fields`` and ``groups.read_integer``: empty fields are skipped,
+and '٣' or '1_0' is refused.  Blank lines and lines starting with ``#`` are
+ignored.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .groups import read_fields, read_integer, read_integers
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
@@ -78,30 +81,21 @@ def load_phi_fixtures(path: str | Path | None = None) -> dict[str, LaurentPoly]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields: dict[str, str] = {}
-        for chunk in line.split(";"):
-            chunk = chunk.strip()
-            if "=" not in chunk:
-                raise ValueError(f"line {lineno}: expected key=value, got {chunk!r}")
-            key, _, value = chunk.partition("=")
-            fields[key.strip()] = value.strip()
-        missing = {"name", "lowest", "coeffs"} - fields.keys()
-        if missing:
-            raise ValueError(f"line {lineno}: missing fields {sorted(missing)}")
-        name = fields["name"]
-        if not name or name in out:
-            raise ValueError(f"line {lineno}: bad or duplicate name {name!r}")
         try:
-            lowest = int(fields["lowest"])
-            coeffs = [int(c) for c in fields["coeffs"].split(",")]
+            fields = read_fields(line)
+            missing = {"name", "lowest", "coeffs"} - fields.keys()
+            if missing:
+                raise ValueError(f"missing fields {sorted(missing)}")
+            name = fields["name"]
+            if not name or name in out:
+                raise ValueError(f"bad or duplicate name {name!r}")
+            lowest = read_integer(fields["lowest"])
+            if lowest < 0:
+                # A core polynomial has no negative powers of X.
+                raise ValueError(f"lowest must be nonnegative, got {lowest}")
+            out[name] = LaurentPoly(lowest, read_integers(fields["coeffs"]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if not coeffs:
-            raise ValueError(f"line {lineno}: empty coefficient list")
-        if lowest < 0:
-            # A core polynomial has no negative powers of X.
-            raise ValueError(f"line {lineno}: lowest must be nonnegative, got {lowest}")
-        out[name] = LaurentPoly(lowest, coeffs)
     if not out:
         raise ValueError(f"no fixture records found in {fpath}")
     return out

@@ -7,6 +7,10 @@ those elements whose total color is divisible by p.  No matrices are ever
 materialized; multiplication, inversion, projections, reflection enumeration,
 cycle/color invariants and the generating-set criterion all work on the pair
 encoding directly.
+
+It also holds the one reader of outside text, which the command-line flags,
+``parse_element`` and the fixture-file reader all call: ``read_integer``
+(``read_integers`` for a comma-separated list) and ``read_fields``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ __all__ = [
     "reflections",
     "is_full_set",
     "all_elements",
+    "read_integer",
+    "read_integers",
+    "read_fields",
     "parse_element",
     "element_to_json",
 ]
@@ -354,11 +361,11 @@ def _canonical_from_cycles(pairs: list[tuple[int, int]], params: GroupParams) ->
     return Element(tuple(perm), tuple(colors))
 
 
-# The value grammar of `parse_element`.  Whitespace (whatever str.isspace
-# accepts) may open a value and follow any token, and only there, so each
-# text has one match and a failing one is rejected in linear time.  The
-# patterns are compiled on first use, by the re module's cache, so importing
-# wfact does not pay for them.
+# The grammar of outside text.  Whitespace (whatever str.isspace accepts)
+# may open a value and follow any token, and only there, so each text has one
+# match and a failing one is rejected in linear time.  The patterns are
+# compiled on first use, by the re module's cache, so importing wfact does
+# not pay for them.
 _INTEGER = r"[+-]?[0-9]+"
 _INT = _INTEGER + r"\s*"  # an integer and the whitespace after it
 
@@ -376,48 +383,71 @@ _INT_SEQUENCE = _sequence(_INT)
 _PAIR_SEQUENCE = _sequence(_bracketed(rf"{_INT},\s*{_INT}(?:,\s*)?"))
 
 
-def _read_integers(chunk: str, sequence: str, what: str) -> list[int]:
-    """Every integer of the field `key=value`, in order, if value is one `sequence`."""
-    value = chunk.partition("=")[2]
-    if re.fullmatch(sequence, value) is None:
-        raise ValueError(f"cannot parse element fragment {chunk!r}: expected {what}")
-    return [int(token) for token in re.findall(_INTEGER, value)]
+def read_integer(text: str) -> int:
+    """Sign and ASCII digits, whitespace around; else ValueError (int alone takes '٣', '1_0')."""
+    if re.fullmatch(rf"\s*{_INTEGER}\s*", text) is None:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def _read_integers(text: str, sequence: str, error: str) -> list[int]:
+    """Every integer of text, in order, if text is one `sequence`; else ValueError(error)."""
+    if re.fullmatch(sequence, text) is None:
+        raise ValueError(error)
+    return [int(token) for token in re.findall(_INTEGER, text)]
+
+
+def read_integers(text: str) -> list[int]:
+    """Comma-separated integers, each as ``read_integer`` reads it, e.g. '1, -2,3'."""
+    error = f"expected comma-separated integers, got {text!r}"
+    return _read_integers(text, rf"\s*{_INT}(?:,\s*{_INT})*", error)
+
+
+def read_fields(text: str) -> dict[str, str]:
+    """The `;`-separated `key=value` fields of text, stripped; empty fields are skipped.
+
+    A repeated key keeps its last value; a field without `=` raises ValueError.
+    """
+    fields: dict[str, str] = {}
+    for chunk in text.split(";"):
+        key, eq, value = chunk.partition("=")
+        if eq:
+            fields[key.strip()] = value.strip()
+        elif chunk.strip():
+            raise ValueError(f"expected key=value, got {chunk.strip()!r}")
+    return fields
 
 
 def parse_element(text: str, params: GroupParams) -> Element:
     """Parse `perm=[..];colors=[..]` or `cycles=[(len,color),...]`.
 
-    Fields are `key=value`, separated by `;`.  A value is a `(...)` or
-    `[...]` sequence; perm and colors take integers, cycles takes
-    (length, color) pairs, each itself in `(...)` or `[...]`.  An integer is
-    an optional sign plus decimal digits.  Whitespace may surround every
-    token, and a sequence may end in one trailing comma, so `(1)` and `(1,)`
-    both hold one entry.  Anything else raises ValueError.
+    Fields are read by ``read_fields``.  A value is a `(...)` or `[...]`
+    sequence; perm and colors take integers, cycles takes (length, color)
+    pairs, each itself in `(...)` or `[...]`.  An integer is an optional
+    sign plus decimal digits.  Whitespace may surround every token, and a
+    sequence may end in one trailing comma, so `(1)` and `(1,)` both hold one
+    entry.  Anything else raises ValueError.
 
     The cycle form builds the canonical representative (consecutive supports,
     color on each cycle's last position).  The result is validated for
     membership in G(m,p,n).
     """
-    fields: dict[str, str] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ValueError(f"cannot parse element fragment {chunk!r}")
-        fields[chunk.partition("=")[0].strip()] = chunk
+    fields = read_fields(text)
+
+    def entries(key: str, sequence: str, what: str) -> list[int]:
+        error = f"cannot parse element fragment {key + '=' + fields[key]!r}: expected {what}"
+        return _read_integers(fields[key], sequence, error)
+
     if "cycles" in fields:
         if set(fields) != {"cycles"}:
             raise ValueError("cycle form takes no other fields")
-        flat = _read_integers(
-            fields["cycles"], _PAIR_SEQUENCE, "a sequence of (length, color) pairs"
-        )
+        flat = entries("cycles", _PAIR_SEQUENCE, "a sequence of (length, color) pairs")
         g = _canonical_from_cycles(list(zip(flat[::2], flat[1::2])), params)
     elif {"perm", "colors"} <= set(fields):
         if set(fields) != {"perm", "colors"}:
             raise ValueError("explicit form takes exactly perm and colors")
-        perm = _read_integers(fields["perm"], _INT_SEQUENCE, "a sequence of integers")
-        colors = _read_integers(fields["colors"], _INT_SEQUENCE, "a sequence of integers")
+        perm = entries("perm", _INT_SEQUENCE, "a sequence of integers")
+        colors = entries("colors", _INT_SEQUENCE, "a sequence of integers")
         g = Element(tuple(perm), tuple(c % params.m for c in colors))
     else:
         raise ValueError(

@@ -29,7 +29,7 @@ from wfact.factorizations import (
     phi_data,
     series_window,
 )
-from wfact.fixtures import TABLE1, default_fixture_path
+from wfact.fixtures import TABLE1, default_fixture_path, load_phi_fixtures
 from wfact.groups import (
     Element,
     GroupParams,
@@ -641,6 +641,23 @@ def test_roots_user_fixture_with_a_negative_lowest_is_a_bad_fixture_file(capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("lowest", [3_000_000, 10**30])
+def test_roots_core_past_the_window_guard_exits_3_at_once(capsys, tmp_path, lowest):
+    # Every core wfact computes has degree at most #R + #A <= WINDOW_GUARD; a
+    # fixture past it took seconds and hundreds of MB, or overflowed.
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text(f"name=X; lowest={lowest}; coeffs=1,0,1\n")
+    out_file = tmp_path / "x.csv"
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "roots", "--fixtures", str(fixtures), "--fixture", "X", "--out", str(out_file)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert f"past {WINDOW_GUARD}" in err
+    assert not out_file.exists()
+
+
 def test_roots_svg(capsys, tmp_path):
     out_file = tmp_path / "g2.svg"
     code, _, _ = run(capsys, "roots", "--fixture", "G2", "--out", str(out_file))
@@ -712,12 +729,34 @@ def test_roots_unknown_fixture(capsys, tmp_path):
 
 
 def test_roots_selector_conflict(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "roots", "--fixture", "G2", "--sn-sweep", "4",
-        "--out", str(tmp_path / "x.csv"),
+    code, _, err = _exit(
+        capsys, ["roots", "--fixture", "G2", "--sn-sweep", "4", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
-    assert err
+    assert err.startswith("usage: wfact roots")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--out", "{out}"],
+        ["series", "--m", "2", "--p", "1", "--n", "2", "--cycles", "(2,0)",
+         "--element", "perm=(2,1); colors=(0,0)"],
+        ["oracle-verify", "--m", "2", "--p", "1", "--n", "2", "--cycles", "(2,0)",
+         "--element", "perm=(2,1); colors=(0,0)"],
+        ["roots", "--phi-from", "2,1,2", "--cycles", "(2,0)",
+         "--element", "perm=(2,1); colors=(0,0)", "--out", "{out}"],
+    ],
+)
+def test_flag_exclusivity_exits_2_under_the_command_usage(capsys, tmp_path, argv):
+    # argparse enforces exactly one roots selector and at most one of
+    # --cycles and --element, under the subcommand's usage.
+    out_file = tmp_path / "x.csv"
+    code, out, err = _exit(capsys, [arg.format(out=out_file) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: wfact {argv[0]}")
+    assert "Traceback" not in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("selector", [("--sn-sweep", "4"), ("--fixture", "G2")])
@@ -751,6 +790,24 @@ def test_fixtures_check_clean(capsys):
     assert json.loads(out) == {"status": "ok", "failures": []}
     assert err.count("PASS") == 8
     assert "FAIL" not in err
+
+
+def test_bundled_fixtures_load_to_the_same_seven_records():
+    # The reader's grammar must not change what the bundled file holds: a
+    # digest of every record's name, lowest power, numerators and denominator.
+    records = sorted(
+        (name, poly.min_deg, poly.numers, poly.denom) for name, poly in load_phi_fixtures().items()
+    )
+    assert [name for name, *_ in records] == ["E6", "E7", "E8", "F4", "G2", "H3", "H4"]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "17f5f64db273e02755ba8e6cef1a911f7c21eb466c034ac76abbc3fa588dd494"
+    )
+
+
+def test_fixture_records_skip_empty_fields(tmp_path):
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text("; name=X;; lowest=0 ; coeffs=1, 2 ,1;\n")
+    assert load_phi_fixtures(fixtures) == {"X": LaurentPoly(0, [1, 2, 1])}
 
 
 def test_bundled_fixtures_load_from_a_zipped_package(tmp_path):
@@ -1057,7 +1114,7 @@ def test_each_call_gets_the_namespace_of_the_top_level_parser(capsys, monkeypatc
         return got[-1]
 
     for argv in _valid_argvs(tmp_path):
-        expected = vars(cli.build_parser().parse_args(argv))
+        expected = vars(cli.build_parsers()[0].parse_args(argv))
         got.clear()
         with monkeypatch.context() as patch:
             patch.setattr(argparse.ArgumentParser, "parse_args", recorded)
@@ -1094,6 +1151,14 @@ def test_argparse_exits_keep_their_codes(capsys, argv, code, stream, head):
     assert "Traceback" not in err
 
 
+# A fixture record that holds each refused text, as a non-ASCII digit in
+# `lowest` and as an underscore among the coefficients.
+_REFUSED_RECORDS = {
+    "٣": "name=X; lowest=٠; coeffs=1,1",
+    "1_0": "name=X; lowest=0; coeffs=1,1_0,١",
+}
+
+
 @pytest.mark.parametrize("text", ["٣", "1_0"])
 @pytest.mark.parametrize(
     "argv",
@@ -1107,16 +1172,23 @@ def test_argparse_exits_keep_their_codes(capsys, argv, code, stream, head):
         ["roots", "--phi-from", "{},1,2", "--out", "{out}"],
         ["roots", "--phi-from", "30,{},2", "--out", "{out}"],
         ["roots", "--phi-from", "4,2,{}", "--out", "{out}"],
+        ["roots", "--fixtures", "{fixtures}", "--fixture", "X", "--out", "{out}"],
+        ["fixtures-check", "--fixtures", "{fixtures}"],
     ],
 )
 def test_integer_flags_refuse_what_the_element_grammar_refuses(tmp_path, argv, text):
-    # int() alone reads '٣' as 3 and '1_0' as 10, and each argv ran with them.
+    # int() alone reads '٣' as 3 and '1_0' as 10, and each argv ran with them;
+    # the fixture reader read '٠' as 0 and '1,1_0,١' as 1 + 10X + X^2.
     out_file = tmp_path / "x.csv"
-    argv = [arg.format(text, out=out_file) for arg in argv]
-    code, err = _contract_run(argv)
-    assert code == 2, (argv, err)
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text(_REFUSED_RECORDS[text] + "\n")
+    argv_text = [arg.format(text, out=out_file, fixtures=fixtures) for arg in argv]
+    code, err = _contract_run(argv_text)
+    assert code == 2, (argv_text, err)
     assert "Traceback" not in err
     assert not out_file.exists()
+    if "{fixtures}" in argv:
+        assert "bad fixture file: line 1" in err
 
 
 @pytest.mark.parametrize(

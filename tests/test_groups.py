@@ -24,6 +24,8 @@ from wfact.groups import (
     multiply,
     parse_element,
     project,
+    read_fields,
+    read_integers,
     reflections,
     weight,
 )
@@ -378,6 +380,22 @@ def test_parse_element_rejects_long_whitespace_runs_in_linear_time():
     with pytest.raises(ValueError, match="cannot parse element fragment"):
         parse_element(text, GroupParams(1, 1, 1))
     assert time.perf_counter() - start < 1.0
+
+
+def test_read_integers_reads_a_comma_separated_list():
+    assert read_integers(" 1, -2 ,+3 ") == [1, -2, 3]
+    assert read_integers("10") == [10]
+    for text in ["", "1,,2", "1,2,", ",1", "1,1_0", "1,١", "(1,2)", "1;2"]:
+        with pytest.raises(ValueError, match="expected comma-separated integers"):
+            read_integers(text)
+
+
+def test_read_fields_splits_key_value_fields():
+    assert read_fields(" a = 1 ;; b=x=y; ") == {"a": "1", "b": "x=y"}
+    assert read_fields("a=1; a=2") == {"a": "2"}
+    assert read_fields(" ; ") == {}
+    with pytest.raises(ValueError, match="expected key=value, got 'junk'"):
+        read_fields("a=1; junk ")
 
 
 def test_element_json_round_trip():
