@@ -55,7 +55,8 @@ ELEMENT_GRAMMAR = (
     "'(2,1),(1,0)'. Each value is a (...) or [...] sequence of integers, or "
     "for cycles of (...) or [...] pairs of integers; an integer is an optional "
     "sign and decimal digits; whitespace may surround any token and a sequence "
-    "may end in one comma, so (1) and (1,) both hold one entry"
+    "may end in one comma, so (1) and (1,) both hold one entry; each key may "
+    "be given once"
 )
 
 
@@ -75,8 +76,9 @@ def _fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _egf_entry(q: Fraction):
-    return q.numerator if q.denominator == 1 else _fraction_str(q)
+def _egf_entry(q: Fraction) -> str:
+    """An egf_prefix entry as JSON: an int, or an "n/d" string."""
+    return str(q.numerator) if q.denominator == 1 else f'"{_fraction_str(q)}"'
 
 
 def _group_params(m: int, p: int, n: int) -> GroupParams:
@@ -107,18 +109,52 @@ def _is_unimodal(values: tuple[int, ...]) -> bool:
     return True
 
 
-def _json_items(fields: dict) -> str:
-    """json.dumps(fields, indent=2) without its outer braces and newlines.
+# The `wfact series` document is written directly, in the fixed shape of
+# json.dumps(doc, indent=2) and byte for byte equal to it: with an indent,
+# json runs its pure-Python encoder, which cost more than a cached call's
+# series maths.  Every string in the document is a group name G(m,p,n) or an
+# n/d fraction, which JSON does not escape, so each is quoted as it is.
 
-    The pretty-printed dump of a dict is "{\n" + its items + "\n}", so the
-    items of two dicts join into the dump of their union with ",\n".
-    """
-    return json.dumps(fields, indent=2)[2:-2]
+
+def _json_list(items: list[str], pad: str) -> str:
+    """The indent=2 dump of a list of rendered items, on a line indented by ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_laurent(poly: LaurentPoly, pad: str) -> str:
+    """The indent=2 dump of ``poly.to_json()``, on a line indented by ``pad``."""
+    fields = poly.to_json()
+    inner = pad + "  "
+    coeffs = _json_list([f'"{c}"' for c in fields["coeffs"]], inner)
+    return f'{{\n{inner}"min_deg": {fields["min_deg"]},\n{inner}"coeffs": {coeffs}\n{pad}}}'
+
+
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _series_head(params: GroupParams, g: Element) -> str:
+    """The "group" and "element" fields of the `wfact series` document, rendered."""
+    perm = _json_list([str(i) for i in g.perm], "    ")
+    colors = _json_list([str(c) for c in g.colors], "    ")
+    return (
+        f'  "group": "{params}",\n'
+        '  "element": {\n'
+        f'    "m": {params.m},\n'
+        f'    "p": {params.p},\n'
+        f'    "n": {params.n},\n'
+        f'    "perm": {perm},\n'
+        f'    "colors": {colors}\n'
+        "  }"
+    )
 
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
 def _series_body(key: tuple, top_len: int) -> str:
-    """Every field of the `wfact series` document after "element", rendered.
+    """Every field of the `wfact series` document after "element", as indent=2 JSON.
 
     They depend on g only through its series key, so each key's body at the
     default prefix length is rendered once.  An explicit --prefix-len is
@@ -129,25 +165,28 @@ def _series_body(key: tuple, top_len: int) -> str:
     params = key[0]
     phi, ell, series = phi_data_by_key(key)
     lo, hi = series_window(params)
-    fields = {
-        "laurent": series.to_json(),
-        "ell_full": ell,
-        "lead_coeff": _fraction_str(lead_from_phi(phi, params.order, ell)),
-        "phi": phi.to_json(),
-        "egf_prefix": [_egf_entry(q) for q in series.egf_prefix(top_len)],
-        "window": [lo, hi],
-        "observations": {
-            "phi_degree": phi.max_deg,
-            "phi_palindromic": phi.is_palindromic(),
-            # phi.denom > 0, so its numerators have the signs and order of
-            # its coefficients.
-            "phi_nonnegative": all(c >= 0 for c in phi.numers),
-            "phi_unimodal": _is_unimodal(phi.numers),
-            "window_attained": [series.min_deg == lo, series.max_deg == hi],
-        },
-    }
+    lead = _fraction_str(lead_from_phi(phi, params.order, ell))
+    # phi.denom > 0, so its numerators have the signs and order of its
+    # coefficients.
+    observations = (
+        f'    "phi_degree": {phi.max_deg},\n'
+        f'    "phi_palindromic": {_json_bool(phi.is_palindromic())},\n'
+        f'    "phi_nonnegative": {_json_bool(all(c >= 0 for c in phi.numers))},\n'
+        f'    "phi_unimodal": {_json_bool(_is_unimodal(phi.numers))},\n'
+        '    "window_attained": '
+        + _json_list([_json_bool(series.min_deg == lo), _json_bool(series.max_deg == hi)], "    ")
+    )
     try:
-        return _json_items(fields)
+        egf = _json_list([_egf_entry(q) for q in series.egf_prefix(top_len)], "  ")
+        return (
+            f'  "laurent": {_json_laurent(series, "  ")},\n'
+            f'  "ell_full": {ell},\n'
+            f'  "lead_coeff": "{lead}",\n'
+            f'  "phi": {_json_laurent(phi, "  ")},\n'
+            f'  "egf_prefix": {egf},\n'
+            f'  "window": {_json_list([str(lo), str(hi)], "  ")},\n'
+            f'  "observations": {{\n{observations}\n  }}'
+        )
     except ValueError:
         # Python refuses to turn an int of more than
         # sys.get_int_max_str_digits() digits into a string.
@@ -182,8 +221,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         # A body grows with its prefix, so an explicit one is not cached.
         body = _series_body.__wrapped__(key, args.prefix_len)
-    head = _json_items({"group": str(params), "element": element_to_json(g, params)})
-    print("{\n" + head + ",\n" + body + "\n}")
+    print("{\n" + _series_head(params, g) + ",\n" + body + "\n}")
     return 0
 
 

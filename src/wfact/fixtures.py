@@ -16,8 +16,8 @@ Fixture file format, one record per line::
 
 with coefficients ascending from ``X**lowest``, where lowest >= 0, read by
 ``groups.read_fields`` and ``groups.read_integer``: empty fields are skipped,
-and '٣' or '1_0' is refused.  Blank lines and lines starting with ``#`` are
-ignored.
+and a repeated key, '٣' or '1_0' is refused.  Blank lines and lines starting
+with ``#`` are ignored.
 """
 
 from __future__ import annotations

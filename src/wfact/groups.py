@@ -406,13 +406,16 @@ def read_integers(text: str) -> list[int]:
 def read_fields(text: str) -> dict[str, str]:
     """The `;`-separated `key=value` fields of text, stripped; empty fields are skipped.
 
-    A repeated key keeps its last value; a field without `=` raises ValueError.
+    A repeated key or a field without `=` raises ValueError.
     """
     fields: dict[str, str] = {}
     for chunk in text.split(";"):
         key, eq, value = chunk.partition("=")
         if eq:
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"repeated key {key!r}")
+            fields[key] = value.strip()
         elif chunk.strip():
             raise ValueError(f"expected key=value, got {chunk.strip()!r}")
     return fields

@@ -165,9 +165,6 @@ class LaurentPoly:
             return Fraction(self.numers[i], self.denom)
         return _ZERO
 
-    def support(self) -> list[int]:
-        return [self.min_deg + i for i, c in enumerate(self.numers) if c]
-
     def is_palindromic(self) -> bool:
         """True if the coefficient sequence reads the same in both directions."""
         return self.numers == self.numers[::-1]

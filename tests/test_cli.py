@@ -129,6 +129,17 @@ def test_series_entry_outside_the_grammar_exits_2(capsys, m, p, n, flag, text):
     assert "Traceback" not in err
 
 
+def test_series_element_with_a_repeated_key_exits_2(capsys):
+    # The last perm used to win silently.
+    code, out, err = run(
+        capsys, "series", "--m", "1", "--p", "1", "--n", "2",
+        "--element", "perm=(1,2); perm=(2,1); colors=(0,0)",
+    )
+    assert (code, out) == (2, "")
+    assert "repeated key 'perm'" in err and "element grammar" in err
+    assert "Traceback" not in err
+
+
 def test_series_reads_a_parenthesised_single_entry_as_a_sequence(capsys):
     code, out, _ = run(
         capsys, "series", "--m", "1", "--p", "1", "--n", "1", "--element", "perm=(1); colors=(0)"
@@ -342,7 +353,12 @@ def _element_arg(g):
     return f"perm={list(g.perm)}; colors={list(g.colors)}"
 
 
-@pytest.mark.parametrize("m, p, n", [(2, 1, 4), (4, 2, 3), (3, 3, 3)])
+# Edge shapes of the written document: a symmetric group (m = 1, every color
+# 0), a rank-one group (n = 1, one-entry perm and colors), and groups whose
+# series have negative and fractional Laurent coefficients (all of these do).
+@pytest.mark.parametrize(
+    "m, p, n", [(2, 1, 4), (4, 2, 3), (3, 3, 3), (1, 1, 5), (6, 2, 1), (3, 1, 2)]
+)
 @pytest.mark.parametrize("prefix_len", [None, 0, 40])
 def test_series_stdout_matches_one_dump_of_the_document(capsys, m, p, n, prefix_len):
     # Every class runs twice: once as it comes (a miss unless an earlier
@@ -365,6 +381,26 @@ def test_series_stdout_matches_one_dump_of_the_document(capsys, m, p, n, prefix_
             assert cli._series_body.cache_info().hits == hits + 1
     if prefix_len is not None:
         assert cli._series_body.cache_info().currsize == 0
+
+
+def test_series_long_prefix_is_one_dump_of_the_document(capsys):
+    code, out, _ = run(capsys, "series", "--m", "6", "--p", "2", "--n", "6", "--prefix-len", "400")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)["egf_prefix"]) == 401
+
+
+def test_series_body_writes_a_fractional_count_as_a_string(monkeypatch):
+    # A group's counts are integers, so only a made-up series reaches the
+    # "n/d" form of an egf_prefix entry: here -1/3, 0, 1/3, 0.
+    series = LaurentPoly(-1, [1, -4, 1], 6)
+    phi = LaurentPoly(0, [1, 4, 1])
+    monkeypatch.setattr(cli, "phi_data_by_key", lambda key: (phi, 2, series))
+    text = "{\n" + cli._series_body.__wrapped__((GroupParams(3, 3, 2),), 3) + "\n}"
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2)
+    assert doc["egf_prefix"] == ["-1/3", 0, "1/3", 0]
+    assert doc["laurent"] == {"min_deg": -1, "coeffs": ["1/6", "-2/3", "1/6"]}
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["ell", "lead"])
@@ -638,6 +674,20 @@ def test_roots_user_fixture_with_a_negative_lowest_is_a_bad_fixture_file(capsys,
     )
     assert (code, out) == (2, "")
     assert "bad fixture file: line 2" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_roots_user_fixture_with_a_repeated_key_is_a_bad_fixture_file(capsys, tmp_path):
+    # The second coeffs= used to win silently.
+    fixtures = tmp_path / "fixtures.txt"
+    fixtures.write_text("name=X; lowest=0; coeffs=1,2,1; coeffs=1,1\n")
+    code, out, err = run(
+        capsys, "roots", "--fixtures", str(fixtures), "--fixture", "X",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert "bad fixture file: line 1: repeated key 'coeffs'" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
 
 

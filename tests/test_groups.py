@@ -392,8 +392,9 @@ def test_read_integers_reads_a_comma_separated_list():
 
 def test_read_fields_splits_key_value_fields():
     assert read_fields(" a = 1 ;; b=x=y; ") == {"a": "1", "b": "x=y"}
-    assert read_fields("a=1; a=2") == {"a": "2"}
     assert read_fields(" ; ") == {}
+    with pytest.raises(ValueError, match="repeated key 'a'"):
+        read_fields("a=1; a =2")
     with pytest.raises(ValueError, match="expected key=value, got 'junk'"):
         read_fields("a=1; junk ")
 
