@@ -1,3 +1,3 @@
-"""Only ``BACKEND``: ``host_info`` in ``perfbench/worker.py`` imports it; it goes with ROADMAP item 1's benchmark change."""
+"""Only ``BACKEND``: ``host_info`` in ``perfbench/worker.py`` imports it; it goes with ROADMAP item 4's benchmark change."""
 
 BACKEND = "python"

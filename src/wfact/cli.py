@@ -158,9 +158,11 @@ def _series_body(key: tuple, top_len: int) -> str:
 
     They depend on g only through its series key, so each key's body at the
     default prefix length is rendered once.  An explicit --prefix-len is
-    rendered through ``__wrapped__``, past the cache.  The UsageError for
-    counts too long to print is raised again on each call: lru_cache keeps
-    no exceptions.
+    rendered through ``__wrapped__``, past the cache.  The counts are
+    computed one at a time, and the first one too long to print stops the
+    walk before any is printed, so a long prefix fails at once instead of
+    after every count.  The UsageError for counts too long to print is
+    raised again on each call: lru_cache keeps no exceptions.
     """
     params = key[0]
     phi, ell, series = phi_data_by_key(key)
@@ -176,8 +178,15 @@ def _series_body(key: tuple, top_len: int) -> str:
         '    "window_attained": '
         + _json_list([_json_bool(series.min_deg == lo), _json_bool(series.max_deg == hi)], "    ")
     )
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     try:
-        egf = _json_list([_egf_entry(q) for q in series.egf_prefix(top_len)], "  ")
+        counts = []
+        for q in series.egf_counts(top_len):
+            # 10**limit > 2**(3 * limit): only a longer count can be past the limit.
+            if limit and q.numerator.bit_length() > 3 * limit and abs(q.numerator) >= 10**limit:
+                raise ValueError(q)  # reported below, before any count is printed
+            counts.append(q)
+        egf = _json_list([_egf_entry(q) for q in counts], "  ")
         return (
             f'  "laurent": {_json_laurent(series, "  ")},\n'
             f'  "ell_full": {ell},\n'
@@ -192,7 +201,7 @@ def _series_body(key: tuple, top_len: int) -> str:
         # sys.get_int_max_str_digits() digits into a string.
         raise UsageError(
             f"--prefix-len {top_len} gives counts of more than "
-            f"{sys.get_int_max_str_digits()} digits, past the interpreter's "
+            f"{limit} digits, past the interpreter's "
             "limit for printing an int (sys.get_int_max_str_digits)"
         ) from None
 

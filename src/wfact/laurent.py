@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .roots import RootFindingError, find_roots  # noqa: F401  (kept bound here)
 
@@ -249,13 +249,15 @@ class LaurentPoly:
         """Counts [c_0, ..., c_n]: entry j is Sum_k coeff_k * k**j (0**0 = 1)."""
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
+        return list(self.egf_counts(n))
+
+    def egf_counts(self, n: int) -> Iterator[Fraction]:
+        """The entries of egf_prefix(n), computed one at a time as they are taken."""
         degrees = [self.min_deg + i for i, c in enumerate(self.numers) if c]
         terms = [c for c in self.numers if c]
-        out = []
         for _ in range(n + 1):
-            out.append(Fraction(sum(terms), self.denom))
+            yield Fraction(sum(terms), self.denom)
             terms = [c * k for c, k in zip(terms, degrees)]
-        return out
 
     # -- division helpers --------------------------------------------------
 

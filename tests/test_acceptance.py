@@ -39,6 +39,7 @@ from functools import lru_cache
 from math import factorial
 
 import pytest
+from routes import perm_of_type, transitive_counts, transitive_counts_literal
 
 from wfact import (
     TABLE1,
@@ -130,76 +131,6 @@ def _benchmark_series() -> list[tuple[GroupParams, Element, LaurentPoly]]:
     return out
 
 
-def _perm_of_type(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """A permutation of the given cycle type, as a 1-based image tuple."""
-    image: list[int] = []
-    base = 0
-    for part in parts:
-        image.extend(range(base + 2, base + part + 1))
-        image.append(base + 1)
-        base += part
-    return tuple(image)
-
-
-# ---------------------------------------------------------------------------
-# independent transposition-factorization counters (criterion 5)
-
-TRANSPOSITIONS = {
-    n: [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for n in range(2, 7)
-}
-
-
-def _apply_transposition(perm: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    """Image tuple of (i j) composed after ``perm``."""
-    out = list(perm)
-    out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
-    return tuple(out)
-
-
-def _merge(partition: frozenset[frozenset[int]], i: int, j: int):
-    bi = next(b for b in partition if i in b)
-    bj = next(b for b in partition if j in b)
-    if bi is bj:
-        return partition
-    return (partition - {bi, bj}) | {bi | bj}
-
-
-def _transitive_count_dp(n: int, target: tuple[int, ...], length: int) -> int:
-    """Transitive factorizations of ``target`` into ``length`` transpositions.
-
-    Exhaustive count by dynamic programming over pairs (current product,
-    partition of {1..n} into components connected by the factors used so
-    far); transitivity at the end is the one-block condition.
-    """
-    singletons = frozenset(frozenset({v}) for v in range(1, n + 1))
-    start = (tuple(range(1, n + 1)), singletons)
-    states = {start: 1}
-    for _ in range(length):
-        nxt: dict[tuple, int] = {}
-        for (perm, partition), cnt in states.items():
-            for i, j in TRANSPOSITIONS[n]:
-                key = (_apply_transposition(perm, i, j), _merge(partition, i, j))
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    full = frozenset({frozenset(range(1, n + 1))})
-    return states.get((target, full), 0)
-
-
-def _transitive_count_literal(n: int, target: tuple[int, ...], length: int) -> int:
-    """Same count by literal enumeration of factor sequences."""
-    count = 0
-    for seq in itertools.product(TRANSPOSITIONS[n], repeat=length):
-        perm = tuple(range(1, n + 1))
-        partition = frozenset(frozenset({v}) for v in range(1, n + 1))
-        for i, j in seq:
-            perm = _apply_transposition(perm, i, j)
-            partition = _merge(partition, i, j)
-        if perm == target and len(partition) == 1:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # the criteria
 
@@ -251,7 +182,7 @@ def test_criterion_4_leading_term(capsys):
         for n in range(2, 6):
             params = GroupParams(1, 1, n)
             for lam in integer_partitions(n):
-                g = Element(_perm_of_type(lam), (0,) * n)
+                g = Element(perm_of_type(lam), (0,) * n)
                 series = series_full(params, g)
                 expected = (n + len(lam) - 2, hurwitz_h0(lam))
                 assert lowest_order(series) == expected, lam
@@ -266,14 +197,14 @@ def test_criterion_5_hurwitz_anchors(capsys):
         # n-1, checked against the independent DP counter (and, for small n,
         # against literal sequence enumeration as well).
         for n in range(2, 7):
-            target = _perm_of_type((n,))
-            count = _transitive_count_dp(n, target, n - 1)
+            target = perm_of_type((n,))
+            count = transitive_counts(n, target, n - 1)[-1]
             assert count == n ** max(n - 2, 0) == hurwitz_h0((n,)), n
             if n <= 4:
-                assert _transitive_count_literal(n, target, n - 1) == count
+                assert transitive_counts_literal(n, target, n - 1)[-1] == count
         # Genus 1 in S_2 by direct enumeration: lengths n+k for both types.
-        assert _transitive_count_literal(2, (1, 2), 4) == 1 == hurwitz_h1((1, 1))
-        assert _transitive_count_literal(2, (2, 1), 3) == 1 == hurwitz_h1((2,))
+        assert transitive_counts_literal(2, (1, 2), 4)[-1] == 1 == hurwitz_h1((1, 1))
+        assert transitive_counts_literal(2, (2, 1), 3)[-1] == 1 == hurwitz_h1((2,))
         # Both genus layers of the series for every partition of size <= 5.
         for n in range(1, 6):
             for lam in integer_partitions(n):

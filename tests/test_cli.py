@@ -194,19 +194,39 @@ def test_series_consistency_failure_exits_1(capsys, monkeypatch, which):
     assert out == ""
 
 
-@pytest.mark.parametrize("prefix_len, code", [(5000, 0), (8000, 2)])
+@pytest.mark.parametrize("prefix_len, code", [(5000, 0), (8000, 2), (80000, 2)])
 def test_series_prefix_len_within_int_string_limit(capsys, prefix_len, code):
     # Counts are JSON ints; past 4300 digits Python refuses to print them.
+    # The first count past the limit stops the walk, so a long prefix fails
+    # at once.
+    start = time.perf_counter()
     got, out, err = run(
         capsys, "series", "--m", "2", "--p", "1", "--n", "2",
         "--prefix-len", str(prefix_len),
     )
+    assert time.perf_counter() - start < 2
     assert got == code
     if code == 0:
         assert len(json.loads(out)["egf_prefix"]) == prefix_len + 1
     else:
         assert out == ""
-        assert "--prefix-len 8000" in err and "4300 digits" in err
+        assert f"--prefix-len {prefix_len} " in err and "4300 digits" in err
+
+
+def test_series_prefix_len_prints_long_counts_without_an_int_string_limit(capsys):
+    # A limit of 0 is no limit: a prefix refused under the default prints.
+    argv = ("series", "--m", "1000", "--p", "1000", "--n", "2", "--prefix-len", "1440")
+    assert run(capsys, *argv)[0] == 2
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, *argv)
+        counts = json.loads(out)["egf_prefix"]
+        assert code == 0
+        assert len(counts) == 1441
+        assert len(str(counts[-1])) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # sha256 of the exact stdout of `wfact series --m M --p P --n N --cycles C`.

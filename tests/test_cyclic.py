@@ -5,16 +5,13 @@ from itertools import product
 from math import gcd
 
 import pytest
+from routes import poly
 
 from wfact.cyclic import cyclic_all_series, cyclic_element_order, cyclic_full_series
 from wfact.laurent import LaurentPoly, extract_phi
 from wfact.numtheory import divisors, euler_phi
 
 F = Fraction
-
-
-def poly(min_deg, *coeffs):
-    return LaurentPoly(min_deg, [F(c) for c in coeffs])
 
 
 # ---------------------------------------------------------------- all series

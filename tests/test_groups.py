@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from routes import GROUPS, factorial, random_element
 
 from wfact.groups import (
     Element,
@@ -30,25 +31,7 @@ from wfact.groups import (
     weight,
 )
 
-SMALL_GROUPS = [
-    GroupParams(2, 1, 2),
-    GroupParams(2, 2, 2),
-    GroupParams(3, 1, 2),
-    GroupParams(3, 3, 2),
-    GroupParams(4, 2, 2),
-    GroupParams(1, 1, 3),
-    GroupParams(2, 2, 3),
-    GroupParams(6, 6, 2),
-]
-
-
-def random_element(rng, params):
-    perm = list(range(1, params.n + 1))
-    rng.shuffle(perm)
-    while True:
-        colors = [rng.randrange(params.m) for _ in range(params.n)]
-        if sum(colors) % params.p == 0:
-            return Element(tuple(perm), tuple(colors))
+SMALL_GROUPS = [params for params in GROUPS if params.n >= 2 and params.order <= 24]
 
 
 # ---------------------------------------------------------------- parameters
@@ -78,14 +61,7 @@ def test_order_formula_against_enumeration():
     for m, p, n in [(2, 1, 2), (2, 2, 2), (3, 1, 2), (4, 2, 2), (3, 3, 3)]:
         params = GroupParams(m, p, n)
         count = sum(1 for _ in all_elements(params))
-        assert count == params.order == m**n * _factorial(n) // p
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+        assert count == params.order == m**n * factorial(n) // p
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -96,7 +72,7 @@ def test_multiply_identity_law():
     rng = random.Random(5)
     e = identity(params)
     for _ in range(20):
-        g = random_element(rng, params)
+        g = random_element(params, rng)
         assert multiply(e, g, params) == g
         assert multiply(g, e, params) == g
 
@@ -112,15 +88,13 @@ def test_inverse_property():
     rng = random.Random(9)
     e = identity(params)
     for _ in range(200):
-        g = random_element(rng, params)
+        g = random_element(params, rng)
         assert multiply(g, inverse(g, params), params) == e
         assert multiply(inverse(g, params), g, params) == e
 
 
 def test_group_axioms_exhaustive_small():
     for params in SMALL_GROUPS:
-        if params.order > 200:
-            continue
         elems = list(all_elements(params))
         e = identity(params)
         rng = random.Random(params.order)
@@ -179,8 +153,8 @@ def test_project_is_homomorphism():
     target = GroupParams(2, 1, 3)
     rng = random.Random(13)
     for _ in range(200):
-        x = random_element(rng, params)
-        y = random_element(rng, params)
+        x = random_element(params, rng)
+        y = random_element(params, rng)
         lhs = project(multiply(x, y, params), params, 2)
         rhs = multiply(project(x, params, 2), project(y, params, 2), target)
         assert lhs == rhs
@@ -403,7 +377,7 @@ def test_element_json_round_trip():
     params = GroupParams(4, 2, 3)
     rng = random.Random(17)
     for _ in range(20):
-        g = random_element(rng, params)
+        g = random_element(params, rng)
         assert element_to_json(g, params) == {
             "m": 4, "p": 2, "n": 3, "perm": list(g.perm), "colors": list(g.colors)
         }

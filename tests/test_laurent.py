@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from routes import factorial, poly
 
 from wfact.laurent import (
     LaurentPoly,
@@ -18,10 +19,6 @@ from wfact.laurent import (
 
 
 F = Fraction
-
-
-def poly(min_deg, *coeffs):
-    return LaurentPoly(min_deg, [F(c) for c in coeffs])
 
 
 X_MINUS_1 = poly(0, -1, 1)
@@ -245,6 +242,12 @@ def test_egf_prefix_s2_identity_row():
     assert L.egf_prefix(4) == [F(0), F(0), F(1), F(0), F(1)]
 
 
+def test_egf_counts_are_computed_as_they_are_taken():
+    # The first five of 10**12 counts, without the rest.
+    counts = poly(-1, 1, -2, 1).egf_counts(10**12)
+    assert [next(counts) for _ in range(5)] == poly(-1, 1, -2, 1).egf_prefix(4)
+
+
 def test_egf_prefix_constants():
     assert LaurentPoly.one().egf_prefix(3) == [F(1), F(0), F(0), F(0)]
     assert LaurentPoly.monomial(1).egf_prefix(3) == [F(1), F(1), F(1), F(1)]
@@ -365,14 +368,7 @@ def test_lowest_order_matches_exact_division_count():
             L = L * X_MINUS_1
         got_s, got_c = lowest_order(L)
         assert got_s == s
-        assert got_c == base.evaluate(F(1)) * _factorial(s)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+        assert got_c == base.evaluate(F(1)) * factorial(s)
 
 
 # ---------------------------------------------------------------- extract_phi

@@ -1,8 +1,9 @@
-"""Correctness checks in the package must survive ``python -O``.
+"""Correctness checks must survive ``python -O``.
 
 ``python -O`` strips ``assert`` statements, so a check written as one
 silently stops guarding anything.  The package raises explicit exceptions
-instead; this test keeps it that way.
+instead.  pytest rewrites the asserts of the ``test_*.py`` modules only, so
+the helper modules under ``tests/`` hold no asserts either.
 """
 
 import ast
@@ -11,13 +12,21 @@ from pathlib import Path
 import wfact
 
 
-def test_package_has_no_assert_statements():
-    package = Path(wfact.__file__).parent
-    offenders = [
+def _bare_asserts(paths):
+    return [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
-    assert sorted(package.glob("*.py")), f"no modules found under {package}"
-    assert offenders == [], f"bare assert statements: {offenders}"
+
+
+def test_package_has_no_assert_statements():
+    modules = sorted(Path(wfact.__file__).parent.glob("*.py"))
+    assert modules and _bare_asserts(modules) == []
+
+
+def test_test_helper_modules_have_no_assert_statements():
+    here = sorted(Path(__file__).parent.glob("*.py"))
+    helpers = [path for path in here if not path.name.startswith("test_")]
+    assert helpers and _bare_asserts(helpers) == []

@@ -9,6 +9,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from routes import GROUPS, class_size
 
 from wfact import oracle
 from wfact.errors import CapabilityError
@@ -26,7 +27,7 @@ from wfact.groups import (
     multiply,
     reflections,
 )
-from wfact.laurent import LaurentPoly, extract_phi, lowest_order
+from wfact.laurent import LaurentPoly, extract_phi
 from wfact.oracle import (
     acts_transitively_on_Em,
     build_tables,
@@ -178,14 +179,7 @@ def test_count_rejects_unknown_mode():
 # ---------------------------------------------------------------- classes
 
 
-SMALL_GROUPS = [
-    GroupParams(m, p, n)
-    for m in range(1, 7)
-    for p in range(1, m + 1)
-    if m % p == 0
-    for n in range(1, 5)
-    if GroupParams(m, p, n).order <= 2000
-]
+SMALL_GROUPS = [g for g in GROUPS if g.m <= 6 and g.n <= 4 and g.order <= 2000]
 
 
 @pytest.mark.parametrize("params", SMALL_GROUPS, ids=str)
@@ -479,8 +473,14 @@ def test_orbit_sweep_raises_when_the_refinement_splits_a_v_class_of_w(
 def test_lattice_sum_anchors(m, p, n):
     # Both sides count reflection tuples by length: all of them, and those
     # that generate W.  The right sides read the lattice alone, no walk.
+    # The lattice against series_full summed over W is in test_routes.py; the
+    # class sizes it weighs classes by are the tables' and cover W.
     params = GroupParams(m, p, n)
     etable, stable = build_tables(params)
+    reps = class_representatives(params)
+    sizes = [int(etable.class_sizes[etable.class_ids[etable.rank(g)]]) for g in reps]
+    assert [class_size(params, cycle_data(g, params).class_key) for g in reps] == sizes
+    assert sum(sizes) == params.order
     all_counts, full_counts = sweep_counts(params, 6)
     num_refl = params.num_reflections
     lattice = [
@@ -489,18 +489,6 @@ def test_lattice_sum_anchors(m, p, n):
     for length in range(7):
         assert sum(all_counts[length]) == num_refl**length
         assert sum(full_counts[length]) == sum(mu * r**length for mu, r in lattice)
-    # The closed form summed over W, class by class, against the lattice.
-    total = LaurentPoly.zero()
-    covered = 0
-    for g in class_representatives(params):
-        size = int(etable.class_sizes[etable.class_ids[etable.rank(g)]])
-        total = total + series_full(params, g).scale(size)
-        covered += size
-    expected = LaurentPoly.zero()
-    for mu, r in lattice:
-        expected = expected + LaurentPoly.monomial(r, mu)
-    assert covered == params.order
-    assert total == expected
 
 
 # ---------------------------------------------------------------- V-action
@@ -815,13 +803,6 @@ def test_clear_caches_empties_the_rank_cache():
     assert oracle._perm_tables.cache_info().currsize == 0
 
 
-def test_oracle_series_matches_closed_form():
-    params = GroupParams(2, 2, 2)
-    assert oracle_series(params, identity(params)) == series_full(
-        params, identity(params)
-    )
-
-
 def test_oracle_series_a1_row():
     params = GroupParams(1, 1, 2)
     from fractions import Fraction as F
@@ -830,32 +811,11 @@ def test_oracle_series_a1_row():
     assert oracle_series(params, identity(params)) == expected
 
 
-def test_oracle_series_matches_closed_form_on_width_31_window():
-    params = GroupParams(4, 2, 3)
-    assert params.num_hyperplanes + params.num_reflections + 1 == 31
-    for g in class_representatives(params):
-        assert oracle_series(params, g) == series_full(params, g)
-
-
 def test_oracle_series_g2_core_polynomial():
     params = GroupParams(6, 6, 2)
     series = oracle_series(params, identity(params))
     phi, _ = extract_phi(series, params.order, params.num_hyperplanes)
     assert phi == load_phi_fixtures()["G2"]
-
-
-# ---------------------------------------------------------------- length reads
-
-
-def test_length_reads_match_series():
-    for params in [GroupParams(2, 1, 2), GroupParams(3, 3, 2), GroupParams(2, 2, 3)]:
-        for g in class_representatives(params):
-            full_counts = count_factorizations(
-                params, g, params.num_reflections + 2, mode="full"
-            )
-            first_full = next(i for i, c in enumerate(full_counts) if c)
-            s, c = lowest_order(series_full(params, g))
-            assert (first_full, full_counts[first_full]) == (s, c)
 
 
 # ---------------------------------------------------------------- determinism

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from routes import poly
 
 from wfact import roots as roots_module
 from wfact.errors import CapabilityError
@@ -35,12 +36,6 @@ from wfact.roots import (
 from wfact.symmetric import dyz_identity_series
 
 F = Fraction
-
-
-def poly(min_deg, *coeffs):
-    return LaurentPoly(min_deg, [F(c) for c in coeffs])
-
-
 
 
 def test_find_roots_quadratics():
