@@ -167,30 +167,37 @@ def _series_body(key: tuple, top_len: int) -> str:
     params = key[0]
     phi, ell, series = phi_data_by_key(key)
     lo, hi = series_window(params)
-    lead = _fraction_str(lead_from_phi(phi, params.order, ell))
+    lead = lead_from_phi(phi, params.order, ell)
     # phi.denom > 0, so its numerators have the signs and order of its
     # coefficients.
     observations = (
         f'    "phi_degree": {phi.max_deg},\n'
         f'    "phi_palindromic": {_json_bool(phi.is_palindromic())},\n'
-        f'    "phi_nonnegative": {_json_bool(all(c >= 0 for c in phi.numers))},\n'
+        f'    "phi_nonnegative": {_json_bool(min(phi.numers) >= 0)},\n'
         f'    "phi_unimodal": {_json_bool(_is_unimodal(phi.numers))},\n'
         '    "window_attained": '
         + _json_list([_json_bool(series.min_deg == lo), _json_bool(series.max_deg == hi)], "    ")
     )
     limit = sys.get_int_max_str_digits()  # 0: no limit
     try:
+        # The series has the factor (X - 1)**ell, so every count below
+        # length ell is 0, and the count at ell is the lead.
         counts = []
-        for q in series.egf_counts(top_len):
+        for q in series.egf_counts(top_len, ell):
             # 10**limit > 2**(3 * limit): only a longer count can be past the limit.
             if limit and q.numerator.bit_length() > 3 * limit and abs(q.numerator) >= 10**limit:
                 raise ValueError(q)  # reported below, before any count is printed
             counts.append(q)
-        egf = _json_list([_egf_entry(q) for q in counts], "  ")
+        if counts and counts[0] != lead:
+            raise AssertionError(
+                f"count at length ell = {ell} is {counts[0]}, not the lead {lead}"
+            )
+        zeros = ["0"] * min(ell, top_len + 1)
+        egf = _json_list(zeros + [_egf_entry(q) for q in counts], "  ")
         return (
             f'  "laurent": {_json_laurent(series, "  ")},\n'
             f'  "ell_full": {ell},\n'
-            f'  "lead_coeff": "{lead}",\n'
+            f'  "lead_coeff": "{_fraction_str(lead)}",\n'
             f'  "phi": {_json_laurent(phi, "  ")},\n'
             f'  "egf_prefix": {egf},\n'
             f'  "window": {_json_list([str(lo), str(hi)], "  ")},\n'

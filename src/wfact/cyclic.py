@@ -43,22 +43,20 @@ def cyclic_all_series(group_order: int, element_order: int) -> LaurentPoly:
 def cyclic_full_series(group_order: int, element_order: int) -> LaurentPoly:
     """Factorizations of Z/N into non-identity elements that generate Z/N.
 
-    ((X-1)/X) * Sum over r | N with o | r of moebius(N/r) * (1+X+...+X^(r-1))/r;
-    the trivial group gives 1.
+    ((X-1)/X) * Sum over r | N with o | r of moebius(N/r) * (1+X+...+X^(r-1))/r,
+    that is Sum of moebius(N/r) (X^r - 1)/(r X), added up over the common
+    denominator N; the trivial group gives 1.
     """
     _check_orders(group_order, element_order)
     n = group_order
     if n == 1:
         return LaurentPoly.one()
-    acc = LaurentPoly.zero()
+    out = [0] * (n + 1)  # numerators of X^-1, ..., X^(n-1) over n
     for r in divisors(n):
-        if r % element_order != 0:
-            continue
-        mu = moebius(n // r)
-        if mu == 0:
-            continue
-        acc = acc + LaurentPoly(0, [mu] * r, r)
-    return acc * LaurentPoly(-1, [-1, 1])
+        if r % element_order == 0 and (mu := moebius(n // r)):
+            out[r] += mu * (n // r)
+            out[0] -= mu * (n // r)
+    return LaurentPoly._from_ints(-1, out, n)
 
 
 def cyclic_element_order(m: int, p: int, wt: int) -> int:

@@ -81,18 +81,24 @@ def _check_window(params: GroupParams) -> None:
         )
 
 
-def _moebius_sum(n: int, partition: tuple[int, ...], d: int, scale_base: int) -> LaurentPoly:
-    """Sum over r | d of moebius(r) r^(n+k-2) S_lambda(X -> X^(scale_base/r))."""
-    acc = LaurentPoly.zero()
-    base_series = full_series_sn_type(partition)
-    k = len(partition)
-    for r in divisors(d):
-        mu = moebius(r)
-        if mu == 0:
-            continue
-        term = base_series.substitute_power(scale_base // r)
-        acc = acc + term.scale(mu * r ** (n + k - 2))
-    return acc
+def _moebius_sum(n: int, partition: tuple[int, ...], d: int, base: int) -> LaurentPoly:
+    """(1/base^(n-1)) Sum over r | d of moebius(r) r^(n+k-2) S_lambda(X -> X^(base/r)).
+
+    Every term is S_lambda's numerators spread out, over S_lambda's
+    denominator, so the terms are added up in one integer array and the sum
+    is canonicalised once.
+    """
+    s_lambda = full_series_sn_type(partition)
+    numers, k = s_lambda.numers, len(partition)
+    terms = [(base // r, mu * r ** (n + k - 2)) for r in divisors(d) if (mu := moebius(r))]
+    ends = [deg * c for deg in (s_lambda.min_deg, s_lambda.max_deg) for c, _ in terms]
+    lo = min(ends)
+    out = [0] * (max(ends) - lo + 1)
+    for c, factor in terms:
+        start = s_lambda.min_deg * c - lo
+        cells = slice(start, start + (len(numers) - 1) * c + 1, c)
+        out[cells] = [o + factor * v for o, v in zip(out[cells], numers)]
+    return LaurentPoly._from_ints(lo, out, s_lambda.denom * base ** (n - 1))
 
 
 def series_ppn(p: int, n: int, cd: CycleData) -> LaurentPoly:
@@ -109,7 +115,7 @@ def series_ppn(p: int, n: int, cd: CycleData) -> LaurentPoly:
         raise ValueError(f"cycle-color gcd d = {cd.d} must divide p = {p}")
     if n == 1:
         return LaurentPoly.one()
-    return _moebius_sum(n, cd.partition, cd.d, p).scale(Fraction(1, p ** (n - 1)))
+    return _moebius_sum(n, cd.partition, cd.d, p)
 
 
 def _cyclic_factor(params: GroupParams, g: Element) -> LaurentPoly:
@@ -139,8 +145,7 @@ def phi_data_by_key(key: tuple) -> tuple[LaurentPoly, int, LaurentPoly]:
     n, m = params.n, params.m
     series = cyclic_full_series(m // params.p, m // (a * params.p))
     if n > 1:
-        body = _moebius_sum(n, partition, d, m)
-        series = (series.substitute_power(n) * body).scale(Fraction(1, m ** (n - 1)))
+        series = series.substitute_power(n) * _moebius_sum(n, partition, d, m)
     phi, ell = extract_phi(series, params.order, params.num_hyperplanes)
     return phi, ell, series
 

@@ -6,8 +6,12 @@ over one common denominator: #W times a full-factorization series even has
 integer coefficients, so every ring operation runs on Python ints.  The
 construction rule: the public constructor validates (int or Fraction
 coefficients, a nonzero integer denominator) and canonicalises; internal ring
-operations, whose inputs are ints by construction, canonicalise their result
-once through ``LaurentPoly._from_ints`` and skip the validation.
+operations, whose inputs are ints by construction, skip the validation and
+canonicalise their result once through ``LaurentPoly._from_ints``.  A sum of
+many terms is added up on integer numerators over one denominator and
+canonicalised once, not term by term; a result that is canonical by
+construction (the quotient by X - 1 of a canonical polynomial, by Gauss's
+lemma) is stored as it is by ``LaurentPoly._from_canonical``.
 ``egf_prefix`` expands back to counts; ``laurent_from_egf`` reconstructs the
 Laurent form from enough counts by exact Lagrange inversion on the integer
 nodes of the degree window, in integer arithmetic, and checks every surplus
@@ -123,6 +127,13 @@ class LaurentPoly:
         """
         poly = object.__new__(cls)
         _set_canonical(poly, min_deg, numers, denom)
+        return poly
+
+    @classmethod
+    def _from_canonical(cls, min_deg: int, numers: tuple[int, ...], denom: int) -> "LaurentPoly":
+        """numers / denom at min_deg, stored as is: the caller knows the form is canonical."""
+        poly = object.__new__(cls)
+        poly.__dict__.update(min_deg=min_deg, numers=numers, denom=denom)
         return poly
 
     @classmethod
@@ -251,11 +262,11 @@ class LaurentPoly:
             raise ValueError("prefix length must be nonnegative")
         return list(self.egf_counts(n))
 
-    def egf_counts(self, n: int) -> Iterator[Fraction]:
-        """The entries of egf_prefix(n), computed one at a time as they are taken."""
+    def egf_counts(self, n: int, start: int = 0) -> Iterator[Fraction]:
+        """Entries start, ..., n of egf_prefix(n), computed one at a time as they are taken."""
         degrees = [self.min_deg + i for i, c in enumerate(self.numers) if c]
-        terms = [c for c in self.numers if c]
-        for _ in range(n + 1):
+        terms = [c * k**start for c, k in zip((c for c in self.numers if c), degrees)]
+        for _ in range(start, n + 1):
             yield Fraction(sum(terms), self.denom)
             terms = [c * k for c, k in zip(terms, degrees)]
 
@@ -267,13 +278,15 @@ class LaurentPoly:
             return self
         # Write self = X**min_deg * P(X) / denom.  P = (X-1) Q means
         # p_i = q_{i-1} - q_i, so q_i = -(p_0 + ... + p_i) = p_{i+1} + ... + p_deg
-        # as P(1) = 0: the running sums of p from the top.
-        p = self.numers
-        if sum(p):
+        # as P(1) = 0: the running sums of p from the top, the last of which
+        # is P(1).  Q is canonical as it stands: q_0 = -p_0 and q_top = p_top
+        # are nonzero, and by Gauss's lemma Q has the content of P, which is
+        # prime to denom.
+        sums = list(accumulate(reversed(self.numers)))
+        if sums.pop():
             raise ValueError("polynomial is not divisible by (X - 1)")
-        return LaurentPoly._from_ints(
-            self.min_deg, list(accumulate(p[:0:-1]))[::-1], self.denom
-        )
+        sums.reverse()
+        return LaurentPoly._from_canonical(self.min_deg, tuple(sums), self.denom)
 
     # -- misc --------------------------------------------------------------
 
@@ -299,7 +312,14 @@ class LaurentPoly:
         if d == 1:
             coeffs = [f"{n}/1" for n in self.numers]
         else:
-            coeffs = [f"{n // g}/{d // g}" for n in self.numers for g in (math.gcd(n, d),)]
+            # Most coefficients of a series are 0, which needs no gcd.
+            coeffs = []
+            for n in self.numers:
+                if n:
+                    g = math.gcd(n, d)
+                    coeffs.append(f"{n // g}/{d // g}")
+                else:
+                    coeffs.append("0/1")
         return {"min_deg": self.min_deg, "coeffs": coeffs}
 
 
@@ -393,9 +413,10 @@ def extract_phi(
         raise ValueError("cannot extract the core polynomial of the zero series")
     current, ell = _strip_x_minus_one(poly)
     order = _as_fraction(group_order)
+    top = order.numerator
     phi = LaurentPoly._from_ints(
         current.min_deg + num_hyperplanes,
-        [c * order.numerator for c in current.numers],
+        [c * top for c in current.numers],
         current.denom * order.denominator,
     )
     if phi.min_deg < 0:

@@ -31,10 +31,10 @@ from .groups import Element, GroupParams, cycle_data
 from .laurent import LaurentPoly
 from .partitions import (
     Partition,
+    _mn,
     content_sum,
     hook_dimension,
     integer_partitions,
-    mn_character,
     normalize_partition,
 )
 
@@ -55,18 +55,25 @@ def _guard(n: int, what: str) -> None:
 
 
 @cache
+def _shape_data(n: int) -> tuple[tuple[Partition, int, int], ...]:
+    """(shape, dimension, content sum) of every partition of n; n <= FULL_GUARD."""
+    return tuple(
+        (shape, hook_dimension(shape), content_sum(shape)) for shape in integer_partitions(n)
+    )
+
+
+@cache
 def _frobenius(parts: Partition) -> LaurentPoly:
+    # parts is normal, as every shape of _shape_data is, so _mn reads them as they are.
     n = sum(parts)
     by_content: dict[int, int] = {}
-    for shape in integer_partitions(n):
-        value = hook_dimension(shape) * mn_character(shape, parts)
+    for shape, dim, degree in _shape_data(n):
+        value = dim * _mn(shape, parts)
         if value:
-            degree = content_sum(shape)
             by_content[degree] = by_content.get(degree, 0) + value
     lo = min(by_content)
-    return LaurentPoly(
-        lo, [by_content.get(d, 0) for d in range(lo, max(by_content) + 1)], factorial(n)
-    )
+    numers = [by_content.get(d, 0) for d in range(lo, max(by_content) + 1)]
+    return LaurentPoly._from_ints(lo, numers, factorial(n))
 
 
 def frobenius_series_sn(n: int, mu) -> LaurentPoly:

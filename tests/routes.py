@@ -23,6 +23,7 @@ from itertools import product
 from math import comb, gcd, prod
 from typing import Callable
 
+from wfact.cyclic import cyclic_element_order, cyclic_full_series
 from wfact.factorizations import (
     full_length,
     lead_coeff,
@@ -37,6 +38,7 @@ from wfact.groups import (
     _canonical_from_cycles,
     all_elements,
     cycle_data,
+    weight,
 )
 from wfact.hurwitz import hurwitz_h0, hurwitz_h1
 from wfact.laurent import LaurentPoly, lowest_order
@@ -282,6 +284,24 @@ def class_summed_type_sums(params: GroupParams) -> dict:
     return sums
 
 
+def moebius_fold(params: GroupParams, g: Element) -> LaurentPoly:
+    """series_full's formula folded term by term in LaurentPoly arithmetic:
+    cyclic_factor(X -> X^n) * Sum_{r | d} moebius(r) r^(n+k-2) S_λ(X -> X^(m/r)) / m^(n-1).
+
+    series_full and series_full_factored both add up the Möbius sum through
+    one private helper, so this fold is the route that checks the helper."""
+    n, m, p = params.n, params.m, params.p
+    data = cycle_data(g, params)
+    s_lambda = full_series_sn_type(data.partition)
+    total = ZERO
+    for r in divisors(data.d):
+        if moebius(r):
+            term = s_lambda.substitute_power(m // r)
+            total = total + term.scale(moebius(r) * r ** (n + len(data.partition) - 2))
+    cyclic = cyclic_full_series(m // p, cyclic_element_order(m, p, weight(g, params)))
+    return (cyclic.substitute_power(n) * total).scale(Fraction(1, m ** (n - 1)))
+
+
 def lattice_sum(params: GroupParams) -> LaurentPoly:
     """Sum over the reflection subgroups H with mu(H, W) != 0 of mu(H, W) X**#R_H."""
     _, stable = build_tables(params)
@@ -331,11 +351,6 @@ def oracle_runs(params: GroupParams, *_) -> bool:
     return params.order <= CLASS_SCAN and cells <= TABLE_GUARD and walk <= WALK_GUARD
 
 
-def scanned(params: GroupParams, *_) -> bool:
-    """Up to CLASS_SCAN: past it lowest_order outweighs the other (ℓ, lead) routes together."""
-    return params.order <= CLASS_SCAN
-
-
 def at_c_oracle(params: GroupParams, g: Element) -> bool:
     return at_coxeter(params, g) and oracle_runs(params)
 
@@ -352,6 +367,11 @@ def oracle_series_runs(params: GroupParams, g: Element) -> bool:
 @lru_cache(maxsize=1)
 def representatives(params: GroupParams) -> frozenset:
     return frozenset(class_representatives(params))
+
+
+def fold_runs(params: GroupParams, g: Element) -> bool:
+    """n >= 2, where the series has a Möbius sum, at one element per class up to CLASS_SCAN."""
+    return params.n >= 2 and (params.order > CLASS_SCAN or g in representatives(params))
 
 
 def factored_runs(params: GroupParams, g: Element) -> bool:
@@ -456,13 +476,14 @@ QUANTITIES = (
     Quantity("series", lambda params: [(params, g) for g in elements(params)], (
         Route("series_full", series_full),
         Route("series_full_factored", series_full_factored, factored_runs),
+        Route("Möbius fold", moebius_fold, fold_runs),
         Route("oracle's counts", oracle_counts, oracle_runs),
         Route("oracle_series", oracle_series, oracle_series_runs),
         Route("Chapuy-Stump at c", lambda params, g: coxeter_series(params), at_coxeter),
         Route("oracle all-series at c", partial(oracle_series, mode="all"), at_c_oracle),
     )),
     Quantity("lowest", _at_class, (
-        Route("lowest_order of series_full", lambda *a: lowest_order(series_full(*a)), scanned),
+        Route("lowest_order of series_full", lambda *a: lowest_order(series_full(*a))),
         Route("closed_lowest_order", closed_lowest),
         Route("lead_from_phi", phi_lowest),
         Route("oracle's first count", oracle_lowest, oracle_runs),

@@ -412,15 +412,43 @@ def test_series_long_prefix_is_one_dump_of_the_document(capsys):
 
 def test_series_body_writes_a_fractional_count_as_a_string(monkeypatch):
     # A group's counts are integers, so only a made-up series reaches the
-    # "n/d" form of an egf_prefix entry: here -1/3, 0, 1/3, 0.
-    series = LaurentPoly(-1, [1, -4, 1], 6)
-    phi = LaurentPoly(0, [1, 4, 1])
+    # "n/d" form of an egf_prefix entry.  The made-up data holds together
+    # where the body reads it: the series (X - 2 + X^-1)/6 has the factor
+    # (X - 1)**ell with ell = 2, its counts are 0, 0, 1/3, 0, and the count
+    # at ell is the lead phi(1) * 2!/#W = 2/6 with phi = 1 and #W = 6.
+    series = LaurentPoly(-1, [1, -2, 1], 6)
+    phi = LaurentPoly.one()
     monkeypatch.setattr(cli, "phi_data_by_key", lambda key: (phi, 2, series))
     text = "{\n" + cli._series_body.__wrapped__((GroupParams(3, 3, 2),), 3) + "\n}"
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2)
-    assert doc["egf_prefix"] == ["-1/3", 0, "1/3", 0]
-    assert doc["laurent"] == {"min_deg": -1, "coeffs": ["1/6", "-2/3", "1/6"]}
+    assert doc["egf_prefix"] == [0, 0, "1/3", 0]
+    assert doc["lead_coeff"] == "1/3"
+    assert doc["laurent"] == {"min_deg": -1, "coeffs": ["1/6", "-1/3", "1/6"]}
+
+
+def test_series_body_refuses_a_count_at_ell_other_than_the_lead(monkeypatch):
+    # The body writes the counts below ell as 0 without computing them, so
+    # the first count it computes must be the lead.
+    series = LaurentPoly(-1, [1, -2, 1], 6)
+    monkeypatch.setattr(cli, "phi_data_by_key", lambda key: (LaurentPoly.one(), 1, series))
+    with pytest.raises(AssertionError, match="not the lead"):
+        cli._series_body.__wrapped__((GroupParams(3, 3, 2),), 3)
+
+
+@pytest.mark.parametrize("mpn", [(4, 2, 4), (3, 3, 4)], ids=str)
+def test_series_body_counts_are_the_series_counts(mpn):
+    # Every class, at the default prefix length, at 0 and at a length below
+    # ell, where every count written is a 0 the body never computes.
+    params = GroupParams(*mpn)
+    for g in class_representatives(params):
+        key = factorizations.series_key(params, g)
+        _, ell, series = factorizations.phi_data_by_key(key)
+        assert ell >= 2
+        for top in (ell + 4, 0, ell - 1):
+            doc = json.loads("{\n" + cli._series_body.__wrapped__(key, top) + "\n}")
+            assert doc["egf_prefix"] == series.egf_prefix(top), (g, top)
+            assert all(type(c) is int for c in doc["egf_prefix"])
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["ell", "lead"])

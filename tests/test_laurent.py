@@ -85,6 +85,18 @@ def laurent_polys(draw, max_width=6):
     )
 
 
+@st.composite
+def contentful_polys(draw, max_width=6):
+    """Canonical polynomials with a denominator other than 1 and numerators of content > 1."""
+    content = draw(st.integers(2, 60))
+    denom = draw(st.integers(2, 60).filter(lambda d: math.gcd(d, content) == 1))
+    ends = st.integers(-50, 50).filter(bool)
+    numers = [draw(ends), *draw(st.lists(st.integers(-50, 50), max_size=max_width - 2))]
+    numers.append(draw(ends))
+    g = math.gcd(*numers)
+    return LaurentPoly(draw(st.integers(-6, 6)), [content * v // g for v in numers], denom)
+
+
 def assert_canonical(L):
     assert isinstance(L.denom, int) and L.denom > 0
     assert math.gcd(L.denom, *L.numers) == 1
@@ -193,7 +205,13 @@ def test_evaluate_and_egf_prefix_match_fraction_sums(a, x, n):
 
 
 @settings(deadline=None, max_examples=60)
-@given(laurent_polys(), st.integers(0, 4))
+@given(laurent_polys(), st.integers(0, 8), st.integers(0, 10))
+def test_egf_counts_from_start_are_the_tail_of_egf_prefix(a, n, start):
+    assert list(a.egf_counts(n, start)) == a.egf_prefix(n)[start:]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(laurent_polys(), contentful_polys()), st.integers(0, 4))
 def test_strip_x_minus_one_property(base, s):
     if base.is_zero() or base.evaluate(F(1)) == 0:
         return
@@ -202,6 +220,22 @@ def test_strip_x_minus_one_property(base, s):
         L = L * X_MINUS_1
     assert _strip_x_minus_one(L) == (base, s)
     assert lowest_order(L) == (s, base.evaluate(F(1)) * math.factorial(s))
+
+
+@settings(deadline=None, max_examples=80)
+@given(contentful_polys(), st.integers(1, 3))
+def test_divide_by_x_minus_one_builds_the_canonical_quotient(base, s):
+    # The quotient is stored as computed, with no trim and no gcd: by Gauss's
+    # lemma it is canonical, even where the numerators share a factor.
+    P = base
+    for _ in range(s):
+        P = P * X_MINUS_1
+    assert P.denom != 1 and math.gcd(*P.numers) > 1
+    Q = P.divide_by_x_minus_one()
+    ref = LaurentPoly._from_ints(Q.min_deg, list(Q.numers), Q.denom)
+    assert (Q.min_deg, Q.numers, Q.denom) == (ref.min_deg, ref.numers, ref.denom)
+    assert type(Q.numers) is tuple
+    assert X_MINUS_1 * Q == P
 
 
 def test_divide_by_x_minus_one_rejects_non_root():

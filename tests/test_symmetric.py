@@ -7,12 +7,15 @@ The routes to the full series of each cycle type are cross-checked in
 from fractions import Fraction
 
 import pytest
-from routes import poly
+from routes import factorial, poly
 
 from wfact.errors import CapabilityError
 from wfact.laurent import LaurentPoly, extract_phi
-from wfact.partitions import integer_partitions
+from wfact.partitions import content_sum, hook_dimension, integer_partitions, mn_character
 from wfact.symmetric import (
+    FULL_GUARD,
+    _frobenius,
+    _shape_data,
     dyz_identity_series,
     frobenius_series_sn,
     full_series_sn,
@@ -56,6 +59,25 @@ def test_frobenius_parity_support():
             for length, count in enumerate(series.egf_prefix(7)):
                 if length % 2 != parity:
                     assert count == 0
+
+
+def test_shape_table_holds_every_shape_dimension_and_content_sum():
+    for n in range(1, FULL_GUARD + 1):
+        shapes = integer_partitions(n)
+        expected = [(shape, hook_dimension(shape), content_sum(shape)) for shape in shapes]
+        assert list(_shape_data(n)) == expected
+
+
+def test_frobenius_is_the_character_sum_through_mn_character():
+    # (1/n!) Sum over shapes of dim * character * X**content_sum, each term
+    # added as a LaurentPoly, against the one integer array of _frobenius.
+    for n in range(1, 9):
+        for mu in integer_partitions(n):
+            total = LaurentPoly.zero()
+            for shape in integer_partitions(n):
+                value = hook_dimension(shape) * mn_character(shape, mu)
+                total = total + LaurentPoly.monomial(content_sum(shape), value)
+            assert _frobenius(mu) == total.scale(F(1, factorial(n))), mu
 
 
 # ---------------------------------------------------------------- full series
