@@ -140,12 +140,17 @@ def phi_data_by_key(key: tuple) -> tuple[LaurentPoly, int, LaurentPoly]:
     """(phi, ell, series) of every element whose series_key is key.
 
     The color's image in the cyclic quotient has order m/gcd(wt, m) = m/(a p).
+    For p = m that quotient is trivial and the cyclic factor is 1, so the
+    series of G(m,m,n), n > 1, is the Möbius sum alone.
     """
     params, partition, d, a = key
-    n, m = params.n, params.m
-    series = cyclic_full_series(m // params.p, m // (a * params.p))
-    if n > 1:
-        series = series.substitute_power(n) * _moebius_sum(n, partition, d, m)
+    n, m, p = params.n, params.m, params.p
+    if n == 1:
+        series = cyclic_full_series(m // p, m // (a * p))
+    else:
+        series = _moebius_sum(n, partition, d, m)
+        if p < m:
+            series = cyclic_full_series(m // p, m // (a * p)).substitute_power(n) * series
     phi, ell = extract_phi(series, params.order, params.num_hyperplanes)
     return phi, ell, series
 

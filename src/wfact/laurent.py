@@ -15,11 +15,13 @@ lemma) is stored as it is by ``LaurentPoly._from_canonical``.
 ``egf_prefix`` expands back to counts; ``laurent_from_egf`` reconstructs the
 Laurent form from enough counts by exact Lagrange inversion on the integer
 nodes of the degree window, in integer arithmetic, and checks every surplus
-count exactly.  ``extract_phi`` peels off the structural factors
-(1/order) * (X-1)^ell * X^(-hyperplanes) around the palindromic-ish core
-polynomial.  The core's complex roots are found by ``wfact.roots``, the
-package's one inexact step, which feeds plots only; ``find_roots`` and
-``RootFindingError`` stay bound here as well.
+count exactly.  The window's integer Lagrange basis is built once and kept
+(a bounded cache, emptied by ``wfact.oracle.clear_caches``), so a call is
+one dot product per node over the nonzero counts.  ``extract_phi`` peels
+off the structural factors (1/order) * (X-1)^ell * X^(-hyperplanes) around
+the palindromic-ish core polynomial.  The core's complex roots are found
+by ``wfact.roots``, the package's one inexact step, which feeds plots only;
+``find_roots`` and ``RootFindingError`` stay bound here as well.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, compress
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .roots import RootFindingError, find_roots  # noqa: F401  (kept bound here)
@@ -328,20 +331,64 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
+# Windows whose Lagrange basis is kept, as the oracle keeps 8 groups: each
+# oracle window [-#A, #R] belongs to one group.  A basis holds w**2
+# integers of up to log2((w-1)!) bits.  Measured (Python 3.11, 2-core
+# x86_64 host): at G(176,1,1)'s window (w = 177), the widest oracle_series
+# reaches within the walk guard, 3.9 MB, built in 0.014 s; at G(447,1,1)'s
+# (w = 448), the widest group the table guard admits, 61 MB, built in
+# 0.12-0.17 s, where the dense solve itself takes about 0.8 s.  Only a
+# direct call reaches a window that wide, and a basis grows like
+# w**3 log w: 8 windows as wide would hold about 0.5 GB.
+_CACHE_WINDOWS = 8
+
+
+@lru_cache(maxsize=_CACHE_WINDOWS)
+def _lagrange_basis(
+    min_deg: int, max_deg: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]:
+    """(rows, signs, spread, powers): the integer Lagrange basis of one window.
+
+    On the nodes lo = min_deg, ..., hi = max_deg, w of them, with
+    P(t) = Prod_i (t - i): ``rows[k - lo]`` holds the ascending coefficients
+    of P(t)/(t - k), from synthetic division; ``signs[k - lo]`` is
+    (-1)**(hi-k) * C(w-1, k-lo), so that the Lagrange denominator
+    Prod_{i != k} (k - i) = (-1)**(hi-k) (k-lo)! (hi-k)! times it is
+    ``spread`` = (w-1)!; ``powers[k - lo]`` is k**w, the first surplus row.
+    """
+    width = max_deg - min_deg + 1
+    nodes = range(min_deg, max_deg + 1)
+    p = [1]
+    for i in nodes:
+        p = [a - i * b for a, b in zip([0] + p, p + [0])]
+    rows = []
+    for k in nodes:
+        row, q = [0] * width, 0
+        for j in range(width - 1, -1, -1):
+            q = row[j] = p[j + 1] + k * q
+        rows.append(tuple(row))
+    signs = tuple(
+        -math.comb(width - 1, k - min_deg) if (max_deg - k) % 2
+        else math.comb(width - 1, k - min_deg)
+        for k in nodes
+    )
+    powers = tuple(k**width for k in nodes)
+    return tuple(rows), signs, math.factorial(width - 1), powers
+
+
 def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPoly:
     """The unique Laurent polynomial on [min_deg, max_deg] with these counts.
 
     ``prefix[j]`` must be the coefficient of z**j/j!, i.e. Sum_k a_k k**j.
     The first ``w = max_deg - min_deg + 1`` entries determine the a_k by
-    Lagrange inversion on the integer nodes lo = min_deg, ..., hi = max_deg:
-    a_k = Sum_j [t**j]l_k(t) * prefix[j], where l_k is the Lagrange basis
-    polynomial of node k.  Its numerator P(t)/(t - k), with
-    P(t) = Prod_i (t - i), comes from synthetic division, and its
-    denominator Prod_{i != k} (k - i) = (-1)**(hi-k) (k-lo)! (hi-k)! divides
-    (w-1)!, so everything runs in integers over the common denominator
-    (w-1)! * lcm(prefix denominators): O(w**2) integer operations.  Every
-    surplus entry j >= w is then checked exactly against Sum_k a_k k**j; a
-    mismatch raises ValueError (meaning the window or the counts are wrong).
+    Lagrange inversion on the integer nodes of the window:
+    (w-1)! * a_k = signs_k * Sum_j rows_k[j] * prefix[j], with the window's
+    integer basis (``_lagrange_basis``) built once and kept, so everything
+    runs in integers over the common denominator
+    (w-1)! * lcm(prefix denominators).  Each sum is one dot product over
+    the nonzero entries only.  Every surplus entry j >= w is then checked
+    exactly against Sum_k a_k k**j; a mismatch raises ValueError (meaning
+    the window or the counts are wrong).
     """
     if max_deg < min_deg:
         raise ValueError("empty degree window")
@@ -349,24 +396,15 @@ def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPol
     counts, den = _over_common_denominator(prefix)
     if len(counts) < width:
         raise ValueError(f"need at least {width} prefix entries, got {len(counts)}")
+    rows, signs, spread, powers = _lagrange_basis(min_deg, max_deg)
+    head = counts[:width]
+    nonzero = [c for c in head if c]
+    numers = [f * sum(map(mul, compress(row, head), nonzero)) for f, row in zip(signs, rows)]
     nodes = range(min_deg, max_deg + 1)
-    # Ascending coefficients of P(t) = Prod_i (t - i).
-    p = [1]
-    for i in nodes:
-        p = [a - i * b for a, b in zip([0] + p, p + [0])]
-    # (w-1)! * a_k * den = (-1)**(hi-k) * C(w-1, k-lo) * Sum_j q_j counts[j],
-    # with q the coefficients of P(t)/(t - k).
-    numers = []
-    for k in nodes:
-        acc, q = 0, 0
-        for j in range(width - 1, -1, -1):
-            q = p[j + 1] + k * q
-            acc += q * counts[j]
-        acc *= math.comb(width - 1, k - min_deg)
-        numers.append(-acc if (max_deg - k) % 2 else acc)
-    spread = math.factorial(width - 1)
     for j in range(width, len(counts)):
-        got = sum(a * k**j for a, k in zip(numers, nodes))
+        if j > width:
+            powers = list(map(mul, powers, nodes))
+        got = sum(map(mul, numers, powers))
         if got != counts[j] * spread:
             raise ValueError(
                 f"count prefix inconsistent with window [{min_deg}, {max_deg}] "

@@ -92,7 +92,7 @@ from .groups import (
     reflections,
     validate_element,
 )
-from .laurent import LaurentPoly, laurent_from_egf
+from .laurent import LaurentPoly, _lagrange_basis, laurent_from_egf
 from .partitions import integer_partitions
 
 __all__ = [
@@ -398,16 +398,19 @@ _CACHE_GROUPS = 8
 
 
 def clear_caches() -> None:
-    """Drop every cached table and count sweep.
+    """Drop every cached table, count sweep and reconstruction basis.
 
     The tables keep the 8 most recently used groups, the sweeps the 8 most
-    recently used (group, depth) pairs and the permutation rank tables the
-    8 most recently used n; ``build_tables.cache_info()`` and
-    ``sweep_counts.cache_info()`` report their hits and misses.
+    recently used (group, depth) pairs, the permutation rank tables the 8
+    most recently used n and ``oracle_series``'s Lagrange bases (in
+    ``wfact.laurent``) the 8 most recently used windows;
+    ``build_tables.cache_info()`` and ``sweep_counts.cache_info()`` report
+    their hits and misses.
     """
     build_tables.cache_clear()
     sweep_counts.cache_clear()
     _perm_tables.cache_clear()
+    _lagrange_basis.cache_clear()
 
 
 def _orbit_ids(conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ from routes import factorial, poly
 
 from wfact.laurent import (
     LaurentPoly,
+    _lagrange_basis,
     _strip_x_minus_one,
     extract_phi,
     laurent_from_egf,
@@ -311,15 +312,60 @@ def test_laurent_from_egf_rejects_inconsistent_surplus():
 
 
 def test_laurent_from_egf_rejects_short_prefix():
-    with pytest.raises(ValueError):
+    laurent_from_egf([1, 0, 1], -1, 1)  # the window's basis is built and kept
+    with pytest.raises(ValueError, match="need at least 3 prefix entries, got 2"):
         laurent_from_egf([1, 2], -1, 1)
 
 
 def test_laurent_from_egf_rejects_float_and_empty_window():
+    laurent_from_egf([1, 0, 1], -1, 1)
     with pytest.raises(TypeError):
         laurent_from_egf([1, 0.5, 2], -1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty degree window"):
         laurent_from_egf([1, 2], 1, 0)
+
+
+def test_laurent_from_egf_repeat_calls_on_one_window_agree():
+    L = poly(-2, 3, F(-1, 2), 0, 7, F(5, 3))
+    prefix = L.egf_prefix(6)
+    first = laurent_from_egf(prefix, -2, 2)
+    hits = _lagrange_basis.cache_info().hits
+    second = laurent_from_egf(list(prefix), -2, 2)
+    assert _lagrange_basis.cache_info().hits == hits + 1
+    assert first == second == L
+
+
+@pytest.mark.parametrize("surplus_index", [0, 1])
+def test_laurent_from_egf_warm_basis_still_checks_each_surplus_count(surplus_index):
+    L = poly(-1, 4, -1, 0, F(2, 5))
+    prefix = L.egf_prefix(5)  # window [-1, 2]: width 4, surplus entries 4 and 5
+    assert laurent_from_egf(prefix, -1, 2) == L
+    index = 4 + surplus_index
+    prefix[index] += 1
+    hits = _lagrange_basis.cache_info().hits
+    with pytest.raises(ValueError, match=f"at index {index}:"):
+        laurent_from_egf(prefix, -1, 2)
+    assert _lagrange_basis.cache_info().hits == hits + 1
+
+
+def test_laurent_from_egf_all_zero_prefix_is_zero():
+    assert laurent_from_egf([0] * 9, -3, 4) == LaurentPoly.zero()
+    assert laurent_from_egf([F(0)] * 10, -3, 4) == LaurentPoly.zero()
+    with pytest.raises(ValueError, match="at index 8:"):
+        laurent_from_egf([0] * 8 + [1], -3, 4)
+
+
+def test_laurent_from_egf_sparse_prefix_round_trips():
+    # (X - 1)^4 / X^2 times X + 3 + 1/X is fixed by X -> 1/X: its counts
+    # vanish below length 4 and at every odd length, as most of an oracle
+    # window's counts do.
+    square = poly(-1, 1, -2, 1)  # (X - 1)^2 / X
+    L = (square * square * poly(-1, 1, 3, 1)).scale(F(1, 5))
+    assert L.min_deg == -3
+    prefix = L.egf_prefix(13)  # window [-5, 6]: width 12, two surplus counts
+    assert [j for j, c in enumerate(prefix) if c] == [4, 6, 8, 10, 12]
+    assert laurent_from_egf(prefix, -5, 6) == L
+    assert laurent_from_egf(prefix, -5, 6) == L
 
 
 @st.composite

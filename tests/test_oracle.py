@@ -27,7 +27,7 @@ from wfact.groups import (
     multiply,
     reflections,
 )
-from wfact.laurent import LaurentPoly, extract_phi
+from wfact.laurent import LaurentPoly, _lagrange_basis, extract_phi
 from wfact.oracle import (
     acts_transitively_on_Em,
     build_tables,
@@ -801,6 +801,16 @@ def test_clear_caches_empties_the_rank_cache():
     assert oracle._perm_tables.cache_info().currsize >= 1
     oracle.clear_caches()
     assert oracle._perm_tables.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_the_lagrange_basis_cache():
+    # One basis per window, bounded like the tables and sweeps.
+    assert _lagrange_basis.cache_info().maxsize == oracle._CACHE_GROUPS
+    params = GroupParams(2, 1, 2)
+    oracle_series(params, class_representatives(params)[0])
+    assert _lagrange_basis.cache_info().currsize >= 1
+    oracle.clear_caches()
+    assert _lagrange_basis.cache_info().currsize == 0
 
 
 def test_oracle_series_a1_row():
