@@ -34,7 +34,7 @@ from .factorizations import (
     full_length,
     lead_from_phi,
     phi_data,
-    phi_data_by_key,
+    series_by_key,
     series_full,
     series_key,
     series_window,
@@ -153,19 +153,22 @@ def _series_head(params: GroupParams, g: Element) -> str:
 
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
-def _series_body(key: tuple, top_len: int) -> str:
-    """Every field of the `wfact series` document after "element", as indent=2 JSON.
+def _series_body(key: tuple, top_len: int | None = None) -> tuple[int, Fraction, str]:
+    """(ell, lead, body): the series' lowest order, read off phi, and as
+    indent=2 JSON every field of the `wfact series` document after "element".
 
     They depend on g only through its series key, so each key's body at the
-    default prefix length is rendered once.  An explicit --prefix-len is
-    rendered through ``__wrapped__``, past the cache.  The counts are
-    computed one at a time, and the first one too long to print stops the
-    walk before any is printed, so a long prefix fails at once instead of
-    after every count.  The UsageError for counts too long to print is
-    raised again on each call: lru_cache keeps no exceptions.
+    default prefix length ell + 4 (``top_len`` None) is rendered once.  An
+    explicit --prefix-len is rendered through ``__wrapped__``, past the cache.
+    The counts are computed one at a time, and the first one too long to print
+    stops the walk before any is printed, so a long prefix fails at once
+    instead of after every count.  The UsageError for counts too long to print
+    is raised again on each call: lru_cache keeps no exceptions.
     """
     params = key[0]
-    phi, ell, series = phi_data_by_key(key)
+    series = series_by_key(key)
+    phi, ell = extract_phi(series, params.order, params.num_hyperplanes)
+    top_len = ell + 4 if top_len is None else top_len
     lo, hi = series_window(params)
     lead = lead_from_phi(phi, params.order, ell)
     # phi.denom > 0, so its numerators have the signs and order of its
@@ -194,7 +197,7 @@ def _series_body(key: tuple, top_len: int) -> str:
             )
         zeros = ["0"] * min(ell, top_len + 1)
         egf = _json_list(zeros + [_egf_entry(q) for q in counts], "  ")
-        return (
+        return ell, lead, (
             f'  "laurent": {_json_laurent(series, "  ")},\n'
             f'  "ell_full": {ell},\n'
             f'  "lead_coeff": "{_fraction_str(lead)}",\n'
@@ -217,26 +220,23 @@ def cmd_series(args: argparse.Namespace) -> int:
     params = _group_params(args.m, args.p, args.n)
     g = _element_from_args(params, args)
     key = series_key(params, g)
-    phi, ell_from_phi, _ = phi_data_by_key(key)
-    ell, lead = closed_lowest_order(*key)
-    # phi = #W * X^#A * series / (X-1)^ell, so this is lowest_order(series)
-    order_check = (ell_from_phi, lead_from_phi(phi, params.order, ell_from_phi))
-    if order_check != (ell, lead):
-        print(
-            "internal consistency failure: series lowest order "
-            f"{order_check} vs case analysis ({ell}, {lead})",
-            file=sys.stderr,
-        )
-        return 1
-    # The body's ell_full and lead_coeff come from phi; the check above has
-    # just shown them equal to the key's case analysis.
     if args.prefix_len is None:
-        body = _series_body(key, ell + 4)
+        ell, lead, body = _series_body(key)
     elif args.prefix_len < 0:
         raise UsageError("--prefix-len must be nonnegative")
     else:
         # A body grows with its prefix, so an explicit one is not cached.
-        body = _series_body.__wrapped__(key, args.prefix_len)
+        ell, lead, body = _series_body.__wrapped__(key, args.prefix_len)
+    # The body's ell_full and lead_coeff, read off phi, must equal the key's
+    # case analysis on every call, cache hits included.
+    closed_ell, closed_lead = closed_lowest_order(*key)
+    if (ell, lead) != (closed_ell, closed_lead):
+        print(
+            "internal consistency failure: series lowest order "
+            f"{(ell, lead)} vs case analysis ({closed_ell}, {closed_lead})",
+            file=sys.stderr,
+        )
+        return 1
     print("{\n" + _series_head(params, g) + ",\n" + body + "\n}")
     return 0
 

@@ -12,9 +12,9 @@ are genuine two-route checks.
 
 The series depends on g only through its class key (λ, d, a): the cycle
 type, the gcd of the cycle colors with p and the order of g's color in the
-cyclic quotient.  ``phi_data_by_key`` therefore computes each key's
-(phi, ell, series) once per process, in one bounded LRU cache that
-``series_full`` and ``phi_data`` read; ``series_key`` names the key, so
+cyclic quotient.  ``series_by_key`` therefore computes each key's series
+once per process, in one bounded LRU cache; phi and ell are peeled off it
+by ``extract_phi`` where they are read.  ``series_key`` names the key, so
 callers can cache what they derive from it.  ``closed_lowest_order``,
 ``full_length``, ``lead_coeff`` and ``series_full_factored`` read no cache,
 so they stay second routes.
@@ -43,7 +43,7 @@ __all__ = [
     "lead_from_phi",
     "series_window",
     "phi_data",
-    "phi_data_by_key",
+    "series_by_key",
     "series_key",
     "closed_lowest_order",
     "WINDOW_GUARD",
@@ -62,12 +62,11 @@ def series_window(params: GroupParams) -> tuple[int, int]:
 # 0.1 s and prints about 0.3 MB.
 WINDOW_GUARD = 4096
 
-# Entries in the key cache.  At the window guard one key's record
-# (phi, ell, series) holds at most ~380 KB (G(22,11,14), width 4032: 148 KB
-# of series and 227 KB of phi), so the cache stays under ~95 MB in a
-# long-lived process.  `wfact series` keeps a second cache of this size, of
-# rendered JSON bodies: ~330 KB at the guard with the default --prefix-len
-# (326 KB there), so under ~85 MB more.
+# Entries in the key cache.  At the window guard one key's series holds at
+# most ~150 KB (G(22,11,14), width 4032: 148 KB with each coefficient its own
+# int), so the cache stays under ~38 MB in a long-lived process.  `wfact
+# series` keeps a second cache of this size, of rendered JSON bodies:
+# ~330 KB at the guard with the default --prefix-len, so under ~85 MB more.
 KEY_CACHE_SIZE = 256
 
 
@@ -136,8 +135,8 @@ def series_key(params: GroupParams, g: Element) -> tuple:
 
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
-def phi_data_by_key(key: tuple) -> tuple[LaurentPoly, int, LaurentPoly]:
-    """(phi, ell, series) of every element whose series_key is key.
+def series_by_key(key: tuple) -> LaurentPoly:
+    """The full series of every element whose series_key is key.
 
     The color's image in the cyclic quotient has order m/gcd(wt, m) = m/(a p).
     For p = m that quotient is trivial and the cyclic factor is 1, so the
@@ -146,13 +145,11 @@ def phi_data_by_key(key: tuple) -> tuple[LaurentPoly, int, LaurentPoly]:
     params, partition, d, a = key
     n, m, p = params.n, params.m, params.p
     if n == 1:
-        series = cyclic_full_series(m // p, m // (a * p))
-    else:
-        series = _moebius_sum(n, partition, d, m)
-        if p < m:
-            series = cyclic_full_series(m // p, m // (a * p)).substitute_power(n) * series
-    phi, ell = extract_phi(series, params.order, params.num_hyperplanes)
-    return phi, ell, series
+        return cyclic_full_series(m // p, m // (a * p))
+    series = _moebius_sum(n, partition, d, m)
+    if p < m:
+        series = cyclic_full_series(m // p, m // (a * p)).substitute_power(n) * series
+    return series
 
 
 def series_full(params: GroupParams, g: Element) -> LaurentPoly:
@@ -162,9 +159,9 @@ def series_full(params: GroupParams, g: Element) -> LaurentPoly:
     Sum_{r | d} moebius(r) r^(n+k-2) S_lambda(z -> (m/r) z).
     For p = m the cyclic factor is the trivial series 1; for n = 1 the whole
     group is cyclic and the series is exactly the cyclic factor.  Computed
-    once per class key (λ, d, a), with its (phi, ell), in phi_data_by_key.
+    once per class key (λ, d, a), in series_by_key.
     """
-    return phi_data_by_key(series_key(params, g))[2]
+    return series_by_key(series_key(params, g))
 
 
 def series_full_factored(params: GroupParams, g: Element) -> LaurentPoly:
@@ -256,6 +253,7 @@ def lead_from_phi(phi: LaurentPoly, group_order: int, ell: int) -> Fraction:
 def phi_data(params: GroupParams, g: Element) -> tuple[LaurentPoly, int, LaurentPoly]:
     """(phi, ell, series): core polynomial and root-1 multiplicity of g's series.
 
-    Like the series, (phi, ell) is computed once per class key.
+    Only the series is cached; (phi, ell) is peeled off it on every call.
     """
-    return phi_data_by_key(series_key(params, g))
+    series = series_full(params, g)
+    return (*extract_phi(series, params.order, params.num_hyperplanes), series)

@@ -15,13 +15,14 @@ lemma) is stored as it is by ``LaurentPoly._from_canonical``.
 ``egf_prefix`` expands back to counts; ``laurent_from_egf`` reconstructs the
 Laurent form from enough counts by exact Lagrange inversion on the integer
 nodes of the degree window, in integer arithmetic, and checks every surplus
-count exactly.  The window's integer Lagrange basis is built once and kept
-(a bounded cache, emptied by ``wfact.oracle.clear_caches``), so a call is
-one dot product per node over the nonzero counts.  ``extract_phi`` peels
-off the structural factors (1/order) * (X-1)^ell * X^(-hyperplanes) around
-the palindromic-ish core polynomial.  The core's complex roots are found
-by ``wfact.roots``, the package's one inexact step, which feeds plots only;
-``find_roots`` and ``RootFindingError`` stay bound here as well.
+count exactly.  The integer Lagrange basis of any window ``oracle_series``
+reaches is built once and kept (a bounded cache, emptied by
+``wfact.oracle.clear_caches``; a wider one is built for its call alone), so
+a call is one dot product per node over the nonzero counts.  ``extract_phi``
+peels off the structural factors (1/order) * (X-1)^ell * X^(-hyperplanes)
+around the palindromic-ish core polynomial.  The core's complex roots are
+found by ``wfact.roots``, the package's one inexact step, which feeds plots
+only; ``find_roots`` and ``RootFindingError`` stay bound here as well.
 """
 
 from __future__ import annotations
@@ -331,16 +332,16 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-# Windows whose Lagrange basis is kept, as the oracle keeps 8 groups: each
-# oracle window [-#A, #R] belongs to one group.  A basis holds w**2
-# integers of up to log2((w-1)!) bits.  Measured (Python 3.11, 2-core
-# x86_64 host): at G(176,1,1)'s window (w = 177), the widest oracle_series
-# reaches within the walk guard, 3.9 MB, built in 0.014 s; at G(447,1,1)'s
-# (w = 448), the widest group the table guard admits, 61 MB, built in
-# 0.12-0.17 s, where the dense solve itself takes about 0.8 s.  Only a
-# direct call reaches a window that wide, and a basis grows like
-# w**3 log w: 8 windows as wide would hold about 0.5 GB.
+# Windows whose Lagrange basis is kept, as the oracle keeps 8 groups (each
+# oracle window [-#A, #R] belongs to one group), and the widest kept.  A
+# basis holds w**2 integers of up to log2((w-1)!) bits.  oracle_series
+# counts to length w + 1, so WALK_GUARD ((w + 2)**2 * #R * #W <= 1e9) and
+# TABLE_GUARD let it reach w = 209, at G(104,104,2): 5.3 MB, built in
+# 0.016 s (Python 3.11, 2-core x86_64 host), so the kept bases hold at most
+# ~43 MB.  A wider basis, from a direct call, is built for that call alone:
+# at G(447,1,1)'s w = 448 it takes 61 MB, and 8 kept would be 0.5 GB.
 _CACHE_WINDOWS = 8
+_CACHED_WIDTH = 209
 
 
 @lru_cache(maxsize=_CACHE_WINDOWS)
@@ -383,8 +384,8 @@ def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPol
     The first ``w = max_deg - min_deg + 1`` entries determine the a_k by
     Lagrange inversion on the integer nodes of the window:
     (w-1)! * a_k = signs_k * Sum_j rows_k[j] * prefix[j], with the window's
-    integer basis (``_lagrange_basis``) built once and kept, so everything
-    runs in integers over the common denominator
+    integer basis (``_lagrange_basis``, kept up to w = _CACHED_WIDTH), so
+    everything runs in integers over the common denominator
     (w-1)! * lcm(prefix denominators).  Each sum is one dot product over
     the nonzero entries only.  Every surplus entry j >= w is then checked
     exactly against Sum_k a_k k**j; a mismatch raises ValueError (meaning
@@ -396,7 +397,8 @@ def laurent_from_egf(prefix: Sequence, min_deg: int, max_deg: int) -> LaurentPol
     counts, den = _over_common_denominator(prefix)
     if len(counts) < width:
         raise ValueError(f"need at least {width} prefix entries, got {len(counts)}")
-    rows, signs, spread, powers = _lagrange_basis(min_deg, max_deg)
+    basis = _lagrange_basis if width <= _CACHED_WIDTH else _lagrange_basis.__wrapped__
+    rows, signs, spread, powers = basis(min_deg, max_deg)
     head = counts[:width]
     nonzero = [c for c in head if c]
     numers = [f * sum(map(mul, compress(row, head), nonzero)) for f, row in zip(signs, rows)]

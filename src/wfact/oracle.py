@@ -96,7 +96,6 @@ from .laurent import LaurentPoly, _lagrange_basis, laurent_from_egf
 from .partitions import integer_partitions
 
 __all__ = [
-    "CAP_SUBGROUPS",
     "TABLE_GUARD",
     "WALK_GUARD",
     "ElementTable",
@@ -113,7 +112,6 @@ __all__ = [
     "generates_by_closure",
 ]
 
-CAP_SUBGROUPS = 20000
 # #W * #R, the cells of the reflection-column multiplication table (int32,
 # so 0.8 MB at the guard); the lattice closures grow with it.  In process
 # (Python 3.11, one core of a Xeon, best of 15 with every cache cold),
@@ -122,7 +120,12 @@ CAP_SUBGROUPS = 20000
 # G(8,1,3) (138,240), 0.18 s on G(400,1,1) (159,600) and 0.30 s on
 # G(447,1,1) (199,362), where the 448 closures of the rank-one lattice are
 # nearly all of it; unguarded, oracle-verify ran 48 s on G(4000,1,1)
-# (1.6e7 cells).
+# (1.6e7 cells).  It bounds the subgroup lattice too: of the 732 groups
+# with n >= 2 inside it, all built in 23 s (Python 3.11, 2-core x86_64
+# host), the largest lattices are G(2,1,5)'s 1,430 subgroups, G(6,6,4)'s
+# 957, G(216,108,2)'s 884 and S_7's 877; a rank-one lattice has at most
+# d(m/p) <= 24, as m/p <= 447.  A raise of this guard (ROADMAP item 7)
+# must bring its own bound on the lattice.
 TABLE_GUARD = 2 * 10**5
 # A sweep to depth n_max returns (n_max + 1) * #W ints of up to ~n_max bits,
 # and each length of each walk adds at most #R rows of at most #W of them,
@@ -447,8 +450,8 @@ def build_tables(params: GroupParams) -> tuple[ElementTable, SubgroupTable]:
     and that the identity's row of ``mult`` holds the reflections' own
     ranks.
 
-    Guards: more than TABLE_GUARD cells #W * #R, checked before any work,
-    or more than CAP_SUBGROUPS subgroups raise CapabilityError.
+    Guard: a table of more than TABLE_GUARD cells #W * #R raises
+    CapabilityError, checked before any work.
     """
     _check_guard(params, 1, TABLE_GUARD, f"{params} has a table of #W * #R cells")
     refl_list = reflections(params)
@@ -524,11 +527,6 @@ def _build_subgroups(etable: ElementTable) -> SubgroupTable:
     orbits: dict[int, list[int]] = {}  # representative -> its orbit, rep first
 
     def add(member_array: np.ndarray, flags: np.ndarray) -> int:
-        if len(members) >= CAP_SUBGROUPS:
-            raise CapabilityError(
-                f"{etable.params} produced more than {CAP_SUBGROUPS} reflection "
-                "subgroups; oracle subgroup cap exceeded"
-            )
         idx = len(members)
         interned[flags.tobytes()] = idx
         members.append(member_array)

@@ -415,13 +415,15 @@ def test_series_body_writes_a_fractional_count_as_a_string(monkeypatch):
     # "n/d" form of an egf_prefix entry.  The made-up data holds together
     # where the body reads it: the series (X - 2 + X^-1)/6 has the factor
     # (X - 1)**ell with ell = 2, its counts are 0, 0, 1/3, 0, and the count
-    # at ell is the lead phi(1) * 2!/#W = 2/6 with phi = 1 and #W = 6.
+    # at ell is the lead phi(1) * 2!/#W = 2/6 with phi = X^2 (#A = 3) and
+    # #W = 6 for G(3,3,2).
     series = LaurentPoly(-1, [1, -2, 1], 6)
-    phi = LaurentPoly.one()
-    monkeypatch.setattr(cli, "phi_data_by_key", lambda key: (phi, 2, series))
-    text = "{\n" + cli._series_body.__wrapped__((GroupParams(3, 3, 2),), 3) + "\n}"
+    monkeypatch.setattr(cli, "series_by_key", lambda key: series)
+    ell, lead, body = cli._series_body.__wrapped__((GroupParams(3, 3, 2),), 3)
+    text = "{\n" + body + "\n}"
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2)
+    assert (ell, lead) == (2, Fraction(1, 3))
     assert doc["egf_prefix"] == [0, 0, "1/3", 0]
     assert doc["lead_coeff"] == "1/3"
     assert doc["laurent"] == {"min_deg": -1, "coeffs": ["1/6", "-1/3", "1/6"]}
@@ -429,9 +431,11 @@ def test_series_body_writes_a_fractional_count_as_a_string(monkeypatch):
 
 def test_series_body_refuses_a_count_at_ell_other_than_the_lead(monkeypatch):
     # The body writes the counts below ell as 0 without computing them, so
-    # the first count it computes must be the lead.
+    # the first count it computes must be the lead.  A wrong ell = 1 from
+    # the core's extraction makes the first count computed 0.
     series = LaurentPoly(-1, [1, -2, 1], 6)
-    monkeypatch.setattr(cli, "phi_data_by_key", lambda key: (LaurentPoly.one(), 1, series))
+    monkeypatch.setattr(cli, "series_by_key", lambda key: series)
+    monkeypatch.setattr(cli, "extract_phi", lambda *args: (LaurentPoly.one(), 1))
     with pytest.raises(AssertionError, match="not the lead"):
         cli._series_body.__wrapped__((GroupParams(3, 3, 2),), 3)
 
@@ -443,10 +447,12 @@ def test_series_body_counts_are_the_series_counts(mpn):
     params = GroupParams(*mpn)
     for g in class_representatives(params):
         key = factorizations.series_key(params, g)
-        _, ell, series = factorizations.phi_data_by_key(key)
+        _, ell, series = phi_data(params, g)
         assert ell >= 2
         for top in (ell + 4, 0, ell - 1):
-            doc = json.loads("{\n" + cli._series_body.__wrapped__(key, top) + "\n}")
+            body_ell, lead, body = cli._series_body.__wrapped__(key, top)
+            assert (body_ell, lead) == (ell, lead_coeff(params, g))
+            doc = json.loads("{\n" + body + "\n}")
             assert doc["egf_prefix"] == series.egf_prefix(top), (g, top)
             assert all(type(c) is int for c in doc["egf_prefix"])
 
@@ -482,7 +488,7 @@ def test_series_reads_the_cycle_data_once_per_call(capsys, monkeypatch):
         groups, "validate_element", counting("validate_element", groups.validate_element)
     )
     cli._series_body.cache_clear()
-    factorizations.phi_data_by_key.cache_clear()
+    factorizations.series_by_key.cache_clear()
     argv = ("series", "--m", "4", "--p", "2", "--n", "6", "--cycles", "(2,1),(3,1),(1,0)")
     for _ in range(2):  # cold, then a cache hit
         calls.clear()

@@ -256,7 +256,7 @@ def test_phi_palindromic_for_real_groups():
 
 
 def test_key_cache_stays_at_its_bound():
-    cache = factorizations.phi_data_by_key
+    cache = factorizations.series_by_key
     cache.cache_clear()
     bound = factorizations.KEY_CACHE_SIZE
     for m in range(1, bound + 11):  # one key per group G(m,1,1)
@@ -268,24 +268,24 @@ def test_key_cache_stays_at_its_bound():
 
 def test_series_full_computes_each_key_once():
     # Every element of a key reads the one cached series: one miss per key.
-    factorizations.phi_data_by_key.cache_clear()
+    factorizations.series_by_key.cache_clear()
     params, rng = GroupParams(4, 2, 3), random.Random(8910)
     drawn = [random_element(params, rng) for _ in range(300)]
     for g in drawn:
         series_full(params, g)
     keys = {factorizations.series_key(params, g) for g in drawn}
-    info = factorizations.phi_data_by_key.cache_info()
+    info = factorizations.series_by_key.cache_info()
     assert (info.misses, info.hits) == (len(keys), len(drawn) - len(keys))
 
 
 def test_uncached_routes_leave_the_key_cache_alone():
-    factorizations.phi_data_by_key.cache_clear()
+    factorizations.series_by_key.cache_clear()
     params = GroupParams(4, 2, 3)
     for g in class_representatives(params):
         series_full_factored(params, g)
         full_length(params, g)
         lead_coeff(params, g)
-    assert factorizations.phi_data_by_key.cache_info().currsize == 0
+    assert factorizations.series_by_key.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- class invariance

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from routes import factorial, poly
 
 from wfact.laurent import (
+    _CACHED_WIDTH,
     LaurentPoly,
     _lagrange_basis,
     _strip_x_minus_one,
@@ -346,6 +347,26 @@ def test_laurent_from_egf_warm_basis_still_checks_each_surplus_count(surplus_ind
     with pytest.raises(ValueError, match=f"at index {index}:"):
         laurent_from_egf(prefix, -1, 2)
     assert _lagrange_basis.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("width", [_CACHED_WIDTH, _CACHED_WIDTH + 1])
+def test_laurent_from_egf_keeps_no_basis_past_the_widest_oracle_window(width):
+    # A kept basis grows like w**3 log w, so a direct call on a window wider
+    # than any oracle_series reaches builds its basis for that call alone.
+    # It still round-trips and still checks the surplus counts.
+    L = LaurentPoly(-10, [F(1, 3), 0, -2] + [0] * (width - 6) + [5, 0, 1])
+    assert L.max_deg - L.min_deg + 1 == width
+    prefix = L.egf_prefix(width + 1)
+    before = _lagrange_basis.cache_info()
+    assert laurent_from_egf(prefix, L.min_deg, L.max_deg) == L
+    prefix[width] += 1
+    with pytest.raises(ValueError, match=f"at index {width}:"):
+        laurent_from_egf(prefix, L.min_deg, L.max_deg)
+    after = _lagrange_basis.cache_info()
+    if width > _CACHED_WIDTH:
+        assert after == before
+    else:
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
 
 
 def test_laurent_from_egf_all_zero_prefix_is_zero():

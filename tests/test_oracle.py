@@ -27,7 +27,8 @@ from wfact.groups import (
     multiply,
     reflections,
 )
-from wfact.laurent import LaurentPoly, _lagrange_basis, extract_phi
+from wfact.laurent import _CACHED_WIDTH, LaurentPoly, _lagrange_basis, extract_phi
+from wfact.numtheory import divisors
 from wfact.oracle import (
     acts_transitively_on_Em,
     build_tables,
@@ -813,6 +814,30 @@ def test_clear_caches_empties_the_lagrange_basis_cache():
     assert _lagrange_basis.cache_info().currsize == 0
 
 
+def test_the_kept_basis_width_is_the_widest_oracle_window():
+    # wfact.laurent keeps the Lagrange basis of a window no wider than
+    # _CACHED_WIDTH.  oracle_series reconstructs on [-#A, #R] from the
+    # counts to length w + 1, so that must be the widest window w that both
+    # guards admit.  Past m = 447, TABLE_GUARD admits only rank-one groups
+    # G(m,p,1), whose windows are those of G(m/p,1,1), and nothing past
+    # n = 12.
+    widest, group = 0, None
+    for n in range(1, 13):
+        for m in range(1, 449):
+            for p in divisors(m):
+                params = GroupParams(m, p, n)
+                width = params.num_reflections + params.num_hyperplanes + 1
+                if width <= widest:
+                    continue
+                try:
+                    oracle._check_guard(params, 1, oracle.TABLE_GUARD, "")
+                    oracle._check_guard(params, (width + 2) ** 2, oracle.WALK_GUARD, "")
+                except CapabilityError:
+                    continue
+                widest, group = width, params
+    assert (widest, group) == (_CACHED_WIDTH, GroupParams(104, 104, 2))
+
+
 def test_oracle_series_a1_row():
     params = GroupParams(1, 1, 2)
     from fractions import Fraction as F
@@ -877,6 +902,13 @@ def test_em_action_requires_equal_parameters():
 def test_em_action_rank_one():
     assert acts_transitively_on_Em([], GroupParams(1, 1, 1))
     assert not acts_transitively_on_Em([], GroupParams(2, 2, 1))
+
+
+def test_generates_by_closure_refuses_a_reflection_of_another_group():
+    params = GroupParams(3, 3, 2)
+    diagonal = next(t for t in reflections(GroupParams(3, 1, 2)) if t.kind == "diagonal")
+    with pytest.raises(ValueError, match=r"^d\(1;1\) is not a reflection of G\(3,3,2\)$"):
+        generates_by_closure(params, reflections(params)[:1] + [diagonal])
 
 
 def test_em_action_equals_generation():
