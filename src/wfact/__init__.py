@@ -9,7 +9,7 @@ factors, and a brute-force enumeration oracle for independent verification.
 """
 
 from .cyclic import cyclic_all_series, cyclic_element_order, cyclic_full_series
-from .errors import CapabilityError
+from .errors import CapabilityError, RootFindingError
 from .factorizations import (
     full_length,
     lead_coeff,
@@ -47,7 +47,7 @@ from .oracle import (
     count_factorizations,
     oracle_series,
 )
-from .roots import RootFindingError, find_roots
+from .roots import find_roots
 from .symmetric import (
     dyz_identity_series,
     frobenius_series_sn,

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from pathlib import Path
 
-from .errors import CapabilityError
+from .errors import CapabilityError, RootFindingError
 from .factorizations import (
     KEY_CACHE_SIZE,
     WINDOW_GUARD,
@@ -45,7 +45,7 @@ from .groups import (
 )
 from .laurent import LaurentPoly, extract_phi
 from .oracle import class_representatives, count_factorizations
-from .roots import RootFindingError, find_roots
+from .roots import find_roots
 from .symmetric import FULL_GUARD, dyz_identity_series, full_series_sn
 
 ELEMENT_GRAMMAR = (

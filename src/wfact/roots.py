@@ -6,8 +6,10 @@ It works on a polynomial's integer numerators alone (``min_deg`` and
 
 * square-free split: Yun's algorithm over Z, with Brown's modular gcd
   (``_squarefree_parts``), so the iteration only ever meets simple roots;
-* Aberth-Ehrlich sweeps on double-precision coefficients from Newton-polygon
-  starts (``_certified_simple_roots``);
+* Aberth-Ehrlich sweeps on double-precision coefficients
+  (``_certified_simple_roots``), started on the circles of the Newton polygon
+  after three Graeffe root-squarings, in the variable x**g when p is a
+  polynomial in x**g (``_newton_polygon_start``);
 * certification: Newton steps with p and p' evaluated in fixed point to a
   proven error bound on the integer coefficients (``_certify_pending``,
   ``_newton_step``), each pass started at the precision it needs; on a
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, RootFindingError
 
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
@@ -31,31 +33,52 @@ if TYPE_CHECKING:
 __all__ = ["find_roots", "RootFindingError"]
 
 
-class RootFindingError(ArithmeticError):
-    """Raised when the iteration misses tolerance or a root does not certify.
-
-    ``best`` holds the best iterate, sorted by (real, imag) like a result.
-    """
-
-    def __init__(self, message: str, best: list[complex]):
-        super().__init__(message)
-        self.best = best
-
-
 def _newton_polygon_start(ics: Sequence[int]) -> np.ndarray:
-    """Aberth starting points from the Newton polygon of log|a_i| (Bini 1996).
+    """Aberth starting points from the Newton polygon after Graeffe steps (Bini 1996).
 
     ``ics`` are integer coefficients, ascending, with both ends nonzero.
-    Each edge from i to j of the upper convex hull of the points
-    (i, log|a_i|) over the nonzero a_i contributes j - i points on the
-    circle of radius (|a_i| / |a_j|)**(1 / (j - i)), the size of the roots
+    With g the gcd of the exponents of the nonzero coefficients, p(x) =
+    q(x**g), and the starts for q are found first.  ``_GRAEFFE_STEPS``
+    root-squarings q_{k+1}(y**2) = +-q_k(y) * q_k(-y) turn each root w of
+    q into w**(2**k); that spreads the root moduli apart, so the Newton
+    polygon of q_k reads them off closely (Ostrowski, *Acta Math.* 72
+    (1940)).  Each step is one convolution on doubles, rescaled to unit
+    maximum with the log of the scale carried, so nothing overflows; a
+    coefficient that underflows to 0 is left off the hull, and the two end
+    coefficients, a_0**(2**k) and a_n**(2**k) exactly, take their logs from
+    the integers, so the hull always spans 0..n.  Each edge from i to j of
+    the upper convex hull of the points (i, log|c_i|) over the nonzero
+    coefficients c of q_k contributes j - i points on the circle of radius
+    (|c_i| / |c_j|)**(1 / ((j - i) * 2**k)), the size of the roots of q
     that edge accounts for; the angles are spread evenly on each circle and
-    rotated per edge, off the real axis.
+    rotated per edge, off the real axis.  Each start w of q then gives its
+    g g-th roots, the starts for p.
     """
-    deg = len(ics) - 1
-    points = [(i, math.log(abs(c))) for i, c in enumerate(ics) if c]
+    g = math.gcd(*(i for i, c in enumerate(ics) if c))
+    q = ics[::g]
+    n = len(q) - 1
+    # q_k = a * e**log_scale, with max |a| = 1.
+    a = np.array([float(c) for c in q])
+    top = np.abs(a).max()
+    a /= top
+    log_scale = math.log(top)
+    for _ in range(_GRAEFFE_STEPS):
+        alternating = a.copy()
+        alternating[1::2] *= -1.0
+        a = np.convolve(a, alternating)[::2]
+        top = np.abs(a).max()
+        a /= top
+        log_scale = 2.0 * log_scale + math.log(top)
+    # The hull is built in the frame of a, where the heights are small and
+    # exact to rounding; only the exact end logs are shifted into it.
+    power = 2**_GRAEFFE_STEPS
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(a))
+    logs[0] = power * math.log(abs(q[0])) - log_scale
+    logs[-1] = power * math.log(abs(q[-1])) - log_scale
     hull: list[tuple[int, float]] = []
-    for i, li in points:
+    for i in np.flatnonzero(np.isfinite(logs)).tolist():
+        li = float(logs[i])
         # Pop the last hull point while it lies on or below the chord to (i, li).
         while len(hull) >= 2:
             (i0, l0), (i1, l1) = hull[-2], hull[-1]
@@ -63,13 +86,15 @@ def _newton_polygon_start(ics: Sequence[int]) -> np.ndarray:
                 break
             hull.pop()
         hull.append((i, li))
-    starts = []
-    for (i, li), (j, lj) in zip(hull, hull[1:]):
-        k = j - i
-        radius = math.exp((li - lj) / k)
-        angles = 2.0 * np.pi * (np.arange(k) / k + i / deg) + 0.45
-        starts.append(radius * np.exp(1j * angles))
-    return np.concatenate(starts)
+    ends, heights = np.array(hull).T
+    widths = np.diff(ends).astype(int)
+    # Start t of q lies on the edge from i to i + k with t in [i, i + k).
+    first = np.repeat(ends[:-1], widths)
+    log_radius = np.repeat(-np.diff(heights) / widths, widths) / power
+    t = np.arange(n)
+    angle = 2.0 * np.pi * ((t - first) / np.repeat(widths, widths) + first / n) + 0.45
+    turns = 2.0 * np.pi * np.arange(g)[:, None]
+    return np.exp((log_radius + 1j * (angle + turns)) / g).ravel()
 
 
 def _newton_and_residual(
@@ -488,6 +513,8 @@ _MAX_ITER = 500
 _NEWTON_STEPS = 8
 # The iteration gives up after this many sweeps with no newly certified root.
 _GIVE_UP = 4
+# Graeffe root-squarings before the Newton polygon of the starts.
+_GRAEFFE_STEPS = 3
 
 
 def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]:
@@ -497,17 +524,19 @@ def _certified_simple_roots(ics: Sequence[int]) -> tuple[np.ndarray, str | None]
     and degree >= 1.  ``failure`` is None when every iterate is a certified
     root, else the reason it is not.
 
-    Certification, not a sweep count, ends the iteration.  Aberth sweeps run
-    until the relative backward error of every pending iterate is below
-    ``_TOL``, and then ``_certify_pending`` certifies what it can.  A
-    certified root stays fixed and still repels the others; only the pending
-    iterates take further sweeps, each followed by another certification
-    while they stay below ``_TOL``.  An ill-conditioned root that does not
-    certify when the test first passes usually does a few sweeps later,
-    against exact neighbours.  The loop ends when every root is certified,
-    ``_GIVE_UP`` sweeps after the last newly certified root (or after the
-    first certification, if it certified none), or after ``_MAX_ITER``
-    sweeps.
+    The iterates start from ``_newton_polygon_start``: on the bundled
+    fixtures the k-th smallest start modulus is 0.91 to 1.09 times the k-th
+    smallest root modulus.  Certification, not a sweep count, ends the
+    iteration.  Aberth sweeps run until the relative backward error of every
+    pending iterate is below ``_TOL``, and then ``_certify_pending``
+    certifies what it can.  A certified root stays fixed and still repels
+    the others; only the pending iterates take further sweeps, each followed
+    by another certification while they stay below ``_TOL``.  An
+    ill-conditioned root that does not certify when the test first passes
+    usually does a few sweeps later, against exact neighbours.  The loop
+    ends when every root is certified, ``_GIVE_UP`` sweeps after the last
+    newly certified root (or after the first certification, if it
+    certified none), or after ``_MAX_ITER`` sweeps.
     """
     deg = len(ics) - 1
     try:
@@ -677,8 +706,12 @@ def find_roots(poly: LaurentPoly) -> list[complex]:
     iteration only ever meets simple roots, and a root of multiplicity k is
     found once and listed k times.  On each part: Aberth-Ehrlich
     simultaneous iteration on double-precision coefficients, started on the
-    circles of the Newton polygon of log|a_i| (Bini 1996), one circle per
-    hull edge at the size of the roots it accounts for.  Each sweep
+    circles of the Newton polygon (Bini 1996) of the part after three
+    Graeffe root-squarings, which spread the root moduli apart so that each
+    circle lies close to the size of the roots its hull edge accounts for;
+    a part that is a polynomial q(x**g) gets the g-th roots of q's starts
+    (``_newton_polygon_start``).  Every returned root is certified, so the
+    starts change only how many sweeps the iteration takes.  Each sweep
     evaluates p/p' and the relative backward error
     |p(r)| / sum_i |a_i||r|**i of all iterates from one power matrix per side
     of |r| = 1 (``_newton_and_residual``).  Once every backward error is

@@ -149,11 +149,59 @@ CORES = list(load_phi_fixtures()) + [f"S{n}" for n in range(4, 15)]
 
 @pytest.mark.parametrize("name", CORES)
 def test_find_roots_sweep_budget(name, monkeypatch):
-    # The Newton-polygon start converges in well under 100 sweeps on every
-    # bundled fixture and every S_n identity core for n = 4..14.
+    # The Newton-polygon start after Graeffe steps converges in at most 16
+    # sweeps on every bundled fixture and every S_n identity core for
+    # n = 4..14 (H4 takes the most), well under 25.
     phi = _core(name)
-    monkeypatch.setattr(roots_module, "_MAX_ITER", 100)
+    monkeypatch.setattr(roots_module, "_MAX_ITER", 25)
     assert len(find_roots(phi)) == phi.max_deg
+
+
+@pytest.mark.parametrize("name", ["E8", "E7", "H4"])
+def test_newton_polygon_start_moduli_follow_the_roots(name):
+    # After three Graeffe steps the k-th smallest start modulus is within a
+    # factor 1.25 of the k-th smallest root modulus (0.93-1.08 measured).
+    phi = _core(name)
+    starts = _newton_polygon_start(list(phi.numers))
+    ratios = np.sort(np.abs(starts)) / np.sort(np.abs(find_roots(phi)))
+    assert np.all((ratios > 1 / 1.25) & (ratios < 1.25)), (ratios.min(), ratios.max())
+
+
+def _g446_identity_part():
+    """The degree-96 square-free part of G(4,4,6)'s identity core, a polynomial in X**2."""
+    from wfact.factorizations import phi_data
+    from wfact.groups import GroupParams, identity
+
+    params = GroupParams(4, 4, 6)
+    core = phi_data(params, identity(params))[0]
+    (part,) = [a for a, _ in _squarefree_parts(list(core.numers)) if len(a) == 97]
+    return part
+
+
+@pytest.mark.parametrize("name", ["1+5X^2+7X^6+X^8", "G(4,4,6) degree 96"])
+def test_newton_polygon_start_in_the_variable_x_to_the_g(name):
+    # p(x) = q(x**g) with g the gcd of the exponents present: the starts are
+    # the g-th roots of q's starts, so the set is closed under multiplication
+    # by e**(2*pi*i/g), as the roots are.
+    ics = [1, 0, 5, 0, 0, 0, 7, 0, 1] if name[0] == "1" else _g446_identity_part()
+    g = math.gcd(*(i for i, c in enumerate(ics) if c))
+    assert g == 2
+    z = _newton_polygon_start(ics)
+    assert len(z) == len(ics) - 1
+    turned = z * cmath.exp(2j * math.pi / g)
+    gaps = np.abs(turned[:, None] - z[None, :]).min(axis=1)
+    assert np.all(gaps <= 1e-12 * np.abs(z)), gaps.max()
+
+
+def test_newton_polygon_start_when_the_ends_underflow():
+    # The coefficients 2**(i*(60 - i)//4) span about 2**225; after three
+    # squarings the ends fall about 2**1800 below the largest and underflow
+    # to 0.  Their logs come from the integers, so the hull still spans the
+    # whole degree.
+    ics = [2 ** (i * (60 - i) // 4) for i in range(61)]
+    z = _newton_polygon_start(ics)
+    assert len(z) == 60 and np.all(np.isfinite(z))
+    assert len(find_roots(LaurentPoly(0, ics))) == 60
 
 
 def _dyadic(z):
@@ -298,11 +346,46 @@ def test_find_roots_pair_fails_together(monkeypatch):
     assert abs(best[0] + 1j) < 1e-10 and abs(best[1] - 1j) < 1e-10, best
 
 
+# Groups whose identity cores ``wfact roots --phi-from`` splits into several
+# square-free parts; most of the large parts are polynomials in X**2.
+PHI_FROM_GROUPS = [(4, 4, 6), (4, 2, 6), (2, 1, 7), (6, 3, 6), (2, 1, 10), (2, 2, 8), (3, 3, 6)]
+
+
+def test_find_roots_phi_from_sweep_total(monkeypatch):
+    # The Aberth sweeps over the square-free parts of these identity cores
+    # stay at most the 139 that the plain Newton polygon took (114 measured).
+    from wfact.factorizations import phi_data
+    from wfact.groups import GroupParams, identity
+
+    sweeps = []
+    evaluate = roots_module._newton_and_residual
+    monkeypatch.setattr(
+        roots_module, "_newton_and_residual", lambda *args: sweeps.append(1) or evaluate(*args)
+    )
+    for m, p, n in PHI_FROM_GROUPS:
+        params = GroupParams(m, p, n)
+        core = phi_data(params, identity(params))[0]
+        for part, _ in _squarefree_parts(list(core.numers)):
+            assert len(find_roots(LaurentPoly(0, part))) == len(part) - 1
+    assert len(sweeps) <= 139, len(sweeps)
+
+
+def test_root_finding_error_is_one_class_everywhere():
+    import wfact
+    from wfact import errors, laurent
+
+    assert roots_module.RootFindingError is errors.RootFindingError
+    assert laurent.RootFindingError is errors.RootFindingError
+    assert wfact.RootFindingError is errors.RootFindingError
+    assert "RootFindingError" in wfact.__all__ and "RootFindingError" in roots_module.__all__
+
+
 def test_find_roots_e8_work_counts(monkeypatch):
-    # Certification ends the sweeps; each outer root of the palindromic core
+    # The Graeffe-polygon start puts each iterate near its root's modulus;
+    # certification ends the sweeps; each outer root of the palindromic core
     # is certified from its inverse's last pass, with no pass of its own;
     # and each pass starts at the precision it needs, so none is refused:
-    # E8 takes 39 sweeps, 128 exact Newton steps and 128 fixed-point passes.
+    # E8 takes 15 sweeps, 127 exact Newton steps and 127 fixed-point passes.
     counts = Counter()
     for name in ("_newton_and_residual", "_newton_step", "_fixed_horner"):
         real = getattr(roots_module, name)
@@ -313,7 +396,7 @@ def test_find_roots_e8_work_counts(monkeypatch):
 
         monkeypatch.setattr(roots_module, name, counting)
     assert len(find_roots(_core("E8"))) == 224
-    assert counts["_newton_and_residual"] <= 40, counts
+    assert counts["_newton_and_residual"] <= 16, counts
     assert counts["_newton_step"] <= 130, counts
     assert counts["_fixed_horner"] <= 130, counts
 
